@@ -286,17 +286,25 @@ def _stage_one_forms(cfg, knot, ctrl, run_id, csv, summary):
     summary.note("[order] estimated order of {l,m} (lower bound): %d" % q_order)
 
     for name, (path, res) in per_loop.items():
-        vol = one_forms.vol_along(path, knot.vol_k)
-        cs = one_forms.cs_along(path, knot.cs_k)
-        u = one_forms.special_cs_U(path, q_order)
-        cs1 = one_forms.cs1_along(path)
-        csv.add(run_id, "vol:" + name, vol, 0.0, res["eta"].est_error, path.n_samples)
-        csv.add(run_id, "cs:" + name, cs, 0.0, res["xi"].est_error, path.n_samples)
-        csv.add(run_id, "u:" + name, u.value, u.torus_class,
-                res["xi"].est_error, path.n_samples)
+        eta, xi = res["eta"], res["xi"]
+        _add_along_rows(csv, run_id, name, knot, q_order, eta, xi)
+        cs1 = one_forms.cs1_from(eta.value, xi.value)
         csv.add(run_id, "cs1:" + name, cs1.real, cs1.imag,
-                max(res["eta"].est_error, res["xi"].est_error), path.n_samples)
+                max(eta.est_error, xi.est_error), xi.n_samples)
     return q_order
+
+
+def _add_along_rows(csv, run_id, label, knot, q_order, eta, xi):
+    """vol, cs and U rows of one route from its eta and xi integrals;
+    returns (vol, cs, U)."""
+    vol = one_forms.vol_from(eta.value, knot.vol_k)
+    cs = one_forms.cs_from(xi.value, knot.cs_k)
+    u = one_forms.special_cs_from(xi.value, q_order)
+    csv.add(run_id, "vol:" + label, vol, 0.0, eta.est_error, eta.n_samples)
+    csv.add(run_id, "cs:" + label, cs, 0.0, xi.est_error, xi.n_samples)
+    csv.add(run_id, "u:" + label, u.value, u.torus_class, xi.est_error,
+            xi.n_samples)
+    return vol, cs, u
 
 
 def _stage_symbols(cfg, knot, ctrl, run_id, csv, summary):
@@ -331,15 +339,9 @@ def _stage_kirk_klassen(cfg, knot, ctrl, run_id, csv, summary):
     for name, spec_json in paths.items():
         spec = _pathspec_from_json(spec_json)
         # refine until the exponent's quadrature estimate supports tol
-        current = ctrl
-        path = lift_path(knot.a_poly, spec, current)
-        est = one_forms.kk_exponent(path).est_error
-        for _ in range(8):
-            if est <= tol:
-                break
-            current = refine(current)
-            path = lift_path(knot.a_poly, spec, current)
-            est = one_forms.kk_exponent(path).est_error
+        path, res, _ = one_forms.track_refined(
+            knot.a_poly, spec, ctrl, forms=("kk",), target=tol, max_halvings=8)
+        est = res["kk"].est_error
         kk = one_forms.kirk_klassen(path)
         csv.add(run_id, "kk:" + name, kk.value.real, kk.value.imag,
                 est, path.n_samples)
@@ -395,16 +397,10 @@ def _stage_conjecture(cfg, knot, ctrl, run_id, csv, jones_csv, summary,
     for a in a_values:
         spec, ang = _conjecture_path(knot, a)
         path = lift_path(knot.a_poly, spec, ctrl)
-        vol = one_forms.vol_along(path, knot.vol_k)
-        cs = one_forms.cs_along(path, knot.cs_k)
-        u = one_forms.special_cs_U(path, q_order)
         label = "a=%g" % a
-        csv.add(run_id, "vol:" + label, vol, 0.0,
-                one_forms.integrate_eta(path).est_error, path.n_samples)
-        csv.add(run_id, "cs:" + label, cs, 0.0,
-                one_forms.integrate_xi(path).est_error, path.n_samples)
-        csv.add(run_id, "u:" + label, u.value, u.torus_class,
-                one_forms.integrate_xi(path).est_error, path.n_samples)
+        vol, cs, u = _add_along_rows(csv, run_id, label, knot, q_order,
+                                     one_forms.integrate_eta(path),
+                                     one_forms.integrate_xi(path))
         t0 = time.perf_counter()
         seq = jones_sequence(n_list, a)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -618,9 +614,13 @@ def _cmd_probe(args) -> int:
     if args.knot not in table:
         print("unknown knot %r" % args.knot, file=sys.stderr)
         return 2
-    hits = probe_branch_points(table[args.knot], (args.re[0], args.re[1]),
-                               (args.im[0], args.im[1]), args.density,
-                               args.threshold)
+    try:
+        hits = probe_branch_points(table[args.knot], (args.re[0], args.re[1]),
+                                   (args.im[0], args.im[1]), args.density,
+                                   args.threshold)
+    except ConfigError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
     csv = _Csv(Path(args.out), ["m_re", "m_im", "min_abs_dAdl"])
     for m, val in hits:
         csv.add(m.real, m.imag, val)

@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import backends
 from .errors import (
     DegenerateError,
     MismatchError,
@@ -142,53 +141,29 @@ class TrackedPath:
         return self.l_return_gap <= MONODROMY_TOL
 
 
-def _term_arrays(p: LaurentBiPoly):
-    n = len(p.terms)
-    ti = np.empty(n, np.int64)
-    tj = np.empty(n, np.int64)
-    tc = np.empty(n, np.complex128)
-    for k, ((i, j), c) in enumerate(sorted(p.terms.items())):
-        ti[k] = i
-        tj[k] = j
-        tc[k] = float(c)
-    return ti, tj, tc
+def _newton_polish(A: LaurentBiPoly, Al: LaurentBiPoly, l: complex, m: complex,
+                   r: complex, budget: int) -> Tuple[complex, complex]:
+    """Newton in l at fixed m while the residual strictly drops.
 
-
-def term_arrays(p: LaurentBiPoly):
-    """Exponent/coefficient arrays in the layout the kernels consume."""
-    return _term_arrays(p)
-
-
-def _seed_tolerance() -> float:
-    import os
-
-    raw = os.environ.get("APOLY_SEED_TOL", "")
-    if raw:
-        return float(raw)
-    return DEFAULT_SEED_TOL
-
-
-def _polish_root(A: LaurentBiPoly, Al: LaurentBiPoly, l: complex, m: complex,
-                 budget: int = 20) -> complex:
-    # Newton in l while the residual strictly improves
-    r = abs(eval_poly(A, l, m))
+    r is A(l, m); returns the polished l and its residual A(l, m).
+    """
     for _ in range(budget):
         d = eval_poly(Al, l, m)
         if d == 0:
             break
-        l_try = l - eval_poly(A, l, m) / d
-        r_try = abs(eval_poly(A, l_try, m))
-        if r_try < r:
+        l_try = l - r / d
+        r_try = eval_poly(A, l_try, m)
+        if abs(r_try) < abs(r):
             l, r = l_try, r_try
         else:
             break
-    return l
+    return l, r
 
 
 def _check_seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> complex:
     """Validate the branch seed and snap it onto the curve."""
     scale = max_term(A, l_seed, m0)
-    if abs(eval_poly(A, l_seed, m0)) > _seed_tolerance() * scale:
+    if abs(eval_poly(A, l_seed, m0)) > DEFAULT_SEED_TOL * scale:
         raise SeedError("seed does not satisfy A within tolerance at the start point")
     try:
         roots = roots_in_l(A, m0)
@@ -207,6 +182,70 @@ def _check_seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> complex:
     return roots[nearest]
 
 
+def _correct(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, l: complex,
+             m0: complex, m1: complex, tol: float, ctrl: StepControls):
+    """Tangent predictor from (l, m0) to m1, Newton corrector at m1.
+
+    The iteration count to the first tolerance hit decides step halving:
+    returns None when the hit needs more than ctrl.halve_after iterations
+    or never comes.  After the hit the root is polished while the residual
+    strictly drops, within the same total budget, so the ramification
+    guard sees a fully converged point.  Returns (l, A(l, m1)).
+    """
+    dal = eval_poly(Al, l, m0)
+    if dal == 0:
+        return None
+    l1 = l - eval_poly(Am, l, m0) / dal * (m1 - m0)
+    r = eval_poly(A, l1, m1)
+    iters = 0
+    while not abs(r) <= tol:  # a NaN residual never counts as a hit
+        if iters == ctrl.newton_budget:
+            return None
+        d = eval_poly(Al, l1, m1)
+        if d == 0:
+            return None
+        l1 = l1 - r / d
+        r = eval_poly(A, l1, m1)
+        iters += 1
+    if iters > ctrl.halve_after:
+        return None
+    return _newton_polish(A, Al, l1, m1, r, ctrl.newton_budget - iters)
+
+
+def _track_grid(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment,
+                n: int, l: complex, scale: float, ctrl: StepControls):
+    """March l along n equal steps of seg keeping A(l, m) = 0.
+
+    A failing step is halved by inserting the parameter midpoint.  Returns
+    (s, m, l, resid_max, scale): the accepted segment parameters with their
+    m and l samples, the largest residual and the running term scale.
+    """
+    s = list(np.linspace(0.0, 1.0, n + 1))
+    ms = [complex(seg.point(x)) for x in s]
+    ls = [l]
+    resid_max = abs(eval_poly(A, l, ms[0]))
+    k = 0
+    while k < len(s) - 1:
+        m1 = ms[k + 1]
+        step = _correct(A, Al, Am, l, ms[k], m1, RESID_REL * scale, ctrl)
+        if step is None:
+            gap = s[k + 1] - s[k]
+            if gap / 2.0 < ctrl.min_step:
+                raise NonConvergence("step underflow near m = %s" % ms[k])
+            s.insert(k + 1, s[k] + gap / 2.0)
+            ms.insert(k + 1, complex(seg.point(s[k + 1])))
+            continue
+        l, r = step
+        scale = max(scale, max_term(A, l, m1))
+        if abs(eval_poly(Al, l, m1)) < RAM_REL * scale:
+            raise RamificationError(
+                "lift ran into a branch point near m = %s" % m1, m=m1, l=l)
+        resid_max = max(resid_max, abs(r))
+        ls.append(l)
+        k += 1
+    return s, ms, ls, resid_max, scale
+
+
 def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls(),
               base_eps: float = BASE_EPS) -> TrackedPath:
     """Track the route in spec on A = 0 starting from the seeded branch.
@@ -220,71 +259,31 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     """
     Al = partial(A, "l")
     Am = partial(A, "m")
-    ta = _term_arrays(A)
-    tb = _term_arrays(Al)
-    tc = _term_arrays(Am)
 
     m0 = spec.segments[0].first
     l0 = _check_seed(A, spec.l_seed, m0)
-    l0 = _polish_root(A, Al, l0, m0, ctrl.newton_budget)
+    l0, _ = _newton_polish(A, Al, l0, m0, eval_poly(A, l0, m0), ctrl.newton_budget)
     scale = max_term(A, l0, m0)
 
+    n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
     n_segs = len(spec.segments)
-    all_t: List[np.ndarray] = []
-    all_l: List[np.ndarray] = []
-    all_m: List[np.ndarray] = []
+    t_parts: List[np.ndarray] = []
+    m_all: List[complex] = []
+    l_all: List[complex] = [l0]
     resid_max = 0.0
-    l_cur = l0
     for seg_idx, seg in enumerate(spec.segments):
-        n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
-        s = list(np.linspace(0.0, 1.0, n + 1))
-        l_vals: List[complex] = [l_cur]
-        start = 0
-        while start < len(s) - 1:
-            tail = s[start:]
-            m_arr = np.array([seg.point(x) for x in tail], dtype=complex)
-            out_l, out_r, scale, status, idx = backends.track_grid(
-                *ta, *tb, *tc, m_arr, l_vals[start], scale,
-                RESID_REL, RAM_REL, ctrl.halve_after, ctrl.newton_budget,
-            )
-            if status == 2:
-                bad = m_arr[idx]
-                raise RamificationError(
-                    "lift ran into a branch point near m = %s" % bad,
-                    m=complex(bad), l=complex(out_l[idx]),
-                )
-            if status == 1:
-                # keep the prefix, halve the failing step
-                stop = start + idx  # last good grid index
-                l_vals[start:stop + 1] = list(out_l[: idx + 1])
-                resid_max = max(resid_max, float(np.max(out_r[: idx + 1])))
-                gap = s[stop + 1] - s[stop]
-                if gap / 2.0 < ctrl.min_step:
-                    raise NonConvergence(
-                        "step underflow near m = %s" % seg.point(s[stop])
-                    )
-                s.insert(stop + 1, s[stop] + gap / 2.0)
-                l_vals = l_vals[: stop + 1]
-                start = stop
-                continue
-            l_vals[start:] = list(out_l)
-            resid_max = max(resid_max, float(np.max(out_r)))
-            break
-        t_seg = (seg_idx + np.asarray(s)) / n_segs
-        m_seg = np.array([seg.point(x) for x in s], dtype=complex)
-        l_seg = np.asarray(l_vals, dtype=complex)
-        if seg_idx > 0:
-            t_seg = t_seg[1:]
-            m_seg = m_seg[1:]
-            l_seg = l_seg[1:]
-        all_t.append(t_seg)
-        all_m.append(m_seg)
-        all_l.append(l_seg)
-        l_cur = l_vals[-1]
+        s, m_seg, l_seg, resid, scale = _track_grid(A, Al, Am, seg, n, l_all[-1],
+                                                     scale, ctrl)
+        resid_max = max(resid_max, resid)
+        # each later segment starts on the previous one's last sample
+        first = 1 if seg_idx > 0 else 0
+        t_parts.append((seg_idx + np.asarray(s[first:])) / n_segs)
+        m_all += m_seg[first:]
+        l_all += l_seg[1:]
 
-    t = np.concatenate(all_t)
-    l = np.concatenate(all_l)
-    m = np.concatenate(all_m)
+    t = np.concatenate(t_parts)
+    l = np.array(l_all, dtype=complex)
+    m = np.array(m_all, dtype=complex)
     logs = _unwrap_logs(l, m, base_eps)
     gap = float(abs(l[-1] - l[0])) if spec.closed else None
     return TrackedPath(

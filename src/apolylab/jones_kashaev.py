@@ -7,9 +7,9 @@ The shipped evaluator is the figure-eight cyclotomic sum
 
 with q^{1/2} = exp(i theta / 2) for the theta in [0, 2pi) representing
 q.  Each paired factor is real on the unit circle, so values are signed
-reals; they grow like exp(const N) and are accumulated in log scale (the
-kernel lives in backends).  Other knots can plug in any evaluator with
-the same (N, q) -> LogComplex signature.
+reals; they grow like exp(const N) and are accumulated in log scale.
+Other knots can plug in any evaluator with the same (N, q) -> LogComplex
+signature.
 
 The growth fit models log|J_N| = (slope / 2pi) k + c log N + b over a
 sequence with k = round(N / a); slope is reported on the scale where the
@@ -25,7 +25,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import backends
 from .errors import InsufficientData
 
 TWO_PI = 2.0 * math.pi
@@ -59,12 +58,46 @@ def _theta_of(q: complex) -> float:
     return theta
 
 
+def _jones_sum(N, theta):
+    """Figure-eight colored Jones value at q = e^{i theta}, N colors.
+
+    Each paired factor (q^{(N-j)/2} - q^{-(N-j)/2})(q^{(N+j)/2} - q^{-(N+j)/2})
+    equals -4 sin((N-j)theta/2) sin((N+j)theta/2), a real number, so the sum
+    is a signed real accumulated in log scale with max extraction.
+    Returns (log_abs, arg) with arg in {0, pi}.
+    """
+    lp = 0.0
+    sp = 1.0
+    ls = 0.0
+    ss = 1.0
+    for j in range(1, N):
+        x = 0.5 * (N - j) * theta
+        y = 0.5 * (N + j) * theta
+        pair = -4.0 * math.sin(x) * math.sin(y)
+        if pair == 0.0:
+            break
+        lp = lp + math.log(abs(pair))
+        if pair < 0.0:
+            sp = -sp
+        hi = ls if ls > lp else lp
+        v = ss * math.exp(ls - hi) + sp * math.exp(lp - hi)
+        if v == 0.0:
+            ls = -math.inf
+            ss = 1.0
+        else:
+            ls = hi + math.log(abs(v))
+            ss = 1.0 if v > 0.0 else -1.0
+    if ss > 0.0:
+        return ls, 0.0
+    return ls, math.pi
+
+
 def colored_jones_fig8(N: int, q: complex) -> LogComplex:
     """Figure-eight colored Jones value with N colors at unit-modulus q."""
     if N < 1:
         raise ValueError("N must be >= 1")
     theta = _theta_of(q)
-    log_abs, arg = backends.jones_sum(N, theta)
+    log_abs, arg = _jones_sum(N, theta)
     return LogComplex(log_abs=float(log_abs), arg=float(arg))
 
 

@@ -116,26 +116,43 @@ def integrate_xi(path: TrackedPath) -> IntegralResult:
     ])
 
 
-def vol_along(path: TrackedPath, vol_k: float) -> float:
-    return vol_k - 2.0 * integrate_eta(path).value
+def vol_from(eta: float, vol_k: float) -> float:
+    """Vol_K - 2 int eta, from the value of int eta."""
+    return vol_k - 2.0 * eta
 
 
-def cs_along(path: TrackedPath, cs_k: float) -> float:
-    return cs_k + integrate_xi(path).value / np.pi ** 2
+def cs_from(xi: float, cs_k: float) -> float:
+    """CS_K + (1/pi^2) int xi, from the value of int xi."""
+    return cs_k + xi / np.pi ** 2
 
 
-def special_cs_U(path: TrackedPath, q_order: int) -> SpecialCS:
+def special_cs_from(xi: float, q_order: int) -> SpecialCS:
+    """U = q int xi, from the value of int xi."""
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
-    value = q_order * integrate_xi(path).value
+    value = q_order * xi
     return SpecialCS(value=float(value), torus_class=float((value / TWO_PI ** 2) % 1.0))
 
 
-def cs1_along(path: TrackedPath) -> complex:
-    """(1/2 pi i)(int xi + i int eta)."""
-    xi = integrate_xi(path).value
-    eta = integrate_eta(path).value
+def cs1_from(eta: float, xi: float) -> complex:
+    """(1/2 pi i)(int xi + i int eta), from the values of both integrals."""
     return (xi + 1j * eta) / (2j * np.pi)
+
+
+def vol_along(path: TrackedPath, vol_k: float) -> float:
+    return vol_from(integrate_eta(path).value, vol_k)
+
+
+def cs_along(path: TrackedPath, cs_k: float) -> float:
+    return cs_from(integrate_xi(path).value, cs_k)
+
+
+def special_cs_U(path: TrackedPath, q_order: int) -> SpecialCS:
+    return special_cs_from(integrate_xi(path).value, q_order)
+
+
+def cs1_along(path: TrackedPath) -> complex:
+    return cs1_from(integrate_eta(path).value, integrate_xi(path).value)
 
 
 Role = Union[str, Tuple[int, int]]
@@ -213,6 +230,7 @@ def kirk_klassen(path: TrackedPath) -> KirkKlassen:
 _FORMS: Dict[str, Callable[[TrackedPath], IntegralResult]] = {
     "eta": integrate_eta,
     "xi": integrate_xi,
+    "kk": kk_exponent,
 }
 
 
@@ -222,17 +240,18 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     """Lift the route, halving max_step until every requested form's
     est_error is below target (or the halving budget runs out).
 
-    Returns (path, {form: IntegralResult}, controls_used).
+    Returns (path, {form: IntegralResult}, controls_used), where
+    controls_used are the controls the returned path was lifted with.
     """
     forms = tuple(forms)
     unknown = [name for name in forms if name not in _FORMS]
     if unknown:
         raise ValueError("unknown form(s): %s" % ", ".join(unknown))
     current = ctrl
-    for _ in range(max_halvings + 1):
+    for halving in range(max_halvings + 1):
         path = lift_path(A, spec, current)
         results = {name: _FORMS[name](path) for name in forms}
-        if all(r.est_error < target for r in results.values()):
+        if halving == max_halvings or all(r.est_error < target for r in results.values()):
             break
         current = refine(current)
     return path, results, current

@@ -163,13 +163,9 @@ def test_5_holonomy_expressions_agree(fig8):
         rho = rng.uniform(0.25, 0.45)
         a0 = rng.uniform(0.2, 0.7)
         spec = arc_spec(fig8, rho, a0, a0 + rng.uniform(0.3, 0.5))
-        ctrl = StepControls(max_step=5e-4)
-        path = lift_path(fig8, spec, ctrl)
-        for _ in range(2):
-            if one_forms.kk_exponent(path).est_error <= 1e-8:
-                break
-            ctrl = refine(ctrl)
-            path = lift_path(fig8, spec, ctrl)
+        path, _, _ = one_forms.track_refined(
+            fig8, spec, StepControls(max_step=5e-4), forms=("kk",), target=1e-8,
+            max_halvings=2)
         worst = max(worst, one_forms.kirk_klassen(path).expr_diff)
     verdict(5, "holonomy expressions agree", worst < 1e-8,
             "10 random paths, worst diff %.2e" % worst)

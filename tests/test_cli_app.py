@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from apolylab import cli_app, parse_poly, print_poly, vol_fig8
+from apolylab import cli_app, lobachevsky, parse_poly, print_poly, vol_fig8
 from apolylab.poly_core import eval_poly, roots_in_l
 
 
@@ -54,6 +54,14 @@ class TestKnotTable:
         assert abs(eval_poly(rec.a_poly, rec.l_seed, rec.m0)) < 1e-10
         assert rec.l_seed.imag > 0
         assert abs(rec.l_seed + 1.0) < 0.1
+
+    def test_second_load_reuses_the_series(self):
+        # demo loads the table twice; the 3M-term series must run once
+        lobachevsky.cache_clear()
+        first = cli_app.load_knots()["fig8"].vol_k
+        second = cli_app.load_knots()["fig8"].vol_k
+        assert lobachevsky.cache_info().misses == 1
+        assert second == first
 
 
 class TestRunVerb:
@@ -230,6 +238,13 @@ class TestProbeVerb:
         hits = cli_app.probe_branch_points(fig8_record, (0.9, 1.1),
                                            (-0.1, 0.1), 11, threshold=0.0)
         assert hits == []
+
+    def test_density_guard_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bp.csv"
+        assert cli_app.main(["probe", "fig8", "--density", "1001",
+                             "-o", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_density_guard(self, fig8_record):
         from apolylab.errors import ConfigError

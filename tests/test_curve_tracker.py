@@ -22,7 +22,8 @@ from apolylab import (
     reverse,
     roots_in_l,
 )
-from apolylab.poly_core import max_term
+from apolylab.curve_tracker import _track_grid
+from apolylab.poly_core import max_term, partial
 from conftest import big_root, small_root, unit
 
 TWO_PI = 2.0 * math.pi
@@ -259,16 +260,25 @@ def test_seed_rejected_at_singular_point(fig8):
         lift_path(fig8, spec, StepControls())
 
 
-def test_seed_tolerance_env_override(monkeypatch):
+def test_seed_rejected_slightly_off_curve():
+    # 1e-4 off is far outside the relative seed tolerance
     p = parse_poly("l - m")
     spec = PathSpec(segments=(LineSeg(1.0, 2.0),), l_seed=1.0 + 1e-4)
-    monkeypatch.delenv("APOLY_SEED_TOL", raising=False)
     with pytest.raises(SeedError):
         lift_path(p, spec, StepControls())
-    monkeypatch.setenv("APOLY_SEED_TOL", "1e-2")
-    path = lift_path(p, spec, StepControls())
-    # the loose seed is snapped onto the curve before tracking
-    assert path.l[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_track_grid_stays_on_curve(fig8):
+    # one full circle of 64 steps on the small sheet needs no halving
+    n = 64
+    seg = ArcSeg(0j, 0.3, 0.0, TWO_PI)
+    s, m, l, resid_max, scale = _track_grid(
+        fig8, partial(fig8, "l"), partial(fig8, "m"), seg, n,
+        small_root(fig8, 0.3), 1.0, StepControls())
+    assert len(s) == len(m) == len(l) == n + 1
+    for k in (0, n // 2, n):
+        assert abs(eval_poly(fig8, l[k], m[k])) <= 1e-11 * scale
+    assert resid_max <= 1e-11 * scale
 
 
 def test_seed_snaps_to_exact_root(fig8, ctrl):

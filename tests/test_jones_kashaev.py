@@ -53,6 +53,12 @@ class TestSmallN:
         assert val == pytest.approx(13.0 + 0j, abs=1e-11)
 
 
+def test_arg_is_a_half_turn():
+    # values are signed reals: arg is 0 or pi, never anything between
+    for N, theta in [(7, 0.9), (11, 2.2), (40, 5.5)]:
+        assert colored_jones_fig8(N, unit(theta)).arg in (0.0, math.pi)
+
+
 class TestAgainstDirectSum:
 
     @pytest.mark.parametrize("N", [2, 3, 5, 8, 13, 21, 34, 50])

@@ -135,8 +135,11 @@ def test_track_refined_meets_target(fig8, ctrl):
         assert res.n_samples == path.n_samples
     assert used.max_step < ctrl.max_step
     # the halving budget bounds the work even for unreachable targets
-    _, capped, _ = track_refined(fig8, spec, ctrl, target=0.0, max_halvings=1)
+    path, capped, used = track_refined(fig8, spec, ctrl, target=0.0, max_halvings=1)
     assert all(r.est_error > 0.0 for r in capped.values())
+    # ... and returns the controls its path was lifted with
+    assert used.max_step == ctrl.max_step / 2
+    assert path.n_samples == math.ceil(1.0 / used.max_step) + 1
 
 
 def test_track_refined_rejects_unknown_form(fig8, ctrl):
