@@ -53,6 +53,7 @@ from .poly_core import (
     partial,
     print_poly,
     roots_in_l,
+    roots_in_l_batch,
 )
 from .symbols_k2 import (
     estimate_symbol_order,
@@ -77,7 +78,7 @@ __all__ = [
     "kirk_klassen", "regulator", "special_cs_U", "track_refined",
     "vol_along",
     "LaurentBiPoly", "eval_poly", "parse_poly", "partial", "print_poly",
-    "roots_in_l",
+    "roots_in_l", "roots_in_l_batch",
     "estimate_symbol_order", "recognize_rational", "tame_symbol",
     "valuation",
 ]

@@ -58,11 +58,14 @@ from .poly_core import (
     DegenerateError,
     DomainError,
     LaurentBiPoly,
-    eval_poly,
+    clear_denominators,
+    horner_rows,
+    l_coefficients,
     parse_poly,
     partial,
     print_poly,
     roots_in_l,
+    roots_in_l_batch,
 )
 
 FOUR_PI2 = 4.0 * math.pi ** 2
@@ -558,26 +561,44 @@ def build_demo_config() -> dict:
 
 def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
                         threshold: float):
-    """Grid points m where min over sheets of |dA/dl| is below threshold."""
+    """Scan of min over sheets of |dA/dl| on the density x density grid.
+
+    Returns (hits, closest): the grid points m (real part outer, as in the
+    CSV) where the minimum is below threshold, each as (m, value), and
+    (m, value) at the smallest minimum on the grid, or None when no grid
+    point has l-roots.  Points with m = 0, a degenerate leading
+    coefficient, no convergence or no l-roots are skipped.  Each grid row
+    (fixed Re m) is one roots_in_l_batch call; dA/dl is evaluated on the
+    batch's coefficient rows, with its denominator shift divided out.
+    """
+    if density < 1:
+        raise ConfigError("grid density must be at least 1")
     if density * density > 10 ** 6:
         raise ConfigError("grid density above 10^6 points")
     a_l = partial(knot.a_poly, "l")
-    res = []
+    _, (l_shift, m_shift) = clear_denominators(a_l)
+    hits: List[Tuple[complex, float]] = []
+    closest = None
+    m = np.empty(density, dtype=complex)
+    m.imag = np.linspace(im_range[0], im_range[1], density)
     for re in np.linspace(re_range[0], re_range[1], density):
-        for im in np.linspace(im_range[0], im_range[1], density):
-            m = complex(re, im)
-            if m == 0:
-                continue
-            try:
-                roots = roots_in_l(knot.a_poly, m)
-            except (DegenerateError, DomainError, NonConvergence):
-                continue
-            if not roots:
-                continue
-            val = min(abs(eval_poly(a_l, r, m)) for r in roots)
-            if val < threshold:
-                res.append((m, val))
-    return res
+        m.real = re
+        roots, status = roots_in_l_batch(knot.a_poly, m)
+        solved = status == 0
+        if roots.shape[1] == 0 or not solved.any():
+            continue
+        ms, roots = m[solved], roots[solved]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dadl = np.abs(horner_rows(l_coefficients(a_l, ms), roots)
+                          / (roots ** l_shift * ms[:, None] ** m_shift))
+        # l = 0 is off the curve when A has negative powers of l: never a hit
+        vals = np.where(np.isnan(dadl), np.inf, dadl).min(axis=1)
+        below = vals < threshold
+        hits.extend(zip(ms[below].tolist(), vals[below].tolist()))
+        k = int(np.argmin(vals))
+        if closest is None or vals[k] < closest[1]:
+            closest = (complex(ms[k]), float(vals[k]))
+    return hits, closest
 
 
 # ---------------------------------------------------------------- verbs
@@ -615,9 +636,9 @@ def _cmd_probe(args) -> int:
         print("unknown knot %r" % args.knot, file=sys.stderr)
         return 2
     try:
-        hits = probe_branch_points(table[args.knot], (args.re[0], args.re[1]),
-                                   (args.im[0], args.im[1]), args.density,
-                                   args.threshold)
+        hits, closest = probe_branch_points(
+            table[args.knot], (args.re[0], args.re[1]),
+            (args.im[0], args.im[1]), args.density, args.threshold)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -626,6 +647,12 @@ def _cmd_probe(args) -> int:
         csv.add(m.real, m.imag, val)
     csv.write()
     print("%d grid point(s) below threshold -> %s" % (len(hits), args.out))
+    if closest is None:
+        print("no grid point has l-roots")
+    else:
+        m, val = closest
+        print("smallest min |dA/dl| on the grid: %.6g at m = %.6g%+.6gj"
+              % (val, m.real, m.imag))
     return 0
 
 

@@ -20,7 +20,9 @@ sequence at a = 1 recovers 6 Lambda(pi/3) directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -58,19 +60,37 @@ def _theta_of(q: complex) -> float:
     return theta
 
 
+def _first_zero_factor(N, theta):
+    """Index of the first exactly-zero factor of the sum at q = e^{i theta},
+    or N when q is not a root of unity of order at most 2N.
+
+    With theta / 2pi = p/k in lowest terms the j-th factor vanishes iff k
+    divides N - j or N + j, first at j = N mod k or -N mod k (k for 0).
+    In floats that factor is about 1e-16, not 0, so the sum has to stop
+    there by this count rather than by a test on the factor.
+    """
+    r = theta / TWO_PI
+    order = Fraction(r).limit_denominator(2 * N)
+    if abs(r - order) > 8.0 * sys.float_info.epsilon:
+        return N
+    k = order.denominator
+    return min(N, N % k or k, -N % k or k)
+
+
 def _jones_sum(N, theta):
     """Figure-eight colored Jones value at q = e^{i theta}, N colors.
 
     Each paired factor (q^{(N-j)/2} - q^{-(N-j)/2})(q^{(N+j)/2} - q^{-(N+j)/2})
     equals -4 sin((N-j)theta/2) sin((N+j)theta/2), a real number, so the sum
-    is a signed real accumulated in log scale with max extraction.
+    is a signed real accumulated in log scale with max extraction.  At a
+    root of unity the sum stops before its first zero factor.
     Returns (log_abs, arg) with arg in {0, pi}.
     """
     lp = 0.0
     sp = 1.0
     ls = 0.0
     ss = 1.0
-    for j in range(1, N):
+    for j in range(1, _first_zero_factor(N, theta)):
         x = 0.5 * (N - j) * theta
         y = 0.5 * (N + j) * theta
         pair = -4.0 * math.sin(x) * math.sin(y)

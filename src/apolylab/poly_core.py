@@ -18,10 +18,20 @@ Text input follows the grammar
 with whitespace ignored and no implicit multiplication.  There is no
 unary minus, so the canonical printer emits a leading negative term as
 ``0 - ...``.
+
+Roots in l at fixed m come from one solver that works on a batch of m
+at once.  :func:`l_coefficients` takes a scalar m (one coefficient
+vector) or a 1-D array of m (one row per m); :func:`horner_rows`
+evaluates such rows at per-row points.  :func:`roots_in_l_batch` solves
+every row together and returns the roots with a per-row status code
+(:data:`ROW_ERRORS`) in place of an exception, and converged rows leave
+the iteration early.  :func:`roots_in_l` is its one-row case and raises
+the row's error.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,29 +266,45 @@ def clear_denominators(p: LaurentBiPoly) -> Tuple[LaurentBiPoly, Tuple[int, int]
     return LaurentBiPoly({(i + a, j + b): c for (i, j), c in p.terms.items()}), (a, b)
 
 
-def l_coefficients(p: LaurentBiPoly, m: complex) -> np.ndarray:
-    """Coefficient vector c[i] of the denominator-cleared polynomial in l at
-    fixed m, index = l-power."""
+def l_coefficients(p: LaurentBiPoly, m) -> np.ndarray:
+    """Coefficients of the denominator-cleared polynomial in l at fixed m,
+    index = l-power: a vector c[i] for a scalar m, one row c[b, i] per
+    entry of a 1-D array of m."""
     q, _ = clear_denominators(p)
     deg = max(i for i, _ in q.terms)
-    coeffs = np.zeros(deg + 1, dtype=complex)
+    if np.ndim(m) == 0:
+        # Python's complex powers: numpy's array powers differ from them in
+        # the last bit, and one-point callers keep the values they had
+        row = [0j] * (deg + 1)
+        for (i, j), c in q.terms.items():
+            row[i] += float(c) * m ** j
+        return np.array(row, dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    coeffs = np.zeros((len(m), deg + 1), dtype=complex)
     for (i, j), c in q.terms.items():
-        coeffs[i] += float(c) * m ** j
+        coeffs[:, i] += float(c) * m ** j
     return coeffs
 
 
-def _fujiwara_bound(coeffs: np.ndarray) -> float:
-    # coeffs[d] is the leading coefficient
-    d = len(coeffs) - 1
-    lead = abs(coeffs[d])
-    best = 0.0
-    for k in range(1, d + 1):
-        a = abs(coeffs[d - k])
-        if k == d:
-            a = a / 2.0
-        if a > 0:
-            best = max(best, (a / lead) ** (1.0 / k))
-    return 2.0 * best
+def horner_rows(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Values at z[b, k] of the polynomials with coefficient rows
+    coeffs[b, i] (ascending powers), by Horner's rule in np.polyval's order."""
+    d = coeffs.shape[1] - 1
+    y = coeffs[:, d:]
+    for i in range(d - 1, -1, -1):
+        y = y * z + coeffs[:, i:i + 1]
+    return y if d else np.broadcast_to(y, z.shape)
+
+
+# per-row outcome codes of roots_in_l_batch (0 = solved), with the error
+# roots_in_l raises for each
+M_ZERO, VANISHES, LEAD_VANISHES, NO_CONVERGENCE = 1, 2, 3, 4
+ROW_ERRORS = {
+    M_ZERO: (DomainError, "m must be nonzero"),
+    VANISHES: (DegenerateError, "polynomial vanishes identically at this m"),
+    LEAD_VANISHES: (DegenerateError, "leading l-coefficient vanishes at this m"),
+    NO_CONVERGENCE: (NonConvergence, "root iteration did not converge"),
+}
 
 
 def roots_in_l(p: LaurentBiPoly, m: complex, max_iter: int = 512) -> List[complex]:
@@ -287,75 +313,152 @@ def roots_in_l(p: LaurentBiPoly, m: complex, max_iter: int = 512) -> List[comple
     Simultaneous iteration from a deterministic configuration (roots of
     unity scaled by the Fujiwara bound), Newton-polished, then clustered:
     roots closer than CLUSTER_RADIUS are replaced by their centroid,
-    repeated per cluster size.  Sorted by (re, im).
+    repeated per cluster size.  Sorted by (re, im).  This is the one-row
+    case of roots_in_l_batch.
     """
     if not p:
         raise DegenerateError("zero polynomial")
-    if m == 0:
-        raise DomainError("m must be nonzero")
-    coeffs = l_coefficients(p, m)
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        raise DegenerateError("polynomial vanishes identically at this m")
-    d = len(coeffs) - 1
-    if abs(coeffs[d]) <= 1e-12 * scale:
-        raise DegenerateError("leading l-coefficient vanishes at this m")
-    if d == 0:
-        return []
+    status = np.array([M_ZERO if m == 0 else 0])
+    roots, status = _solve_rows(l_coefficients(p, m)[None, :], status, max_iter)
+    if status[0]:
+        error, message = ROW_ERRORS[status[0]]
+        raise error(message)
+    return roots[0].tolist()
 
-    radius = _fujiwara_bound(coeffs)
-    if radius == 0.0:
-        return [0j] * d
-    # 0.4 radian phase offset breaks the symmetry of real polynomials
-    z = radius * np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.4))
-    powers = np.arange(d + 1)
 
-    def val(zz):
-        return np.polyval(coeffs[::-1], zz)
+def roots_in_l_batch(p: LaurentBiPoly, m, max_iter: int = 512):
+    """roots_in_l at every entry of a 1-D array of m, solved together.
 
-    def term_scale(zz):
-        azz = np.abs(zz)[:, None]
-        return np.max(np.abs(coeffs)[None, :] * azz ** powers[None, :], axis=1)
+    Returns (roots, status): roots[b] holds the roots at m[b] as
+    roots_in_l returns them and status[b] is 0, or status[b] is the
+    ROW_ERRORS code of the error roots_in_l raises at m[b] and roots[b]
+    is nan.  A row leaves the iteration once it converges, so a few slow
+    rows near a branch point do not cost the whole batch.
+    """
+    if not p:
+        raise DegenerateError("zero polynomial")
+    m = np.asarray(m, dtype=complex)
+    status = np.where(m == 0, M_ZERO, 0)
+    return _solve_rows(l_coefficients(p, m), status, max_iter)
 
-    converged = False
-    for _ in range(max_iter):
-        pv = val(z)
-        if np.all(np.abs(pv) <= ROOT_RESID_REL * term_scale(z)):
-            converged = True
-            break
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = coeffs[d] * np.prod(diff, axis=1)
-        z = z - pv / denom
-    if not converged:
-        pv = val(z)
-        if not np.all(np.abs(pv) <= ROOT_RESID_REL * term_scale(z)):
-            raise NonConvergence("root iteration did not converge")
 
-    # Newton polish; stop when the residual no longer improves
-    dcoeffs = coeffs[1:] * np.arange(1, d + 1)
-    for _ in range(8):
-        pv = val(z)
-        dv = np.polyval(dcoeffs[::-1], z)
-        step = np.where(dv != 0, pv / np.where(dv != 0, dv, 1), 0)
-        z_new = z - step
-        better = np.abs(val(z_new)) < np.abs(pv)
-        z = np.where(better, z_new, z)
-        if not np.any(better):
-            break
+def _solve_rows(coeffs: np.ndarray, status: np.ndarray, max_iter: int):
+    """Roots of the coefficient rows whose status is 0, and the status:
+    rows that turn out degenerate or do not converge get their error code
+    (status is updated in place)."""
+    n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    abs_coeffs = np.abs(coeffs)
+    scale = abs_coeffs.max(axis=1)
+    status[(status == 0) & (abs_coeffs[:, d] <= 1e-12 * scale)] = LEAD_VANISHES
+    status[(status == LEAD_VANISHES) & (scale == 0.0)] = VANISHES
+    roots = np.full((n, d), np.nan, dtype=complex)
+    rows = np.flatnonzero(status == 0)
+    if d == 0 or not rows.size:
+        return roots, status
+
+    c = coeffs[rows]
+    z, converged = _iterate(c, abs_coeffs[rows], max_iter)
+    if not converged.all():
+        status[rows[~converged]] = NO_CONVERGENCE
+        rows, c, z = rows[converged], c[converged], z[converged]
+    z = _polish(c, z)
 
     # real coefficient vectors have conjugate-symmetric roots; snap the
     # stragglers onto the axis so downstream [0, 2pi) arg conventions do
     # not flip on sub-epsilon imaginary noise
-    if np.all(coeffs.imag == 0.0):
-        near_real = np.abs(z.imag) <= REAL_SNAP_REL * (1.0 + np.abs(z))
-        z = np.where(near_real, z.real + 0j, z)
+    real_rows = (c.imag == 0.0).all(axis=1)[:, None]
+    near_real = real_rows & (np.abs(z.imag) <= REAL_SNAP_REL * (1.0 + np.abs(z)))
+    roots[rows] = _sort_and_cluster(np.where(near_real, z.real + 0j, z))
+    return roots, status
 
-    order = np.lexsort((z.imag, z.real))
-    z = z[order]
-    # cluster for multiplicity
+
+def _fujiwara_bound(abs_coeffs: np.ndarray) -> np.ndarray:
+    # one bound per row from |c|; column d holds the leading coefficient
+    d = abs_coeffs.shape[1] - 1
+    ratio = abs_coeffs[:, d - 1::-1] / abs_coeffs[:, d:]  # column k - 1: |c[d - k] / c[d]|
+    ratio[:, d - 1] /= 2.0
+    return 2.0 * (ratio ** (1.0 / np.arange(1, d + 1))).max(axis=1)
+
+
+@functools.lru_cache(maxsize=32)
+def _start_directions(d: int) -> np.ndarray:
+    # d-th roots of unity turned by 0.4 radian, which breaks the symmetry
+    # of real polynomials
+    directions = np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.4))
+    directions.flags.writeable = False
+    return directions
+
+
+def _term_scale(abs_coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # largest term magnitude |c_i| |z|^i at every root estimate
+    powers = np.arange(abs_coeffs.shape[1])
+    return (abs_coeffs[:, None, :] * np.abs(z)[:, :, None] ** powers).max(axis=2)
+
+
+def _iterate(c: np.ndarray, abs_c: np.ndarray, max_iter: int):
+    """Simultaneous iteration on every row; a row stops once each of its
+    residuals is within ROOT_RESID_REL of its largest term.  Returns the
+    estimates and the mask of rows that got there within max_iter steps."""
+    n, d = c.shape[0], c.shape[1] - 1
+    z = _fujiwara_bound(abs_c)[:, None] * _start_directions(d)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    ca, aa, za = c, abs_c, z
+    for step in range(max_iter + 1):
+        pv = horner_rows(ca, za)
+        done = (np.abs(pv) <= ROOT_RESID_REL * _term_scale(aa, za)).all(axis=1)
+        if done.any():
+            finished = active[done]
+            z[finished] = za[done]
+            converged[finished] = True
+            if finished.size == active.size:
+                break
+            keep = ~done
+            active, ca, aa, za, pv = active[keep], ca[keep], aa[keep], za[keep], pv[keep]
+        if step == max_iter:
+            break
+        diff = za[:, :, None] - za[:, None, :]
+        diff.reshape(len(active), d * d)[:, ::d + 1] = 1.0
+        za = za - pv / (ca[:, d:] * np.prod(diff, axis=2))
+    return z, converged
+
+
+def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton polish; a root keeps its estimate once a step no longer
+    lowers its residual, and the polish stops when no root improves."""
+    d = c.shape[1] - 1
+    dc = c[:, 1:] * np.arange(1, d + 1)
+    pv = horner_rows(c, z)
+    for _ in range(8):
+        dv = horner_rows(dc, z)
+        nonzero = dv != 0
+        step = np.where(nonzero, pv / np.where(nonzero, dv, 1), 0)
+        z_new = z - step
+        pv_new = horner_rows(c, z_new)
+        better = np.abs(pv_new) < np.abs(pv)
+        if not better.any():
+            break
+        z = np.where(better, z_new, z)
+        pv = np.where(better, pv_new, pv)
+    return z
+
+
+def _sort_and_cluster(z: np.ndarray) -> np.ndarray:
+    """Each row sorted by (re, im); in a row with two roots closer than
+    CLUSTER_RADIUS, each cluster becomes its centroid, repeated per
+    cluster size."""
+    n, d = z.shape
+    z = z[np.arange(n)[:, None], np.lexsort((z.imag, z.real))]
+    gap = np.abs(z[:, :, None] - z[:, None, :]).reshape(n, d * d)
+    gap[:, ::d + 1] = np.inf
+    for b in np.flatnonzero(gap.min(axis=1) < CLUSTER_RADIUS):
+        z[b] = _cluster(z[b])
+    return z
+
+
+def _cluster(row: np.ndarray) -> List[complex]:
     clusters: List[List[complex]] = []
-    for root in z:
+    for root in row:
         for cl in clusters:
             if abs(root - np.mean(cl)) < CLUSTER_RADIUS:
                 cl.append(root)

@@ -280,7 +280,18 @@ def test_9_generalized_scan_runs_and_repeats(tmp_path):
                  abs(complex(float(m_end.group(1)), float(m_end.group(2)))
                      - target) < 1e-5)
 
-    ok = same and finite and reported and on_target and n_rows == 3
+    # the a != 1 Jones values, at q = e^{2 pi i/k}, against the mpmath sum
+    worst = 0.0
+    jones_rows = (outs[0] / "jones.csv").read_text().splitlines()[1:]
+    deformed = [r.split(",") for r in jones_rows if float(r.split(",")[2]) != 1.0]
+    for n, k, _, log_abs, arg, _ in deformed:
+        want_log, want_arg = oracles.colored_jones_fig8_mp(int(n), 1, int(k))
+        worst = max(worst, abs(float(log_abs) - want_log) / max(1.0, abs(want_log)),
+                    abs(math.remainder(float(arg) - want_arg, 2 * math.pi)))
+    values_ok = len(deformed) == 8 and worst < 1e-9
+
+    ok = same and finite and reported and on_target and n_rows == 3 and values_ok
     verdict(9, "generalized scan a=0.9/1.0/1.1", ok,
-            "%d rows finite=%s deterministic=%s report=%s endpoint=%s"
-            % (len(rows), finite, same, reported, on_target))
+            "%d rows finite=%s deterministic=%s report=%s endpoint=%s "
+            "jones a!=1 vs mpmath %d rows, worst %.2g"
+            % (len(rows), finite, same, reported, on_target, len(deformed), worst))

@@ -3,8 +3,10 @@ import math
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from apolylab import cli_app, lobachevsky, parse_poly, print_poly, vol_fig8
 from apolylab.poly_core import eval_poly, roots_in_l
 
@@ -230,13 +232,26 @@ class TestProbeVerb:
             {"name": "line", "a_poly": "l - m", "vol": 0.0, "cs": 0.0,
              "seed": {"m0": [0.5, 0.0], "l_seed": [0.5, 0.0]}})
         # dA/dl = 1 on the whole grid, never under the default threshold
-        hits = cli_app.probe_branch_points(rec, (-2.0, 2.0), (-2.0, 2.0),
-                                           12, threshold=1e-2)
+        hits, closest = cli_app.probe_branch_points(
+            rec, (-2.0, 2.0), (-2.0, 2.0), 12, threshold=1e-2)
         assert hits == []
+        assert closest[1] == 1.0
+
+    def test_laurent_curve_root_at_l_zero(self):
+        # A = l + (m - 1)/l: |dA/dl| = 2 on the curve, but at m = 1 the
+        # cleared polynomial l^2 has the double root l = 0, off the curve
+        rec = cli_app._record_from_dict(
+            {"name": "laurent", "a_poly": "l + l^-1*m - l^-1", "vol": 0.0,
+             "cs": 0.0, "seed": {"m0": [2.0, 0.0], "l_seed": [0.0, 1.0]}})
+        hits, closest = cli_app.probe_branch_points(
+            rec, (0.5, 1.5), (-0.5, 0.5), 5, threshold=3.0)
+        assert len(hits) == 24 and 1.0 + 0j not in [m for m, _ in hits]
+        assert all(v == pytest.approx(2.0, rel=1e-12) for _, v in hits)
+        assert closest[1] == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_threshold_is_empty(self, fig8_record):
-        hits = cli_app.probe_branch_points(fig8_record, (0.9, 1.1),
-                                           (-0.1, 0.1), 11, threshold=0.0)
+        hits, _ = cli_app.probe_branch_points(fig8_record, (0.9, 1.1),
+                                              (-0.1, 0.1), 11, threshold=0.0)
         assert hits == []
 
     def test_density_guard_exits_2(self, tmp_path, capsys):
@@ -245,6 +260,42 @@ class TestProbeVerb:
                              "-o", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("density", ["-3", "0"])
+    def test_density_below_one_exits_2(self, tmp_path, capsys, density):
+        out = tmp_path / "bp.csv"
+        assert cli_app.main(["probe", "fig8", "--density", density,
+                             "-o", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_result_reports_the_closest_point(self, tmp_path, capsys):
+        out = tmp_path / "bp.csv"
+        assert cli_app.main(["probe", "fig8", "--re", "0.5", "0.7",
+                             "--im", "-0.1", "0.1", "--density", "11",
+                             "-o", str(out)]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == "0 grid point(s) below threshold -> %s" % out
+        # the grid's closest point to the branch point 1/phi is m = 0.62
+        assert second == ("smallest min |dA/dl| on the grid: %.6g at m = 0.62+0j"
+                          % oracles.fig8_min_abs_dadl(0.62))
+
+    def test_hits_match_the_discriminant(self, fig8_record):
+        # a window around 1/phi and the double point m = 1 with hits on
+        # both; min |dA/dl| is |sqrt(disc)| in closed form
+        re_range, im_range, density, threshold = (0.55, 1.05), (-0.1, 0.1), 26, 0.2
+        hits, closest = cli_app.probe_branch_points(
+            fig8_record, re_range, im_range, density, threshold)
+        grid = [complex(re, im) for re in np.linspace(*re_range, density)
+                for im in np.linspace(*im_range, density)]
+        want = [(m, oracles.fig8_min_abs_dadl(m)) for m in grid]
+        assert [m for m, _ in hits] == [m for m, v in want if v < threshold]
+        assert len(hits) > 10
+        for (m, got), (_, val) in zip(hits, [w for w in want if w[1] < threshold]):
+            assert got == pytest.approx(val, rel=1e-8, abs=1e-9)
+        best = min(want, key=lambda w: w[1])
+        assert closest[0] == best[0]
+        assert closest[1] == pytest.approx(best[1], rel=1e-8, abs=1e-9)
 
     def test_density_guard(self, fig8_record):
         from apolylab.errors import ConfigError

@@ -98,6 +98,27 @@ class TestAgainstDirectSum:
             oracles.colored_jones_fig8_direct(N, q), rel=1e-12)
 
 
+class TestRootOfUnityCutoff:
+    # at q = e^{2 pi i p/k} with k < 2N a factor of the sum is exactly
+    # zero; in floats it is about 1e-16 and the tail after it used to
+    # grow into the result
+
+    @pytest.mark.parametrize("N, p, k", [
+        (200, 1, 222), (500, 1, 556), (1000, 1, 909), (300, 1, 350),
+        (40, 3, 7), (25, 2, 9), (7, 1, 5), (500, 555, 556),
+    ])
+    def test_matches_mpmath(self, N, p, k):
+        want_log, want_arg = oracles.colored_jones_fig8_mp(N, p, k)
+        got = colored_jones_fig8(N, unit(TWO_PI * p / k))
+        assert got.log_abs == pytest.approx(want_log, rel=1e-9, abs=1e-9)
+        assert abs(math.remainder(got.arg - want_arg, TWO_PI)) < 1e-9
+
+    def test_deformed_sequence_is_bounded(self):
+        # k = round(N / 0.9) > N: the sum stops at j = k - N, far short of N
+        for N, value in jones_sequence([500, 1000, 2000], a=0.9):
+            assert abs(value.log_abs) < 1.0
+
+
 class TestSequences:
 
     def test_kashaev_sequence_positive_and_growing(self):

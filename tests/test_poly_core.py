@@ -11,6 +11,7 @@ from apolylab import (
     DegenerateError,
     DomainError,
     LaurentBiPoly,
+    NonConvergence,
     PolySyntaxError,
     eval_poly,
     parse_poly,
@@ -18,7 +19,14 @@ from apolylab import (
     print_poly,
     roots_in_l,
 )
-from apolylab.poly_core import clear_denominators, l_coefficients, max_term
+from apolylab.poly_core import (
+    ROW_ERRORS,
+    clear_denominators,
+    horner_rows,
+    l_coefficients,
+    max_term,
+    roots_in_l_batch,
+)
 
 ROUND_TRIP_CASES = [
     "0",
@@ -230,6 +238,117 @@ def test_roots_re_expansion(fig8):
         rebuilt = oracles.poly_from_roots(coeffs[-1], roots)
         scale = np.max(np.abs(coeffs))
         assert np.allclose(rebuilt, coeffs, atol=1e-7 * scale)
+
+
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _probe_points():
+    # the figure-eight branch points +-phi^{+-1}, the double point m = 1,
+    # m = 0 and points close to all of them, plus a random spread
+    special = [PHI, -PHI, 1.0 / PHI, -1.0 / PHI, 1.0, -1.0, 0.0, 1j]
+    near = [c + d for c in special for d in (1e-3, -1e-3j, 0.05 + 0.05j, 1e-9)]
+    rng = np.random.default_rng(17)
+    spread = list(rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40))
+    return np.array(special + near + spread, dtype=complex)
+
+
+def _one_row(p, m, max_iter=512):
+    try:
+        return roots_in_l(p, m, max_iter=max_iter), None
+    except (DegenerateError, DomainError, NonConvergence) as exc:
+        return None, exc
+
+
+class TestBatchRoots:
+
+    @pytest.mark.parametrize("text, tol", [
+        ("m^4*l^2 - (m^8 - m^6 - 2*m^4 - m^2 + 1)*l + m^4", 1e-12),
+        ("l^2*m - l^2 + l", 1e-12),          # leading coefficient dies at m = 1
+        ("l*m - l + m - 1", 1e-12),          # vanishes identically at m = 1
+        ("l^-1*m + l*m^-2 - 3", 1e-12),      # Laurent in both variables
+        # a double root on every row moves by the square root of a change
+        # in the coefficients or the start: array and scalar powers and
+        # moduli differ in the last bit, which moves it by about 1e-8
+        ("(l - m)*(l - m)*(l + 1)", 1e-7),
+    ])
+    def test_matches_one_row_calls(self, text, tol):
+        p = parse_poly(text)
+        ms = _probe_points()
+        roots, status = roots_in_l_batch(p, ms)
+        assert roots.shape[0] == len(ms) and status.shape == (len(ms),)
+        for b, m in enumerate(ms):
+            want, exc = _one_row(p, complex(m))
+            if exc is not None:
+                error, message = ROW_ERRORS[status[b]]
+                assert type(exc) is error and str(exc) == message
+                assert np.all(np.isnan(roots[b]))
+            else:
+                assert status[b] == 0
+                assert np.max(np.abs(roots[b] - np.array(want)), initial=0.0) <= tol
+            if m == 0:
+                continue
+            # the scalar loop the batch replaced, on the same coefficients
+            try:
+                ref = oracles.roots_scalar_loop(l_coefficients(p, complex(m)))
+            except ArithmeticError:
+                assert status[b] != 0
+            else:
+                assert status[b] == 0
+                assert np.max(np.abs(roots[b] - np.array(ref)), initial=0.0) <= tol
+
+    def test_skips_zero_and_degenerate_rows(self):
+        p = parse_poly("l^2*m - l^2 + l")
+        roots, status = roots_in_l_batch(p, np.array([2.0, 1.0, 0.0, -1.0]))
+        assert list(status[[1, 2]]) == [3, 1]
+        assert status[0] == 0 and status[3] == 0
+        assert np.allclose(sorted(roots[0], key=abs), [0.0, -1.0])
+        assert np.allclose(sorted(roots[3], key=abs), [0.0, 0.5])
+
+    def test_rows_leave_the_iteration_independently(self, fig8):
+        # with a tight budget some rows converge and some do not; each row
+        # must come out as its own one-row solve with the same budget
+        ms = _probe_points()
+        for max_iter in (3, 6, 12):
+            roots, status = roots_in_l_batch(fig8, ms, max_iter=max_iter)
+            for b, m in enumerate(ms):
+                want, exc = _one_row(fig8, complex(m), max_iter)
+                assert (exc is None) == (status[b] == 0)
+                if exc is None:
+                    assert np.max(np.abs(roots[b] - np.array(want))) <= 1e-12
+
+    def test_against_companion_eigenvalues(self, fig8):
+        # np.roots takes the eigenvalues of the companion matrix, an
+        # algorithm apart from the simultaneous iteration
+        rng = np.random.default_rng(5)
+        ms = rng.uniform(-1.8, 1.8, 50) + 1j * rng.uniform(-1.8, 1.8, 50)
+        roots, status = roots_in_l_batch(fig8, ms)
+        assert np.all(status == 0)
+        for b, m in enumerate(ms):
+            want = np.sort_complex(np.roots(l_coefficients(fig8, m)[::-1]))
+            got = np.sort_complex(roots[b])
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_coefficient_rows_and_horner(self, fig8):
+        ms = _probe_points()
+        rows = l_coefficients(fig8, ms)
+        assert rows.shape == (len(ms), 3)
+        for b, m in enumerate(ms):
+            assert np.allclose(rows[b], l_coefficients(fig8, complex(m)),
+                               rtol=1e-15, atol=0.0)
+        z = np.stack([ms, 1.0 / (ms + 2.0)], axis=1)
+        got = horner_rows(rows, z)
+        for b, m in enumerate(ms):
+            for k in range(2):
+                want = eval_poly(fig8, complex(z[b, k]), complex(m))
+                assert abs(got[b, k] - want) <= 1e-12 * max(1.0, max_term(fig8, z[b, k], m))
+
+    def test_no_l_roots(self):
+        roots, status = roots_in_l_batch(parse_poly("m + 2"), np.array([1.0, -2.0]))
+        assert roots.shape == (2, 0)
+        assert list(status) == [0, 2]
+        with pytest.raises(DegenerateError):
+            roots_in_l_batch(parse_poly("0"), np.array([1.0]))
 
 
 _coeffs = st.integers(min_value=-9, max_value=9)
