@@ -8,8 +8,12 @@ The shipped evaluator is the figure-eight cyclotomic sum
 with q^{1/2} = exp(i theta / 2) for the theta in [0, 2pi) representing
 q.  Each paired factor is real on the unit circle, so values are signed
 reals; they grow like exp(const N) and are accumulated in log scale.
-Other knots can plug in any evaluator with the same (N, q) -> LogComplex
-signature.
+The sum runs in numpy over fixed chunks of CHUNK terms: a cumulative sum
+of log|factor| and a cumulative product of signs per chunk, each chunk
+folded into one max-shifted signed sum, so memory stays flat in N.  Each
+value carries its conditioning, log10(max |term| / |sum|), and its
+smallest |factor|.  Other knots can plug in any evaluator with the same
+(N, q) -> LogComplex signature.
 
 The growth fit models log|J_N| = (slope / 2pi) k + c log N + b over a
 sequence with k = round(N / a); slope is reported on the scale where the
@@ -30,12 +34,19 @@ import numpy as np
 from .errors import InsufficientData
 
 TWO_PI = 2.0 * math.pi
+# Terms per numpy pass of the Jones sum: large enough that the per-chunk
+# overhead is small, small enough that the work arrays stay near 0.5 MB.
+CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class LogComplex:
     log_abs: float
     arg: float
+    # conditioning of a summed value: log10(max |term| / |sum|) and the
+    # smallest |factor| multiplied in; the defaults describe a single term
+    cond: float = 0.0
+    min_factor: float = math.inf
 
     def to_complex(self) -> complex:
         return complex(math.exp(self.log_abs) * math.cos(self.arg),
@@ -81,35 +92,58 @@ def _jones_sum(N, theta):
     """Figure-eight colored Jones value at q = e^{i theta}, N colors.
 
     Each paired factor (q^{(N-j)/2} - q^{-(N-j)/2})(q^{(N+j)/2} - q^{-(N+j)/2})
-    equals -4 sin((N-j)theta/2) sin((N+j)theta/2), a real number, so the sum
-    is a signed real accumulated in log scale with max extraction.  At a
-    root of unity the sum stops before its first zero factor.
-    Returns (log_abs, arg) with arg in {0, pi}.
+    equals -4 sin((N-j)theta/2) sin((N+j)theta/2), a real number, so the
+    sum is a signed real accumulated in log scale.  At a root of unity the
+    sum stops before its first zero factor, and it also stops at a factor
+    that is exactly 0.0 in floats.
+
+    The terms are taken CHUNK at a time: the chunk's log|factor| array,
+    with the carried log|prod| added into its first entry, goes through
+    np.cumsum (the partial sums are added in term order), and the
+    cumulative product of the factor signs times the carried sign gives
+    each term's sign.  The chunk then folds into a running signed sum
+    acc * e^top, where top is the largest log|term| so far; acc is
+    rescaled when a chunk's largest log exceeds top.
+
+    Returns (log_abs, arg, cond, min_factor): arg in {0, pi}, cond =
+    log10(max |term| / |sum|) and min_factor = min |factor| over the
+    factors summed (inf when there is none).
     """
-    lp = 0.0
-    sp = 1.0
-    ls = 0.0
-    ss = 1.0
-    for j in range(1, _first_zero_factor(N, theta)):
-        x = 0.5 * (N - j) * theta
-        y = 0.5 * (N + j) * theta
-        pair = -4.0 * math.sin(x) * math.sin(y)
-        if pair == 0.0:
+    stop = _first_zero_factor(N, theta)
+    top = 0.0       # largest log|term|; the j = 0 term is 1
+    acc = 1.0       # signed sum / e^top
+    log_prod = 0.0  # log|prod| and its sign, carried into the next chunk
+    sign = 1.0
+    min_factor = math.inf
+    for first in range(1, stop, CHUNK):
+        j = np.arange(first, min(first + CHUNK, stop))
+        pair = -4.0 * np.sin(0.5 * (N - j) * theta) * np.sin(0.5 * (N + j) * theta)
+        zeros = np.flatnonzero(pair == 0.0)
+        if zeros.size:
+            pair = pair[:zeros[0]]
+            if pair.size == 0:
+                break
+        magnitude = np.abs(pair)
+        logs = np.log(magnitude)
+        logs[0] += log_prod
+        np.cumsum(logs, out=logs)
+        signs = np.cumprod(np.sign(pair))
+        signs *= sign
+        log_prod = float(logs[-1])
+        sign = float(signs[-1])
+        min_factor = min(min_factor, float(magnitude.min()))
+        chunk_top = float(logs.max())
+        if chunk_top > top:
+            acc *= math.exp(top - chunk_top)
+            top = chunk_top
+        acc += float(np.sum(signs * np.exp(logs - top)))
+        if zeros.size:
             break
-        lp = lp + math.log(abs(pair))
-        if pair < 0.0:
-            sp = -sp
-        hi = ls if ls > lp else lp
-        v = ss * math.exp(ls - hi) + sp * math.exp(lp - hi)
-        if v == 0.0:
-            ls = -math.inf
-            ss = 1.0
-        else:
-            ls = hi + math.log(abs(v))
-            ss = 1.0 if v > 0.0 else -1.0
-    if ss > 0.0:
-        return ls, 0.0
-    return ls, math.pi
+    if acc == 0.0:
+        return -math.inf, 0.0, math.inf, min_factor
+    log_abs = top + math.log(abs(acc))
+    return (log_abs, 0.0 if acc > 0.0 else math.pi,
+            (top - log_abs) / math.log(10.0), min_factor)
 
 
 def colored_jones_fig8(N: int, q: complex) -> LogComplex:
@@ -117,8 +151,8 @@ def colored_jones_fig8(N: int, q: complex) -> LogComplex:
     if N < 1:
         raise ValueError("N must be >= 1")
     theta = _theta_of(q)
-    log_abs, arg = _jones_sum(N, theta)
-    return LogComplex(log_abs=float(log_abs), arg=float(arg))
+    log_abs, arg, cond, min_factor = _jones_sum(N, theta)
+    return LogComplex(log_abs=log_abs, arg=arg, cond=cond, min_factor=min_factor)
 
 
 def jones_sequence(n_list: Sequence[int], a: float) -> List[Tuple[int, LogComplex]]:

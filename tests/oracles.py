@@ -179,6 +179,22 @@ def colored_jones_fig8_mp(N: int, p: int, k: int) -> Tuple[float, float]:
         return float(mpmath.log(abs(total))), (0.0 if total > 0 else math.pi)
 
 
+def colored_jones_fig8_mp_theta(N: int, theta: float, dps: int = 40) -> float:
+    """log|J_N| at q = e^{i theta} for a theta that is not a rational
+    multiple of pi, summed in mpmath at dps digits from the float theta
+    taken as exact; dps has to exceed the digits the sum cancels."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(theta)
+        total = mpmath.mpf(1)
+        prod = mpmath.mpf(1)
+        for j in range(1, N):
+            prod *= -4 * mpmath.sin((N - j) * t / 2) * mpmath.sin((N + j) * t / 2)
+            total += prod
+        return float(mpmath.log(abs(total)))
+
+
 def fig8_min_abs_dadl(m: complex) -> float:
     """min over sheets of |dA/dl| for A = m^4 l^2 - B(m) l + m^4: at a
     root l, dA/dl = 2 m^4 l - B = +-sqrt(B^2 - 4 m^8), the same modulus on
@@ -242,3 +258,47 @@ def roots_scalar_loop(coeffs: np.ndarray, max_iter: int = 512) -> List[complex]:
             clusters.append([root])
     out = [complex(np.mean(cl)) for cl in clusters for _ in cl]
     return sorted(out, key=lambda r: (r.real, r.imag))
+
+
+def jones_sum_scalar_loop(N: int, theta: float, stop: int) -> Tuple[float, float]:
+    """Figure-eight colored Jones sum at q = e^{i theta} over the terms
+    j < stop, by the per-term loop the package's chunked numpy kernel
+    replaced: one log-scale signed log-sum-exp step per term, the same
+    factor -4 sin((N-j)theta/2) sin((N+j)theta/2), a stop at a factor that
+    is exactly 0.0.  Returns (log|J|, arg), arg in {0, pi}."""
+    lp = 0.0
+    sp = 1.0
+    ls = 0.0
+    ss = 1.0
+    for j in range(1, stop):
+        x = 0.5 * (N - j) * theta
+        y = 0.5 * (N + j) * theta
+        pair = -4.0 * math.sin(x) * math.sin(y)
+        if pair == 0.0:
+            break
+        lp = lp + math.log(abs(pair))
+        if pair < 0.0:
+            sp = -sp
+        hi = ls if ls > lp else lp
+        v = ss * math.exp(ls - hi) + sp * math.exp(lp - hi)
+        if v == 0.0:
+            ls = -math.inf
+            ss = 1.0
+        else:
+            ls = hi + math.log(abs(v))
+            ss = 1.0 if v > 0.0 else -1.0
+    if ss > 0.0:
+        return ls, 0.0
+    return ls, math.pi
+
+
+def kashaev_log_sum_exp(N: int) -> float:
+    """log <4_1>_N = log sum_j prod_{i<=j} |1 - e^{2 pi i i/N}|^2.  Every
+    term is positive, so the log of each partial product, from
+    |1 - e^{i t}| = 2 sin(t/2), and one correctly rounded sum of the
+    max-shifted exponentials (math.fsum) give the value without
+    cancellation at any N."""
+    i = np.arange(1, N, dtype=np.float64)
+    logs = np.concatenate(([0.0], np.cumsum(2.0 * np.log(2.0 * np.sin(np.pi * i / N)))))
+    top = float(np.max(logs))
+    return top + math.log(math.fsum(np.exp(logs - top)))

@@ -1,6 +1,8 @@
 import cmath
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -13,7 +15,7 @@ from apolylab import (
     kashaev_sequence,
     vol_fig8,
 )
-from apolylab.jones_kashaev import LogComplex
+from apolylab.jones_kashaev import CHUNK, LogComplex, _first_zero_factor, _jones_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,15 +100,20 @@ class TestAgainstDirectSum:
             oracles.colored_jones_fig8_direct(N, q), rel=1e-12)
 
 
+# (N, p, k): q = e^{2 pi i p/k} with k < 2N, where a factor of the sum is
+# exactly zero
+CUTOFF_POINTS = [
+    (200, 1, 222), (500, 1, 556), (1000, 1, 909), (300, 1, 350),
+    (40, 3, 7), (25, 2, 9), (7, 1, 5), (500, 555, 556),
+]
+
+
 class TestRootOfUnityCutoff:
     # at q = e^{2 pi i p/k} with k < 2N a factor of the sum is exactly
     # zero; in floats it is about 1e-16 and the tail after it used to
     # grow into the result
 
-    @pytest.mark.parametrize("N, p, k", [
-        (200, 1, 222), (500, 1, 556), (1000, 1, 909), (300, 1, 350),
-        (40, 3, 7), (25, 2, 9), (7, 1, 5), (500, 555, 556),
-    ])
+    @pytest.mark.parametrize("N, p, k", CUTOFF_POINTS)
     def test_matches_mpmath(self, N, p, k):
         want_log, want_arg = oracles.colored_jones_fig8_mp(N, p, k)
         got = colored_jones_fig8(N, unit(TWO_PI * p / k))
@@ -117,6 +124,98 @@ class TestRootOfUnityCutoff:
         # k = round(N / 0.9) > N: the sum stops at j = k - N, far short of N
         for N, value in jones_sequence([500, 1000, 2000], a=0.9):
             assert abs(value.log_abs) < 1.0
+
+
+class TestChunkedKernel:
+    # the numpy kernel against the per-term loop it replaced; the logs are
+    # summed in the same order, the terms are not, so the two agree to a
+    # few ulps wherever the sum is well conditioned (cond < 2)
+
+    POINTS = (
+        [(N, theta) for N in (CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+         for theta in (1.2345, TWO_PI / N)]
+        + [(N, TWO_PI * p / k) for N, p, k in CUTOFF_POINTS]
+        + [(1, 1.2345), (2, 1.2345)]
+    )
+
+    @pytest.mark.parametrize("N, theta", POINTS)
+    def test_matches_scalar_loop(self, N, theta):
+        log_abs, arg, cond, _ = _jones_sum(N, theta)
+        want_log, want_arg = oracles.jones_sum_scalar_loop(
+            N, theta, _first_zero_factor(N, theta))
+        assert cond < 2.0
+        assert arg == want_arg
+        assert log_abs == pytest.approx(want_log, rel=1e-12, abs=1e-300)
+
+    def test_stops_at_an_exact_zero_factor(self, monkeypatch):
+        # at theta = 2e-166 the factors underflow to exactly 0.0 from
+        # j = 14378 on, inside the second chunk; with the root-of-unity
+        # cut-off lifted only the float test can end the sum there
+        N, theta = 2 * CHUNK + 1, 2e-166
+        monkeypatch.setattr("apolylab.jones_kashaev._first_zero_factor",
+                            lambda n, t: n)
+        with np.errstate(divide="raise"):
+            log_abs, arg, _, min_factor = _jones_sum(N, theta)
+        assert (log_abs, arg) == oracles.jones_sum_scalar_loop(N, theta, N)
+        assert min_factor > 0.0
+
+    def test_single_term(self):
+        assert colored_jones_fig8(1, unit(1.2345)) == LogComplex(
+            log_abs=0.0, arg=0.0, cond=0.0, min_factor=math.inf)
+
+    def test_ill_conditioned_value_is_flagged(self):
+        # the terms reach 10^5.9 times the sum: the factors' rounding at
+        # arguments near 7000 leaves both kernels about 7e-6 off in log|J|
+        N, theta = 20000, 0.7
+        got = colored_jones_fig8(N, unit(theta))
+        assert got.cond == pytest.approx(5.9, abs=0.05)
+        want = oracles.colored_jones_fig8_mp_theta(N, theta)
+        loop_log, _ = oracles.jones_sum_scalar_loop(N, theta, N)
+        assert abs(got.log_abs - want) < 1e-5
+        assert abs(loop_log - want) < 1e-5
+
+    def test_kashaev_conditioning(self):
+        # positive terms: the sum exceeds its largest term by about 10^2.9;
+        # the smallest factor is the last, 4 sin^2(pi/N)
+        N = 10 ** 6
+        got = colored_jones_fig8(N, unit(TWO_PI / N))
+        assert got.cond == pytest.approx(-2.9, abs=0.05)
+        assert got.min_factor == pytest.approx(4.0 * math.sin(math.pi / N) ** 2,
+                                               rel=1e-6)
+
+    def test_deformed_conditioning(self):
+        # the sum stops before j = 556 - 500, its first zero factor
+        got = colored_jones_fig8(500, unit(TWO_PI / 556))
+        assert got.cond == pytest.approx(0.14, abs=0.01)
+        want = min(abs(4.0 * math.sin(math.pi * (500 - j) / 556)
+                       * math.sin(math.pi * (500 + j) / 556)) for j in range(1, 56))
+        assert got.min_factor == pytest.approx(want, rel=1e-12)
+
+    def test_large_kashaev_value(self):
+        N = 10 ** 5
+        got = colored_jones_fig8(N, unit(TWO_PI / N))
+        assert got.log_abs == pytest.approx(oracles.kashaev_log_sum_exp(N), rel=1e-12)
+        assert got.arg == 0.0
+
+    def test_logs_accumulate_in_term_order(self):
+        # the carried log|prod| enters each chunk before its cumsum, so the
+        # logs add up as one running sum: 2.3e-10 off at N = 10^6, where a
+        # carry added after the cumsum leaves the value 1e-8 off
+        N = 10 ** 6
+        got = colored_jones_fig8(N, unit(TWO_PI / N))
+        assert abs(got.log_abs - oracles.kashaev_log_sum_exp(N)) < 2e-9
+
+    def test_memory_stays_flat_in_n(self):
+        # chunked work arrays: whole-length arrays at N = 10^6 peak at 53 MB
+        N = 10 ** 6
+        q = unit(TWO_PI / N)
+        tracemalloc.start()
+        try:
+            colored_jones_fig8(N, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 class TestSequences:
