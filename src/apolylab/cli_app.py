@@ -165,13 +165,73 @@ def _pathspec_from_json(spec: dict) -> PathSpec:
         raise ConfigError("bad path spec: %s" % exc)
 
 
+def _section(cfg: dict, key: str) -> dict:
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError("'%s' must be a JSON object" % key)
+    return section
+
+
 def _controls_from_json(cfg: dict) -> StepControls:
-    ctrl = cfg.get("controls", {})
-    return StepControls(
-        max_step=float(ctrl.get("max_step", 0.01)),
-        min_step=float(ctrl.get("min_step", 1e-12)),
-        newton_budget=int(ctrl.get("newton_budget", 20)),
-    )
+    ctrl = _section(cfg, "controls")
+    try:
+        return StepControls(
+            max_step=float(ctrl.get("max_step", 0.01)),
+            min_step=float(ctrl.get("min_step", 1e-12)),
+            newton_budget=int(ctrl.get("newton_budget", 20)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad controls: %s" % exc)
+
+
+def _tolerances_from_json(cfg: dict) -> Dict[str, float]:
+    tol = _section(cfg, "tolerances")
+    defaults = {"eta": ETA_TOL, "rational": RATIONAL_TOL,
+                "quadrature_target": 1e-8, "tame": TAME_TOL,
+                "steinberg": STEINBERG_TOL, "kirk_klassen": KK_TOL}
+    try:
+        out = {name: float(tol.get(name, value)) for name, value in defaults.items()}
+        out["q_max"] = int(tol.get("q_max", 48))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad tolerances: %s" % exc)
+    if out["q_max"] < 1:
+        raise ConfigError("tolerances.q_max must be at least 1")
+    return out
+
+
+def _punctures_from_json(cfg: dict, knot: KnotRecord):
+    out = {}
+    for name, entry in _section(cfg, "punctures").items():
+        if not isinstance(entry, dict) or "loop" not in entry:
+            raise ConfigError("puncture %r needs a 'loop'" % name)
+        curve_text = entry.get("a_poly")
+        try:
+            curve = (knot.a_poly if curve_text in (None, "knot")
+                     else parse_poly(curve_text))
+        except (PolySyntaxError, TypeError) as exc:
+            raise ConfigError("puncture %r: bad a_poly: %s" % (name, exc))
+        out[name] = (curve, _pathspec_from_json(entry["loop"]),
+                     bool(entry.get("steinberg")))
+    return out
+
+
+def _jones_from_json(cfg: dict) -> Tuple[List[int], List[float]]:
+    """N_list and a_values of the jones section; the growth fit needs at
+    least four increasing N, and every a must give k = round(N / a) >= 1."""
+    jcfg = _section(cfg, "jones")
+    try:
+        n_list = [int(n) for n in jcfg.get("N_list", [500, 1000, 2000, 4000])]
+        a_values = [float(a) for a in jcfg.get("a_values", [0.9, 1.0, 1.1])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad jones section: %s" % exc)
+    if len(n_list) < 4:
+        raise ConfigError("jones.N_list needs at least 4 entries, got %d"
+                          % len(n_list))
+    if n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("jones.N_list must be increasing positive integers")
+    if not all(a > 0 and round(n_list[0] / a) >= 1 for a in a_values):
+        raise ConfigError("jones.a_values must be positive with round(N / a) >= 1")
+    return n_list, a_values
 
 
 def _knot_from_config(cfg: dict) -> KnotRecord:
@@ -179,7 +239,7 @@ def _knot_from_config(cfg: dict) -> KnotRecord:
     if isinstance(knot, dict):
         try:
             return _record_from_dict(knot)
-        except (KeyError, ValueError, PolySyntaxError) as exc:
+        except (KeyError, ValueError, TypeError, PolySyntaxError) as exc:
             raise ConfigError("bad inline knot record: %s" % exc)
     if isinstance(knot, str):
         table = load_knots()
@@ -187,6 +247,53 @@ def _knot_from_config(cfg: dict) -> KnotRecord:
             raise ConfigError("unknown knot %r" % knot)
         return table[knot]
     raise ConfigError("config needs a 'knot' entry")
+
+
+@dataclass(frozen=True)
+class _RunConfig:
+    """A run config, read and checked in full before any stage runs."""
+    targets: Tuple[str, ...]
+    knot: KnotRecord
+    ctrl: StepControls
+    tol: Dict[str, float]
+    loops: Dict[str, PathSpec]
+    paths: Dict[str, PathSpec]
+    punctures: Dict[str, Tuple[LaurentBiPoly, PathSpec, bool]]
+    n_list: List[int]
+    a_values: List[float]
+    out_dir: str
+
+
+def _read_config(cfg) -> _RunConfig:
+    """Every section of a parsed JSON config; raises ConfigError on the
+    first invalid entry."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    targets = cfg.get("targets", [])
+    if not targets:
+        raise ConfigError("targets list is empty")
+    unknown = [t for t in targets if t not in STAGES]
+    if unknown:
+        raise ConfigError("unknown targets: %s" % ", ".join(map(str, unknown)))
+    knot = _knot_from_config(cfg)
+    n_list, a_values = _jones_from_json(cfg)
+    out_dir = cfg.get("out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir must be a string")
+    return _RunConfig(
+        targets=tuple(targets),
+        knot=knot,
+        ctrl=_controls_from_json(cfg),
+        tol=_tolerances_from_json(cfg),
+        loops={name: _pathspec_from_json(spec)
+               for name, spec in _section(cfg, "loops").items()},
+        paths={name: _pathspec_from_json(spec)
+               for name, spec in _section(cfg, "paths").items()},
+        punctures=_punctures_from_json(cfg, knot),
+        n_list=n_list,
+        a_values=a_values,
+        out_dir=out_dir,
+    )
 
 
 # ---------------------------------------------------------------- output
@@ -237,20 +344,16 @@ def _run_id(cfg: dict) -> str:
 
 # ---------------------------------------------------------------- stages
 
-def _stage_one_forms(cfg, knot, ctrl, run_id, csv, summary):
+def _stage_one_forms(rc, run_id, csv, summary):
     """eta/xi/vol/cs/U/cs1 per named loop, with rational recognition of
     xi periods and the symbol-order estimate feeding U."""
-    tol = cfg.get("tolerances", {})
-    eta_tol = float(tol.get("eta", ETA_TOL))
-    q_max = int(tol.get("q_max", 48))
-    rat_tol = float(tol.get("rational", RATIONAL_TOL))
-    target = float(tol.get("quadrature_target", 1e-8))
+    knot, ctrl = rc.knot, rc.ctrl
+    eta_tol, q_max = rc.tol["eta"], rc.tol["q_max"]
+    rat_tol, target = rc.tol["rational"], rc.tol["quadrature_target"]
 
-    loops = cfg.get("loops", {})
     recognized: List[symbols_k2.RationalRecognition] = []
     per_loop = {}
-    for name, spec_json in loops.items():
-        spec = _pathspec_from_json(spec_json)
+    for name, spec in rc.loops.items():
         path, res, used = one_forms.track_refined(
             knot.a_poly, spec, ctrl, forms=("eta", "xi"), target=target)
         eta, xi = res["eta"], res["xi"]
@@ -310,15 +413,10 @@ def _add_along_rows(csv, run_id, label, knot, q_order, eta, xi):
     return vol, cs, u
 
 
-def _stage_symbols(cfg, knot, ctrl, run_id, csv, summary):
-    punctures = cfg.get("punctures", {})
-    tol = cfg.get("tolerances", {})
-    tame_tol = float(tol.get("tame", TAME_TOL))
-    steinberg_tol = float(tol.get("steinberg", STEINBERG_TOL))
-    for name, entry in punctures.items():
-        curve_text = entry.get("a_poly")
-        curve = knot.a_poly if curve_text in (None, "knot") else parse_poly(curve_text)
-        spec = _pathspec_from_json(entry["loop"])
+def _stage_symbols(rc, csv, summary):
+    ctrl = rc.ctrl
+    tame_tol, steinberg_tol = rc.tol["tame"], rc.tol["steinberg"]
+    for name, (curve, spec, steinberg) in rc.punctures.items():
         loop = lift_path(curve, spec, ctrl)
         v_l = symbols_k2.valuation(curve, loop, "l")
         v_m = symbols_k2.valuation(curve, loop, "m")
@@ -330,20 +428,19 @@ def _stage_symbols(cfg, knot, ctrl, run_id, csv, summary):
         summary.add("[tame] %s: v_l=%d v_m=%d T=%.9g%+.3gj |r-T|=%.3g"
                     % (name, v_l.v, v_m.v, tame.real, tame.imag, match),
                     ok=match < tame_tol)
-        if entry.get("steinberg"):
+        if steinberg:
             defect = abs(reg.value - 1.0)
             summary.add("[steinberg] %s: |r(l,m) - 1| = %.3g" % (name, defect),
                         ok=defect < steinberg_tol)
 
 
-def _stage_kirk_klassen(cfg, knot, ctrl, run_id, csv, summary):
-    paths = cfg.get("paths", {})
-    tol = float(cfg.get("tolerances", {}).get("kirk_klassen", KK_TOL))
-    for name, spec_json in paths.items():
-        spec = _pathspec_from_json(spec_json)
+def _stage_kirk_klassen(rc, run_id, csv, summary):
+    tol = rc.tol["kirk_klassen"]
+    for name, spec in rc.paths.items():
         # refine until the exponent's quadrature estimate supports tol
         path, res, _ = one_forms.track_refined(
-            knot.a_poly, spec, ctrl, forms=("kk",), target=tol, max_halvings=8)
+            rc.knot.a_poly, spec, rc.ctrl, forms=("kk",), target=tol,
+            max_halvings=8)
         est = res["kk"].est_error
         kk = one_forms.kirk_klassen(path)
         csv.add(run_id, "kk:" + name, kk.value.real, kk.value.imag,
@@ -354,11 +451,10 @@ def _stage_kirk_klassen(cfg, knot, ctrl, run_id, csv, summary):
                     % (name, kk.expr_diff), ok=kk.expr_diff < tol)
 
 
-def _stage_jones(cfg, knot, run_id, csv, summary, timings):
-    jcfg = cfg.get("jones", {})
-    n_list = [int(n) for n in jcfg.get("N_list", [500, 1000, 2000, 4000])]
+def _stage_jones(rc, csv, summary, timings):
+    knot = rc.knot
     t0 = time.perf_counter()
-    seq = kashaev_sequence(n_list)
+    seq = kashaev_sequence(rc.n_list)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     for N, value in seq:
         csv.add(N, N, 1.0, value.log_abs, value.arg,
@@ -392,26 +488,23 @@ def _conjecture_path(knot: KnotRecord, a: float) -> Tuple[PathSpec, float]:
     return PathSpec(segments=(arc, drop), l_seed=knot.l_seed, closed=False), ang
 
 
-def _stage_conjecture(cfg, knot, ctrl, run_id, csv, jones_csv, summary,
-                      q_order, timings):
-    jcfg = cfg.get("jones", {})
-    n_list = [int(n) for n in jcfg.get("N_list", [500, 1000, 2000, 4000])]
-    a_values = [float(a) for a in jcfg.get("a_values", [0.9, 1.0, 1.1])]
-    for a in a_values:
+def _stage_conjecture(rc, run_id, csv, jones_csv, summary, q_order, timings):
+    knot = rc.knot
+    for a in rc.a_values:
         spec, ang = _conjecture_path(knot, a)
-        path = lift_path(knot.a_poly, spec, ctrl)
+        path = lift_path(knot.a_poly, spec, rc.ctrl)
         label = "a=%g" % a
         vol, cs, u = _add_along_rows(csv, run_id, label, knot, q_order,
                                      one_forms.integrate_eta(path),
                                      one_forms.integrate_xi(path))
         t0 = time.perf_counter()
-        seq = jones_sequence(n_list, a)
+        seq = jones_sequence(rc.n_list, a)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        if a != 1.0:
-            for N, value in seq:
-                jones_csv.add(N, round(N / a), a, value.log_abs, value.arg,
-                              elapsed_ms / len(seq) if timings else 0.0)
         fit = growth_rate(seq, a)
+        if a != 1.0:
+            for (N, value), k in zip(seq, fit.k_values):
+                jones_csv.add(N, k, a, value.log_abs, value.arg,
+                              elapsed_ms / len(seq) if timings else 0.0)
         gap, report = conjecture_gap(fit, vol, cs, u.value)
         finite = all(map(math.isfinite, (vol, cs, u.value, fit.slope)))
         endpoint = complex(path.m[-1])
@@ -431,16 +524,10 @@ STAGES = ("one_forms", "symbols", "kirk_klassen", "jones", "conjecture")
 
 
 def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
-    """Execute the targets of a parsed config; returns the exit code."""
-    targets = cfg.get("targets", [])
-    if not targets:
-        raise ConfigError("targets list is empty")
-    unknown = [t for t in targets if t not in STAGES]
-    if unknown:
-        raise ConfigError("unknown targets: %s" % ", ".join(unknown))
-    knot = _knot_from_config(cfg)
-    ctrl = _controls_from_json(cfg)
-    out_dir = config_dir / cfg.get("out_dir", "out")
+    """Execute the targets of a parsed config; returns the exit code.
+    Raises ConfigError before any stage runs when the config is invalid."""
+    rc = _read_config(cfg)
+    out_dir = config_dir / rc.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     run_id = _run_id(cfg)
 
@@ -453,6 +540,7 @@ def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
     jones_csv = _Csv(out_dir / "jones.csv",
                      ["N", "k", "a", "log_abs", "arg", "runtime_ms"])
     summary = _Summary()
+    knot = rc.knot
     summary.note("run %s on knot %s (A = %s)" % (run_id, knot.name,
                                                  knot.a_poly_text))
     summary.note("vol_K = %.15g (Lobachevsky series), cs_K = %g%s"
@@ -461,20 +549,19 @@ def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
 
     hard_error = None
     q_order = 1
-    for stage in targets:
+    for stage in rc.targets:
         try:
             if stage == "one_forms":
-                q_order = _stage_one_forms(cfg, knot, ctrl, run_id,
-                                           forms_csv, summary)
+                q_order = _stage_one_forms(rc, run_id, forms_csv, summary)
             elif stage == "symbols":
-                _stage_symbols(cfg, knot, ctrl, run_id, symbols_csv, summary)
+                _stage_symbols(rc, symbols_csv, summary)
             elif stage == "kirk_klassen":
-                _stage_kirk_klassen(cfg, knot, ctrl, run_id, forms_csv, summary)
+                _stage_kirk_klassen(rc, run_id, forms_csv, summary)
             elif stage == "jones":
-                _stage_jones(cfg, knot, run_id, jones_csv, summary, timings)
+                _stage_jones(rc, jones_csv, summary, timings)
             elif stage == "conjecture":
-                _stage_conjecture(cfg, knot, ctrl, run_id, forms_csv,
-                                  jones_csv, summary, q_order, timings)
+                _stage_conjecture(rc, run_id, forms_csv, jones_csv, summary,
+                                  q_order, timings)
         except (RamificationError, NonConvergence, SeedError, DegenerateError,
                 DomainError, AmbiguousWinding, ExtrapolationUnstable,
                 ArithmeticError) as exc:
@@ -498,7 +585,7 @@ def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
 def build_demo_config() -> dict:
     """Figure-eight demonstration: four loops (two puncture circles around
     m = 0, one on each sheet, and two contractible circles), one open arc
-    for the holonomy consistency check, five punctures across three
+    for the holonomy integral, five punctures across three
     curves, the Kashaev fit and the three-point conjecture scan."""
     knots = load_knots()
     fig8 = knots["fig8"]
@@ -608,13 +695,8 @@ def _cmd_run(args) -> int:
     try:
         cfg = json.loads(config_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        return run(cfg, config_path.resolve().parent, timings=args.timings)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        raise ConfigError(str(exc))
+    return run(cfg, config_path.resolve().parent, timings=args.timings)
 
 
 def _cmd_demo(args) -> int:
@@ -623,25 +705,16 @@ def _cmd_demo(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "demo_config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n", newline="\n")
-    try:
-        return run(cfg, out_dir, timings=args.timings)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+    return run(cfg, out_dir, timings=args.timings)
 
 
 def _cmd_probe(args) -> int:
     table = load_knots()
     if args.knot not in table:
-        print("unknown knot %r" % args.knot, file=sys.stderr)
-        return 2
-    try:
-        hits, closest = probe_branch_points(
-            table[args.knot], (args.re[0], args.re[1]),
-            (args.im[0], args.im[1]), args.density, args.threshold)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        raise ConfigError("unknown knot %r" % args.knot)
+    hits, closest = probe_branch_points(
+        table[args.knot], (args.re[0], args.re[1]),
+        (args.im[0], args.im[1]), args.density, args.threshold)
     csv = _Csv(Path(args.out), ["m_re", "m_im", "min_abs_dAdl"])
     for m, val in hits:
         csv.add(m.real, m.imag, val)
@@ -700,7 +773,11 @@ def main(argv=None) -> int:
     p_parse.set_defaults(func=_cmd_parse)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

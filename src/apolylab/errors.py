@@ -17,7 +17,8 @@ class DegenerateError(ArithmeticError):
 
 
 class NonConvergence(RuntimeError):
-    """Iteration budget or minimum step size exhausted."""
+    """Minimum step size exhausted, or roots asked for at non-finite
+    coefficients."""
 
 
 class SeedError(ValueError):

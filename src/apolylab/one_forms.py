@@ -20,7 +20,9 @@ arg m(t0) = 0 at the geometric base point):
     Kirk-Klassen ratio = exp(2 pi i int (alpha beta' - beta alpha') dt)
     with alpha = log m / (2 pi i), beta = log l / (2 pi i); the equal
     second expression exp((1/2 pi i) int (log m dlog l - log l dlog m))
-    is evaluated independently and the difference reported.
+    is the same trapezoid sum without the Richardson step, so their
+    difference is |ratio| est_error / 3 to first order: a restatement of
+    the quadrature estimate, not an independent check.
 
 Quadrature is the composite trapezoid over the tracker's samples in
 Stieltjes form sum (u_k + u_{k+1})/2 (v_{k+1} - v_k), with one Richardson
@@ -216,7 +218,9 @@ def kirk_klassen(path: TrackedPath) -> KirkKlassen:
 
     The returned value uses the alpha/beta form; expr_diff is the
     distance to the directly integrated (1/2 pi i) int (log m dlog l -
-    log l dlog m) form, an internal consistency measure.
+    log l dlog m) form.  That form is the alpha/beta trapezoid sum without
+    the Richardson step, so expr_diff = |value| est_error / 3 to first
+    order, where est_error is kk_exponent's.
     """
     e1 = kk_exponent(path).value
     lam_l = path.log_abs_l + 1j * path.arg_l

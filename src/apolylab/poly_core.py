@@ -22,16 +22,16 @@ unary minus, so the canonical printer emits a leading negative term as
 Roots in l at fixed m come from one solver that works on a batch of m
 at once.  :func:`l_coefficients` takes a scalar m (one coefficient
 vector) or a 1-D array of m (one row per m); :func:`horner_rows`
-evaluates such rows at per-row points.  :func:`roots_in_l_batch` solves
-every row together and returns the roots with a per-row status code
-(:data:`ROW_ERRORS`) in place of an exception, and converged rows leave
-the iteration early.  :func:`roots_in_l` is its one-row case and raises
-the row's error.
+evaluates such rows at per-row points.  :func:`roots_in_l_batch` takes
+the eigenvalues of the companion matrices of every solvable row in one
+stacked LAPACK call (``np.linalg.eigvals``, backward stable), polishes
+them by Newton's method and returns them with a per-row status code
+(:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l` is
+its one-row case and raises the row's error.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +45,6 @@ Exponents = Tuple[int, int]
 TermMap = Dict[Exponents, object]
 
 CLUSTER_RADIUS = 1e-7     # roots closer than this are reported as one multiple root
-ROOT_RESID_REL = 1e-10    # |p(root)| <= this times the largest term magnitude
 REAL_SNAP_REL = 1e-12     # imaginary parts below this (relative) snap to 0
 
 
@@ -272,18 +271,11 @@ def l_coefficients(p: LaurentBiPoly, m) -> np.ndarray:
     entry of a 1-D array of m."""
     q, _ = clear_denominators(p)
     deg = max(i for i, _ in q.terms)
-    if np.ndim(m) == 0:
-        # Python's complex powers: numpy's array powers differ from them in
-        # the last bit, and one-point callers keep the values they had
-        row = [0j] * (deg + 1)
-        for (i, j), c in q.terms.items():
-            row[i] += float(c) * m ** j
-        return np.array(row, dtype=complex)
-    m = np.asarray(m, dtype=complex)
-    coeffs = np.zeros((len(m), deg + 1), dtype=complex)
+    ms = np.atleast_1d(np.asarray(m, dtype=complex))
+    coeffs = np.zeros((len(ms), deg + 1), dtype=complex)
     for (i, j), c in q.terms.items():
-        coeffs[:, i] += float(c) * m ** j
-    return coeffs
+        coeffs[:, i] += float(c) * ms ** j
+    return coeffs if np.ndim(m) else coeffs[0]
 
 
 def horner_rows(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -303,50 +295,48 @@ ROW_ERRORS = {
     M_ZERO: (DomainError, "m must be nonzero"),
     VANISHES: (DegenerateError, "polynomial vanishes identically at this m"),
     LEAD_VANISHES: (DegenerateError, "leading l-coefficient vanishes at this m"),
-    NO_CONVERGENCE: (NonConvergence, "root iteration did not converge"),
+    NO_CONVERGENCE: (NonConvergence, "coefficients are not finite at this m"),
 }
 
 
-def roots_in_l(p: LaurentBiPoly, m: complex, max_iter: int = 512) -> List[complex]:
+def roots_in_l(p: LaurentBiPoly, m: complex) -> List[complex]:
     """All roots in l of the cleared polynomial at fixed m, with multiplicity.
 
-    Simultaneous iteration from a deterministic configuration (roots of
-    unity scaled by the Fujiwara bound), Newton-polished, then clustered:
-    roots closer than CLUSTER_RADIUS are replaced by their centroid,
-    repeated per cluster size.  Sorted by (re, im).  This is the one-row
-    case of roots_in_l_batch.
+    Eigenvalues of the companion matrix (LAPACK), Newton-polished, then
+    clustered: roots closer than CLUSTER_RADIUS are replaced by their
+    centroid, repeated per cluster size.  Sorted by (re, im).  This is
+    the one-row case of roots_in_l_batch.
     """
-    if not p:
-        raise DegenerateError("zero polynomial")
-    status = np.array([M_ZERO if m == 0 else 0])
-    roots, status = _solve_rows(l_coefficients(p, m)[None, :], status, max_iter)
+    roots, status = roots_in_l_batch(p, np.array([m], dtype=complex))
     if status[0]:
         error, message = ROW_ERRORS[status[0]]
         raise error(message)
     return roots[0].tolist()
 
 
-def roots_in_l_batch(p: LaurentBiPoly, m, max_iter: int = 512):
+def roots_in_l_batch(p: LaurentBiPoly, m):
     """roots_in_l at every entry of a 1-D array of m, solved together.
 
     Returns (roots, status): roots[b] holds the roots at m[b] as
     roots_in_l returns them and status[b] is 0, or status[b] is the
     ROW_ERRORS code of the error roots_in_l raises at m[b] and roots[b]
-    is nan.  A row leaves the iteration once it converges, so a few slow
-    rows near a branch point do not cost the whole batch.
+    is nan.  The companion matrices of all solvable rows go to one
+    stacked np.linalg.eigvals call.
     """
     if not p:
         raise DegenerateError("zero polynomial")
     m = np.asarray(m, dtype=complex)
     status = np.where(m == 0, M_ZERO, 0)
-    return _solve_rows(l_coefficients(p, m), status, max_iter)
+    return _solve_rows(l_coefficients(p, m), status)
 
 
-def _solve_rows(coeffs: np.ndarray, status: np.ndarray, max_iter: int):
+def _solve_rows(coeffs: np.ndarray, status: np.ndarray):
     """Roots of the coefficient rows whose status is 0, and the status:
-    rows that turn out degenerate or do not converge get their error code
+    rows that turn out degenerate or not finite get their error code
     (status is updated in place)."""
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    # LAPACK rejects the whole stack if one matrix is not finite
+    status[(status == 0) & ~np.isfinite(coeffs).all(axis=1)] = NO_CONVERGENCE
     abs_coeffs = np.abs(coeffs)
     scale = abs_coeffs.max(axis=1)
     status[(status == 0) & (abs_coeffs[:, d] <= 1e-12 * scale)] = LEAD_VANISHES
@@ -356,12 +346,13 @@ def _solve_rows(coeffs: np.ndarray, status: np.ndarray, max_iter: int):
     if d == 0 or not rows.size:
         return roots, status
 
+    # companion matrix of the monic row: ones on the subdiagonal, the
+    # negated coefficients in descending powers along the first row
     c = coeffs[rows]
-    z, converged = _iterate(c, abs_coeffs[rows], max_iter)
-    if not converged.all():
-        status[rows[~converged]] = NO_CONVERGENCE
-        rows, c, z = rows[converged], c[converged], z[converged]
-    z = _polish(c, z)
+    companion = np.zeros((rows.size, d, d), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(d - 1)
+    companion[:, 0, :] = -c[:, d - 1::-1] / c[:, d:]
+    z = _polish(c, np.linalg.eigvals(companion))
 
     # real coefficient vectors have conjugate-symmetric roots; snap the
     # stragglers onto the axis so downstream [0, 2pi) arg conventions do
@@ -370,57 +361,6 @@ def _solve_rows(coeffs: np.ndarray, status: np.ndarray, max_iter: int):
     near_real = real_rows & (np.abs(z.imag) <= REAL_SNAP_REL * (1.0 + np.abs(z)))
     roots[rows] = _sort_and_cluster(np.where(near_real, z.real + 0j, z))
     return roots, status
-
-
-def _fujiwara_bound(abs_coeffs: np.ndarray) -> np.ndarray:
-    # one bound per row from |c|; column d holds the leading coefficient
-    d = abs_coeffs.shape[1] - 1
-    ratio = abs_coeffs[:, d - 1::-1] / abs_coeffs[:, d:]  # column k - 1: |c[d - k] / c[d]|
-    ratio[:, d - 1] /= 2.0
-    return 2.0 * (ratio ** (1.0 / np.arange(1, d + 1))).max(axis=1)
-
-
-@functools.lru_cache(maxsize=32)
-def _start_directions(d: int) -> np.ndarray:
-    # d-th roots of unity turned by 0.4 radian, which breaks the symmetry
-    # of real polynomials
-    directions = np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.4))
-    directions.flags.writeable = False
-    return directions
-
-
-def _term_scale(abs_coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # largest term magnitude |c_i| |z|^i at every root estimate
-    powers = np.arange(abs_coeffs.shape[1])
-    return (abs_coeffs[:, None, :] * np.abs(z)[:, :, None] ** powers).max(axis=2)
-
-
-def _iterate(c: np.ndarray, abs_c: np.ndarray, max_iter: int):
-    """Simultaneous iteration on every row; a row stops once each of its
-    residuals is within ROOT_RESID_REL of its largest term.  Returns the
-    estimates and the mask of rows that got there within max_iter steps."""
-    n, d = c.shape[0], c.shape[1] - 1
-    z = _fujiwara_bound(abs_c)[:, None] * _start_directions(d)
-    converged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    ca, aa, za = c, abs_c, z
-    for step in range(max_iter + 1):
-        pv = horner_rows(ca, za)
-        done = (np.abs(pv) <= ROOT_RESID_REL * _term_scale(aa, za)).all(axis=1)
-        if done.any():
-            finished = active[done]
-            z[finished] = za[done]
-            converged[finished] = True
-            if finished.size == active.size:
-                break
-            keep = ~done
-            active, ca, aa, za, pv = active[keep], ca[keep], aa[keep], za[keep], pv[keep]
-        if step == max_iter:
-            break
-        diff = za[:, :, None] - za[:, None, :]
-        diff.reshape(len(active), d * d)[:, ::d + 1] = 1.0
-        za = za - pv / (ca[:, d:] * np.prod(diff, axis=2))
-    return z, converged
 
 
 def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:

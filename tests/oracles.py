@@ -205,10 +205,11 @@ def fig8_min_abs_dadl(m: complex) -> float:
 
 def roots_scalar_loop(coeffs: np.ndarray, max_iter: int = 512) -> List[complex]:
     """Roots of one coefficient vector (ascending powers) by the scalar
-    loop the package's batched solver replaced: Fujiwara-scaled start,
-    simultaneous iteration to a 1e-10 relative residual, Newton polish,
-    real snap, centroid clustering within 1e-7.  Raises ArithmeticError
-    where the package reports a failed row; [] when there is no root."""
+    loop the package used before its companion-matrix solver:
+    Fujiwara-scaled start, simultaneous iteration to a 1e-10 relative
+    residual, Newton polish, real snap, centroid clustering within 1e-7.
+    Raises ArithmeticError where that loop failed; [] when there is no
+    root."""
     d = len(coeffs) - 1
     scale = float(np.max(np.abs(coeffs)))
     if scale == 0.0 or abs(coeffs[d]) <= 1e-12 * scale:

@@ -4,9 +4,11 @@ Each test prints a single PASS/FAIL line (visible under pytest -s) and
 then asserts, so a plain pytest run is still authoritative.  The nine
 checks cover: closed-loop exactness of the volume form, lattice
 rationality of the Chern-Simons form, regulator vs tame symbol, the
-Steinberg relation, internal consistency of the holonomy integral, the
-N=2 Jones oracle, the Kashaev growth rate, orientation/additivity of
-every integral, and the generalized-asymptotics scan.
+Steinberg relation, the holonomy integral's quadrature error (its two
+expressions differ by |ratio| est_error / 3, so check 5 restates the
+refinement target of one_forms.track_refined), the N=2 Jones oracle,
+the Kashaev growth rate, orientation/additivity of every integral, and
+the generalized-asymptotics scan.
 """
 
 import cmath

@@ -117,6 +117,25 @@ class TestRunVerb:
         assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
         assert "zigzag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, section, entry", [
+        ("jones", "jones", {"N_list": [500, 1000, 2000]}),
+        ("jones", "jones", {"N_list": [0, 500, 1000, 2000]}),
+        ("symbols", "punctures", {"p": {"a_poly": "m + + l",
+                                        "loop": circle_json(1.0, 0.1, 0.1 + 0j)}}),
+        ("symbols", "punctures", {"p": {"a_poly": "m + l - 1"}}),
+        ("one_forms", "controls", {"max_step": "abc"}),
+        ("one_forms", "tolerances", {"q_max": 0}),
+        ("jones", "out_dir", 5),
+    ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
+            "max_step_text", "q_max_zero", "out_dir_number"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
+                                      target, section, entry):
+        cfg = dict(minimal_cfg, targets=[target], **{section: entry})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "results").exists()
+
     def test_stage_failure_exits_1(self, tmp_path, capsys):
         # valuation on a loop through the square-root branching is
         # half-integer, which the symbols stage reports as a failure

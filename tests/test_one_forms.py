@@ -273,3 +273,17 @@ def test_vol_cs_move_along_open_paths(fig8, ctrl):
     vol = vol_along(path, vol_fig8())
     assert vol != pytest.approx(vol_fig8(), abs=1e-6)
     assert math.isfinite(cs_along(path, 0.0))
+
+
+def test_kk_expr_diff_restates_est_error(fig8):
+    # the second expression is the trapezoid sum of the first without its
+    # Richardson step, so expr_diff = |kk| est_error / 3 at every mesh:
+    # it measures the quadrature, not an independent evaluation (the
+    # demo's route arc_a at halvings 0-4)
+    ctrl = StepControls()
+    for _ in range(5):
+        path = _arc_path(fig8, 0.3, 1.0, ctrl=ctrl)
+        kk = kirk_klassen(path)
+        ratio = kk.expr_diff / (abs(kk.value) * kk_exponent(path).est_error)
+        assert abs(ratio - 1.0 / 3.0) < 1e-5
+        ctrl = refine(ctrl)

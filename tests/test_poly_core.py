@@ -1,5 +1,8 @@
 import cmath
+import itertools
 import math
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from apolylab import (
     roots_in_l,
 )
 from apolylab.poly_core import (
+    CLUSTER_RADIUS,
+    NO_CONVERGENCE,
     ROW_ERRORS,
     clear_denominators,
     horner_rows,
@@ -253,25 +258,43 @@ def _probe_points():
     return np.array(special + near + spread, dtype=complex)
 
 
-def _one_row(p, m, max_iter=512):
+def _one_row(p, m):
     try:
-        return roots_in_l(p, m, max_iter=max_iter), None
+        return roots_in_l(p, m), None
     except (DegenerateError, DomainError, NonConvergence) as exc:
         return None, exc
 
 
+SOLVER_POLYS = [
+    "m^4*l^2 - (m^8 - m^6 - 2*m^4 - m^2 + 1)*l + m^4",
+    "l^2*m - l^2 + l",          # leading coefficient dies at m = 1
+    "l*m - l + m - 1",          # vanishes identically at m = 1
+    "l^-1*m + l*m^-2 - 3",      # Laurent in both variables
+    "(l - m)*(l - m)*(l + 1)",  # a double root on every row
+]
+
+
+def _mp_roots(row):
+    # the float coefficients taken as exact, rooted at 60 digits
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in row[::-1]]
+        return [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=500,
+                                                      extraprec=500)]
+
+
+def _rel_error(got, exact):
+    # worst |got - exact| / |exact| under the best pairing of the roots
+    def err(g, e):
+        return abs(g - e) / abs(e) if e != 0 else abs(g)
+    return min(max(err(g, exact[k]) for g, k in zip(got, perm))
+               for perm in itertools.permutations(range(len(exact))))
+
+
 class TestBatchRoots:
 
-    @pytest.mark.parametrize("text, tol", [
-        ("m^4*l^2 - (m^8 - m^6 - 2*m^4 - m^2 + 1)*l + m^4", 1e-12),
-        ("l^2*m - l^2 + l", 1e-12),          # leading coefficient dies at m = 1
-        ("l*m - l + m - 1", 1e-12),          # vanishes identically at m = 1
-        ("l^-1*m + l*m^-2 - 3", 1e-12),      # Laurent in both variables
-        # a double root on every row moves by the square root of a change
-        # in the coefficients or the start: array and scalar powers and
-        # moduli differ in the last bit, which moves it by about 1e-8
-        ("(l - m)*(l - m)*(l + 1)", 1e-7),
-    ])
+    # the double root of the last polynomial moves by the square root of a
+    # change in the coefficients
+    @pytest.mark.parametrize("text, tol", zip(SOLVER_POLYS, [1e-12] * 4 + [1e-7]))
     def test_matches_one_row_calls(self, text, tol):
         p = parse_poly(text)
         ms = _probe_points()
@@ -286,16 +309,44 @@ class TestBatchRoots:
             else:
                 assert status[b] == 0
                 assert np.max(np.abs(roots[b] - np.array(want)), initial=0.0) <= tol
+
+    @pytest.mark.parametrize("text", SOLVER_POLYS)
+    def test_against_mpmath(self, text):
+        # worst relative error against the 60-digit roots, for rows whose
+        # exact roots are all more than CLUSTER_RADIUS apart (True) and
+        # for the others (False), next to the replaced iteration's
+        p = parse_poly(text)
+        ms = _probe_points()
+        rows = l_coefficients(p, ms)
+        roots, status = roots_in_l_batch(p, ms)
+        worst = {True: [0.0, 0.0], False: [0.0, 0.0]}
+        for b, m in enumerate(ms):
             if m == 0:
                 continue
-            # the scalar loop the batch replaced, on the same coefficients
             try:
-                ref = oracles.roots_scalar_loop(l_coefficients(p, complex(m)))
+                old = oracles.roots_scalar_loop(rows[b])
             except ArithmeticError:
                 assert status[b] != 0
-            else:
-                assert status[b] == 0
-                assert np.max(np.abs(roots[b] - np.array(ref)), initial=0.0) <= tol
+                continue
+            assert status[b] == 0
+            exact = _mp_roots(rows[b])
+            simple = all(abs(x - y) > CLUSTER_RADIUS
+                         for x, y in itertools.combinations(exact, 2))
+            for k, got in enumerate((roots[b], old)):
+                worst[simple][k] = max(worst[simple][k], _rel_error(got, exact))
+        for new_err, old_err in worst.values():
+            assert new_err <= 1.5 * old_err + 1e-15
+
+    def test_non_finite_rows(self, fig8):
+        ms = np.array([0.5, np.nan, 1.5 + 0.5j, np.inf, 2.0])
+        with np.errstate(invalid="ignore", over="ignore"):  # nan and inf powers
+            roots, status = roots_in_l_batch(fig8, ms)
+            with pytest.raises(NonConvergence):
+                roots_in_l(fig8, complex(np.inf))
+        assert list(status) == [0, NO_CONVERGENCE, 0, NO_CONVERGENCE, 0]
+        assert np.all(np.isnan(roots[[1, 3]]))
+        for b in (0, 2, 4):
+            assert np.array_equal(roots[b], roots_in_l(fig8, ms[b]))
 
     def test_skips_zero_and_degenerate_rows(self):
         p = parse_poly("l^2*m - l^2 + l")
@@ -305,21 +356,9 @@ class TestBatchRoots:
         assert np.allclose(sorted(roots[0], key=abs), [0.0, -1.0])
         assert np.allclose(sorted(roots[3], key=abs), [0.0, 0.5])
 
-    def test_rows_leave_the_iteration_independently(self, fig8):
-        # with a tight budget some rows converge and some do not; each row
-        # must come out as its own one-row solve with the same budget
-        ms = _probe_points()
-        for max_iter in (3, 6, 12):
-            roots, status = roots_in_l_batch(fig8, ms, max_iter=max_iter)
-            for b, m in enumerate(ms):
-                want, exc = _one_row(fig8, complex(m), max_iter)
-                assert (exc is None) == (status[b] == 0)
-                if exc is None:
-                    assert np.max(np.abs(roots[b] - np.array(want))) <= 1e-12
-
     def test_against_companion_eigenvalues(self, fig8):
-        # np.roots takes the eigenvalues of the companion matrix, an
-        # algorithm apart from the simultaneous iteration
+        # np.roots solves one companion matrix per call, with no stacking,
+        # Newton polish, real snap or clustering
         rng = np.random.default_rng(5)
         ms = rng.uniform(-1.8, 1.8, 50) + 1j * rng.uniform(-1.8, 1.8, 50)
         roots, status = roots_in_l_batch(fig8, ms)
