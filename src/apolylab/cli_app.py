@@ -321,9 +321,9 @@ class _Summary:
         self.failures: List[str] = []
 
     def add(self, line: str, ok: Optional[bool] = None):
-        if ok is True:
+        if ok is not None and ok:  # ok may be a numpy bool
             line = line + "  PASS"
-        elif ok is False:
+        elif ok is not None:
             line = line + "  FAIL"
             self.failures.append(line)
         self.lines.append(line)
@@ -543,7 +543,7 @@ def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
     knot = rc.knot
     summary.note("run %s on knot %s (A = %s)" % (run_id, knot.name,
                                                  knot.a_poly_text))
-    summary.note("vol_K = %.15g (Lobachevsky series), cs_K = %g%s"
+    summary.note("vol_K = %.15g (Lobachevsky), cs_K = %g%s"
                  % (knot.vol_k, knot.cs_k,
                     " [%s]" % knot.cs_note if knot.cs_note else ""))
 
@@ -693,8 +693,8 @@ def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
     try:
-        cfg = json.loads(config_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ConfigError(str(exc))
     return run(cfg, config_path.resolve().parent, timings=args.timings)
 
@@ -730,7 +730,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_parse(args) -> int:
-    text = Path(args.polyfile).read_text().strip()
+    text = Path(args.polyfile).read_text(encoding="utf-8").strip()
     try:
         poly = parse_poly(text)
     except PolySyntaxError as exc:
@@ -777,6 +777,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print("file error: %s" % exc, file=sys.stderr)
         return 2
 
 

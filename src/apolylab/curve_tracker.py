@@ -2,10 +2,11 @@
 
 A PathSpec is a chain of line and arc segments in the m-plane plus a
 branch seed for l at the first point.  lift_path follows the route by
-tangent prediction and Newton correction in l, keeping a continuously
-unwrapped logarithm state for both variables: between consecutive
-samples |delta arg| < pi, so winding numbers and branch-sensitive
-integrals are well defined downstream.
+tangent prediction and Newton correction in l.  The result carries one
+log state: the complex arrays log_l and log_m, each log|z| + i arg z with
+arg continuously unwrapped (between consecutive samples |delta arg| < pi),
+so winding numbers and branch-sensitive integrals are well defined
+downstream.
 
 Convention for the base sample: arg m(t0) = 0 whenever |m(t0) - 1| is
 within the base-point offset, otherwise principal values in [0, 2pi).
@@ -44,6 +45,7 @@ SEED_SEPARATION = 1e-8   # min distance of the seed root from other roots
 DEFAULT_SEED_TOL = 1e-6  # seed residual, relative to the term scale
 RESID_REL = 1e-12        # Newton tolerance, relative to the running term scale
 RAM_REL = 1e-8           # |dA/dl| guard, relative to the running term scale
+HALVE_AFTER = 5          # Newton iterations to tolerance before a step is halved
 BASE_EPS = 1e-4          # |m - 1| radius in which arg m(t0) is zeroed
 
 
@@ -110,21 +112,19 @@ class StepControls:
     max_step: float = 0.01   # in segment parameter
     min_step: float = 1e-12
     newton_budget: int = 20
-    halve_after: int = 5     # Newton iterations to tolerance before halving
 
 
 @dataclass(frozen=True)
 class TrackedPath:
-    """Dense samples of the lift.  Arrays share one index; arg fields are
-    continuously unwrapped, never reduced mod 2pi."""
+    """Dense samples of the lift.  Arrays share one index; log_l and log_m
+    are log|z| + i arg z with arg continuously unwrapped, never reduced
+    mod 2pi."""
 
     t: np.ndarray
     l: np.ndarray
     m: np.ndarray
-    log_abs_l: np.ndarray
-    arg_l: np.ndarray
-    log_abs_m: np.ndarray
-    arg_m: np.ndarray
+    log_l: np.ndarray
+    log_m: np.ndarray
     residual_max: float
     closed: bool
     base_convention: dict = field(compare=False)
@@ -187,7 +187,7 @@ def _correct(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, l: complex,
     """Tangent predictor from (l, m0) to m1, Newton corrector at m1.
 
     The iteration count to the first tolerance hit decides step halving:
-    returns None when the hit needs more than ctrl.halve_after iterations
+    returns None when the hit needs more than HALVE_AFTER iterations
     or never comes.  After the hit the root is polished while the residual
     strictly drops, within the same total budget, so the ramification
     guard sees a fully converged point.  Returns (l, A(l, m1)).
@@ -207,7 +207,7 @@ def _correct(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, l: complex,
         l1 = l1 - r / d
         r = eval_poly(A, l1, m1)
         iters += 1
-    if iters > ctrl.halve_after:
+    if iters > HALVE_AFTER:
         return None
     return _newton_polish(A, Al, l1, m1, r, ctrl.newton_budget - iters)
 
@@ -246,13 +246,13 @@ def _track_grid(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, seg: Seg
     return s, ms, ls, resid_max, scale
 
 
-def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls(),
-              base_eps: float = BASE_EPS) -> TrackedPath:
+def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls()
+              ) -> TrackedPath:
     """Track the route in spec on A = 0 starting from the seeded branch.
 
     Newton correction runs to |A| <= RESID_REL * scale with scale the
     running maximum term magnitude along the path.  A step whose
-    correction needs more than ctrl.halve_after iterations is halved by
+    correction needs more than HALVE_AFTER iterations is halved by
     inserting the parameter midpoint, down to ctrl.min_step.  Raises
     RamificationError when |dA/dl| at a corrected point falls below
     RAM_REL * scale, and NonConvergence when the step size underflows.
@@ -284,32 +284,24 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     t = np.concatenate(t_parts)
     l = np.array(l_all, dtype=complex)
     m = np.array(m_all, dtype=complex)
-    logs = _unwrap_logs(l, m, base_eps)
+    arg_m_zeroed = bool(abs(m[0] - 1.0) <= BASE_EPS)
     gap = float(abs(l[-1] - l[0])) if spec.closed else None
     return TrackedPath(
         t=t, l=l, m=m,
-        log_abs_l=logs[0], arg_l=logs[1], log_abs_m=logs[2], arg_m=logs[3],
+        log_l=_unwrapped_log(l), log_m=_unwrapped_log(m, arg_m_zeroed),
         residual_max=resid_max,
         closed=spec.closed,
-        base_convention={
-            "arg_m_zeroed": bool(abs(m[0] - 1.0) <= base_eps),
-            "base_eps": base_eps,
-        },
+        base_convention={"arg_m_zeroed": arg_m_zeroed},
         l_return_gap=gap,
     )
 
 
-def _principal(z: complex) -> float:
-    a = float(np.angle(z))
-    return a + 2.0 * np.pi if a < 0 else a
-
-
-def _unwrap_logs(l: np.ndarray, m: np.ndarray, base_eps: float):
-    arg_l0 = _principal(l[0])
-    arg_m0 = 0.0 if abs(m[0] - 1.0) <= base_eps else _principal(m[0])
-    arg_l = arg_l0 + np.concatenate(([0.0], np.cumsum(np.angle(l[1:] / l[:-1]))))
-    arg_m = arg_m0 + np.concatenate(([0.0], np.cumsum(np.angle(m[1:] / m[:-1]))))
-    return np.log(np.abs(l)), arg_l, np.log(np.abs(m)), arg_m
+def _unwrapped_log(z: np.ndarray, zero_arg: bool = False) -> np.ndarray:
+    """log|z| + i arg z, arg starting at 0 or at the principal value in
+    [0, 2pi) and unwrapped sample to sample."""
+    arg0 = 0.0 if zero_arg else float(np.angle(z[0])) % (2.0 * np.pi)
+    arg = arg0 + np.concatenate(([0.0], np.cumsum(np.angle(z[1:] / z[:-1]))))
+    return np.log(np.abs(z)) + 1j * arg
 
 
 def loop_around_m(A: LaurentBiPoly, m_center: complex, radius: float,
@@ -333,18 +325,14 @@ def reverse(path: TrackedPath) -> TrackedPath:
     keeps the old endpoint's arg values (not re-normalized)."""
     conv = dict(path.base_convention)
     conv["reversed"] = not conv.get("reversed", False)
-    return TrackedPath(
+    return replace(
+        path,
         t=1.0 - path.t[::-1],
         l=path.l[::-1].copy(),
         m=path.m[::-1].copy(),
-        log_abs_l=path.log_abs_l[::-1].copy(),
-        arg_l=path.arg_l[::-1].copy(),
-        log_abs_m=path.log_abs_m[::-1].copy(),
-        arg_m=path.arg_m[::-1].copy(),
-        residual_max=path.residual_max,
-        closed=path.closed,
+        log_l=path.log_l[::-1].copy(),
+        log_m=path.log_m[::-1].copy(),
         base_convention=conv,
-        l_return_gap=path.l_return_gap,
     )
 
 
@@ -352,8 +340,10 @@ def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
     """Join two tracked paths; b's args are re-based to continue a's unwrap."""
     if abs(a.l[-1] - b.l[0]) > CONCAT_TOL or abs(a.m[-1] - b.m[0]) > CONCAT_TOL:
         raise MismatchError("paths do not share an endpoint")
-    shift_l = a.arg_l[-1] - b.arg_l[0]
-    shift_m = a.arg_m[-1] - b.arg_m[0]
+
+    def joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.concatenate((x, y[1:] + 1j * (x[-1].imag - y[0].imag)))
+
     na, nb = len(a.t), len(b.t)
     w = (na - 1) / (na - 1 + nb - 1) if (na - 1 + nb - 1) > 0 else 0.5
     t = np.concatenate((a.t * w, w + (1 - w) * b.t[1:]))
@@ -362,10 +352,7 @@ def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
     closed = bool(abs(l[-1] - l[0]) <= MONODROMY_TOL and abs(m[-1] - m[0]) <= JOINT_TOL * 1e3)
     return TrackedPath(
         t=t, l=l, m=m,
-        log_abs_l=np.concatenate((a.log_abs_l, b.log_abs_l[1:])),
-        arg_l=np.concatenate((a.arg_l, b.arg_l[1:] + shift_l)),
-        log_abs_m=np.concatenate((a.log_abs_m, b.log_abs_m[1:])),
-        arg_m=np.concatenate((a.arg_m, b.arg_m[1:] + shift_m)),
+        log_l=joined(a.log_l, b.log_l), log_m=joined(a.log_m, b.log_m),
         residual_max=max(a.residual_max, b.residual_max),
         closed=closed,
         base_convention=dict(a.base_convention),
@@ -373,6 +360,6 @@ def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
     )
 
 
-def refine(ctrl: StepControls, factor: float = 0.5) -> StepControls:
-    """Controls with the step scaled; used by quadrature refinement."""
-    return replace(ctrl, max_step=ctrl.max_step * factor)
+def refine(ctrl: StepControls) -> StepControls:
+    """Controls with the step halved; used by quadrature refinement."""
+    return replace(ctrl, max_step=ctrl.max_step * 0.5)

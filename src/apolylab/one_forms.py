@@ -1,8 +1,10 @@
 """Line integrals of the curve's 1-forms over tracked paths.
 
-All integrands are assembled from the single unwrapped LogState of the
-path, so the integration-by-parts identities relating the forms hold
-numerically instead of depending on per-integral branch choices.
+A tracked path carries one log state: the complex arrays log_l and
+log_m, each log|z| + i arg z with arg continuously unwrapped.  Every
+integrand is assembled from that pair, so the integration-by-parts
+identities relating the forms hold numerically instead of depending on
+per-integral branch choices.
 
 Forms and conventions (log branch 0 <= arg z < 2pi at the base point,
 arg m(t0) = 0 at the geometric base point):
@@ -24,11 +26,12 @@ arg m(t0) = 0 at the geometric base point):
     difference is |ratio| est_error / 3 to first order: a restatement of
     the quadrature estimate, not an independent check.
 
-Quadrature is the composite trapezoid over the tracker's samples in
-Stieltjes form sum (u_k + u_{k+1})/2 (v_{k+1} - v_k), with one Richardson
-step against the half-resolution mesh; est_error is the full/half
-difference.  track_refined re-lifts with a smaller step until the
-estimate meets a target.
+One quadrature rule serves every integral (_integrate): the composite
+trapezoid over the tracker's samples in Stieltjes form
+sum (u_k + u_{k+1})/2 (v_{k+1} - v_k), with one Richardson step against
+the half-resolution mesh; est_error is the full/half difference.
+track_refined re-lifts with a smaller step until the estimate meets a
+target.
 """
 
 from __future__ import annotations
@@ -71,51 +74,34 @@ class SpecialCS:
     torus_class: float   # value / (2 pi)^2 mod 1
 
 
-def _stieltjes(u: np.ndarray, v: np.ndarray):
+def trapezoid(u: np.ndarray, v: np.ndarray):
+    """Stieltjes trapezoid sum (u_k + u_{k+1})/2 (v_{k+1} - v_k) for int u dv."""
     return np.sum((u[1:] + u[:-1]) * 0.5 * np.diff(v))
 
 
-def _half_indices(n: int) -> np.ndarray:
-    idx = np.arange(0, n, 2)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
-
-
-def _with_richardson(full, half, n) -> IntegralResult:
-    est = abs(full - half)
-    value = full + (full - half) / 3.0
-    if isinstance(full, complex) and not isinstance(value, complex):
-        value = complex(value)
-    return IntegralResult(value=value, est_error=float(est), n_samples=n)
-
-
-def _form_integral(path: TrackedPath, pairs) -> IntegralResult:
-    """pairs: iterable of (coeff, u array, v array) meaning coeff * int u dv."""
+def _integrate(path: TrackedPath, rule: Callable) -> IntegralResult:
+    """The one quadrature: rule(log_l, log_m) is a trapezoid sum over the
+    samples it is given.  It runs on every sample and on every other one
+    (the last sample always kept); the value takes one Richardson step
+    from the pair and est_error is their difference."""
     n = path.n_samples
-    h = _half_indices(n)
-    full = 0.0
-    half = 0.0
-    for coeff, u, v in pairs:
-        full = full + coeff * _stieltjes(u, v)
-        half = half + coeff * _stieltjes(u[h], v[h])
-    return _with_richardson(full, half, n)
+    half = np.unique(np.append(np.arange(0, n, 2), n - 1))
+    full = rule(path.log_l, path.log_m)
+    coarse = rule(path.log_l[half], path.log_m[half])
+    value = (full + (full - coarse) / 3.0).item()
+    return IntegralResult(value=value, est_error=float(abs(full - coarse)), n_samples=n)
 
 
 def integrate_eta(path: TrackedPath) -> IntegralResult:
     """int (log|l| d arg m - log|m| d arg l); real."""
-    return _form_integral(path, [
-        (1.0, path.log_abs_l, path.arg_m),
-        (-1.0, path.log_abs_m, path.arg_l),
-    ])
+    return _integrate(path, lambda ll, lm: (trapezoid(ll.real, lm.imag)
+                                            - trapezoid(lm.real, ll.imag)))
 
 
 def integrate_xi(path: TrackedPath) -> IntegralResult:
     """int of -(log|m| d log|l| + arg l d arg m); real, branch-dependent."""
-    return _form_integral(path, [
-        (-1.0, path.log_abs_m, path.log_abs_l),
-        (-1.0, path.arg_l, path.arg_m),
-    ])
+    return _integrate(path, lambda ll, lm: -(trapezoid(lm.real, ll.real)
+                                             + trapezoid(ll.imag, lm.imag)))
 
 
 def vol_from(eta: float, vol_k: float) -> float:
@@ -158,41 +144,27 @@ def cs1_along(path: TrackedPath) -> complex:
 
 
 Role = Union[str, Tuple[int, int]]
-
-
-def _lambda_of(path: TrackedPath, role: Role) -> np.ndarray:
-    """Unwrapped complex logarithm of l^a m^b along the path.
-
-    role 'l' and 'm' name the coordinates; an (a, b) pair names the
-    monomial, which is what the bilinearity checks feed in.
-    """
-    if role == "l":
-        a, b = 1, 0
-    elif role == "m":
-        a, b = 0, 1
-    else:
-        a, b = role
-    return (a * (path.log_abs_l + 1j * path.arg_l)
-            + b * (path.log_abs_m + 1j * path.arg_m))
+_ROLES = {"l": (1, 0), "m": (0, 1)}
 
 
 def regulator_exponent(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
                        ) -> IntegralResult:
     """(1/2 pi i)(int log f dg/g - log g(t0) int df/f) on a closed loop.
 
-    int df/f is 2 pi i times the integer winding of f, read off the
-    unwrapped args; log g(t0) is the base sample's unwrapped value.
+    A role is 'l', 'm' or an (a, b) pair naming the monomial l^a m^b,
+    whose log is a log_l + b log_m.  int df/f is 2 pi i times the integer
+    winding of f, read off the unwrapped args; log g(t0) is the base
+    sample's unwrapped value.
     """
     if not loop.closed:
         raise NotClosed("regulator needs a closed loop")
-    lam_f = _lambda_of(loop, f_role)
-    lam_g = _lambda_of(loop, g_role)
+    (fa, fb), (ga, gb) = (_ROLES.get(role, role) for role in (f_role, g_role))
+    lam_f = fa * loop.log_l + fb * loop.log_m
+    lam_g = ga * loop.log_l + gb * loop.log_m
     w_f = round(float((lam_f[-1] - lam_f[0]).imag) / TWO_PI)
-    n = loop.n_samples
-    h = _half_indices(n)
-    full = (_stieltjes(lam_f, lam_g) - lam_g[0] * (2j * np.pi * w_f)) / (2j * np.pi)
-    half = (_stieltjes(lam_f[h], lam_g[h]) - lam_g[0] * (2j * np.pi * w_f)) / (2j * np.pi)
-    return _with_richardson(complex(full), complex(half), n)
+    base = lam_g[0] * (2j * np.pi * w_f)
+    return _integrate(loop, lambda ll, lm: (
+        trapezoid(fa * ll + fb * lm, ga * ll + gb * lm) - base) / (2j * np.pi))
 
 
 def regulator(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
@@ -202,30 +174,28 @@ def regulator(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
     return RegulatorValue(value=value, modulus_defect=abs(abs(value) - 1.0))
 
 
+def _kk_rule(ll: np.ndarray, lm: np.ndarray) -> complex:
+    """(1/2 pi i) int (log m dlog l - log l dlog m), which is
+    2 pi i int (alpha dbeta - beta dalpha) for alpha = log m / 2 pi i and
+    beta = log l / 2 pi i."""
+    return (trapezoid(lm, ll) - trapezoid(ll, lm)) / (2j * np.pi)
+
+
 def kk_exponent(path: TrackedPath) -> IntegralResult:
     """2 pi i int (alpha beta' - beta alpha') dt from the log state."""
-    alpha = (path.log_abs_m + 1j * path.arg_m) / (2j * np.pi)
-    beta = (path.log_abs_l + 1j * path.arg_l) / (2j * np.pi)
-    n = path.n_samples
-    h = _half_indices(n)
-    full = 2j * np.pi * (_stieltjes(alpha, beta) - _stieltjes(beta, alpha))
-    half = 2j * np.pi * (_stieltjes(alpha[h], beta[h]) - _stieltjes(beta[h], alpha[h]))
-    return _with_richardson(complex(full), complex(half), n)
+    return _integrate(path, _kk_rule)
 
 
 def kirk_klassen(path: TrackedPath) -> KirkKlassen:
     """Holonomy ratio z(1) z(0)^{-1} along the path, both expressions.
 
-    The returned value uses the alpha/beta form; expr_diff is the
-    distance to the directly integrated (1/2 pi i) int (log m dlog l -
-    log l dlog m) form.  That form is the alpha/beta trapezoid sum without
-    the Richardson step, so expr_diff = |value| est_error / 3 to first
-    order, where est_error is kk_exponent's.
+    The returned value uses kk_exponent; expr_diff is the distance to the
+    directly integrated (1/2 pi i) int (log m dlog l - log l dlog m) form.
+    That form is kk_exponent's trapezoid sum without the Richardson step,
+    so expr_diff = |value| est_error / 3 to first order.
     """
     e1 = kk_exponent(path).value
-    lam_l = path.log_abs_l + 1j * path.arg_l
-    lam_m = path.log_abs_m + 1j * path.arg_m
-    e2 = (_stieltjes(lam_m, lam_l) - _stieltjes(lam_l, lam_m)) / (2j * np.pi)
+    e2 = _kk_rule(path.log_l, path.log_m)
     v1 = complex(np.exp(e1))
     v2 = complex(np.exp(e2))
     return KirkKlassen(value=v1, expr_diff=abs(v1 - v2), exponent=complex(e1))

@@ -36,6 +36,7 @@ from .curve_tracker import (
     lift_path,
 )
 from .errors import AmbiguousWinding, ExtrapolationUnstable, NoRational
+from .one_forms import trapezoid
 from .poly_core import LaurentBiPoly
 
 WINDING_SLACK = 0.1
@@ -68,12 +69,10 @@ def _loop_geometry(loop: TrackedPath):
 
 def valuation(A: LaurentBiPoly, x_loop: TrackedPath, f_role: str) -> Valuation:
     """Winding number of f in {l, m} over the witness loop."""
-    if f_role == "l":
-        d = float(x_loop.arg_l[-1] - x_loop.arg_l[0]) / TWO_PI
-    elif f_role == "m":
-        d = float(x_loop.arg_m[-1] - x_loop.arg_m[0]) / TWO_PI
-    else:
+    logs = {"l": x_loop.log_l, "m": x_loop.log_m}
+    if f_role not in logs:
         raise ValueError("f_role must be 'l' or 'm'")
+    d = float((logs[f_role][-1] - logs[f_role][0]).imag) / TWO_PI
     v = round(d)
     if abs(d - v) > WINDING_SLACK:
         raise AmbiguousWinding("winding %.6f is not near an integer" % d)
@@ -85,16 +84,14 @@ def _monomial_mean(loop: TrackedPath, a: int, b: int) -> complex:
     """Average of l^a m^b over the loop, trapezoid-weighted by the angle of
     m around the recovered center (uniform-angle loops reduce to the
     plain mean)."""
-    lam = a * (loop.log_abs_l + 1j * loop.arg_l) + b * (loop.log_abs_m + 1j * loop.arg_m)
-    h = np.exp(lam)
+    h = np.exp(a * loop.log_l + b * loop.log_m)
     center, _, _ = _loop_geometry(loop)
     rel = loop.m - center
     theta = np.concatenate(([0.0], np.cumsum(np.angle(rel[1:] / rel[:-1]))))
     span = theta[-1] - theta[0]
     if span == 0.0:
         return complex(np.mean(h))
-    weighted = np.sum((h[1:] + h[:-1]) * 0.5 * np.diff(theta))
-    return complex(weighted / span)
+    return complex(trapezoid(h, theta) / span)
 
 
 def tame_symbol(A: LaurentBiPoly, x_loop: TrackedPath, v_l: Valuation,

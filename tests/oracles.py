@@ -2,12 +2,14 @@
 
 Everything here is deliberately written against different algorithms
 than the package: the Jones polynomial comes from the Kauffman bracket
-state sum over a planar diagram, the Lobachevsky value from adaptive
-quadrature rather than the Fourier series, the colored Jones from
-direct complex product accumulation (or mpmath at roots of unity)
+state sum over a planar diagram, the Lobachevsky value from composite
+Simpson rather than the package's Gauss-Legendre rule, the colored Jones
+from direct complex product accumulation (or mpmath at roots of unity)
 rather than the signed log-sum evaluator, |dA/dl| of the figure-eight
-from its discriminant rather than from root solves.  Tests compare
-package output to these.
+from its discriminant rather than from root solves, and the figure-eight
+lift in closed form with Gauss-Legendre line integrals rather than
+Newton tracking with the trapezoid rule.  Tests compare package output
+to these.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ def lobachevsky_quadrature(theta: float, n: int = 20001) -> float:
     """Lambda(theta) = -int_0^theta log|2 sin t| dt for 0 < theta < pi.
 
     The log(2t) part integrates in closed form; the smooth remainder
-    log(sin t / t) goes through composite Simpson.  Independent of the
-    Fourier series used by the package.
+    log(sin t / t) goes through composite Simpson, not the package's
+    Gauss-Legendre rule.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError("theta out of range")
@@ -303,3 +305,73 @@ def kashaev_log_sum_exp(N: int) -> float:
     logs = np.concatenate(([0.0], np.cumsum(2.0 * np.log(2.0 * np.sin(np.pi * i / N)))))
     top = float(np.max(logs))
     return top + math.log(math.fsum(np.exp(logs - top)))
+
+
+def _fig8_b(m: np.ndarray) -> np.ndarray:
+    """B(m) = m^8 - m^6 - 2 m^4 - m^2 + 1."""
+    m2 = m * m
+    return (((m2 - 1.0) * m2 - 2.0) * m2 - 1.0) * m2 + 1.0
+
+
+def fig8_sheets(m: np.ndarray):
+    """Both roots l of the figure-eight A-polynomial
+    m^4 l^2 - B(m) l + m^4 at each m, in closed form.
+
+    The root product is 1, so the small root is taken as the reciprocal
+    of the big one instead of from the cancelling difference.
+    """
+    m4 = (m * m) ** 2
+    b = _fig8_b(m)
+    root = np.sqrt(b * b - 4.0 * m4 * m4)
+    big = np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root) / (2.0 * m4)
+    return big, 1.0 / big
+
+
+def _unwrapped_log(z: np.ndarray, arg0: float) -> np.ndarray:
+    arg = arg0 + np.concatenate(([0.0], np.cumsum(np.angle(z[1:] / z[:-1]))))
+    return np.log(np.abs(z)) + 1j * arg
+
+
+def fig8_arc_integrals(center: complex, radius: float, angle_start: float,
+                       angle_end: float, l_seed: complex, panels: int = 64,
+                       order: int = 16) -> Dict[str, complex]:
+    """eta, xi and the Kirk-Klassen exponent along an arc of the
+    figure-eight curve, from the closed-form lift.
+
+    The sheet through l_seed is followed node by node (the closed-form
+    root nearest the previous one), dl/dm = -A_m / A_l is evaluated
+    exactly, and the arc angle is integrated with composite Gauss-Legendre
+    (panels x order nodes), so the arc must keep clear of branch points.
+    Base conventions are the package's: args start at their principal
+    value in [0, 2pi), arg m at 0 within 1e-4 of m = 1.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(angle_start, angle_end, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    phi = np.concatenate(([angle_start], (mid + half * x).ravel(), [angle_end]))
+    wts = np.concatenate(([0.0], (half * w).ravel(), [0.0]))
+    m = center + radius * np.exp(1j * phi)
+    dm = 1j * (m - center)  # dm / dphi
+
+    big, small = fig8_sheets(m)
+    l = np.empty_like(m)
+    prev = l_seed
+    for k in range(len(m)):
+        prev = big[k] if abs(big[k] - prev) <= abs(small[k] - prev) else small[k]
+        l[k] = prev
+
+    m3 = m * m * m
+    db = ((8.0 * m * m - 6.0) * m * m - 8.0) * m3 - 2.0 * m  # B'(m)
+    a_l = 2.0 * m3 * m * l - _fig8_b(m)
+    a_m = 4.0 * m3 * l * l - db * l + 4.0 * m3
+    dlog_l = -a_m / a_l * dm / l
+    dlog_m = dm / m
+
+    two_pi = 2.0 * math.pi
+    log_l = _unwrapped_log(l, cmath.phase(l[0]) % two_pi)
+    log_m = _unwrapped_log(m, 0.0 if abs(m[0] - 1.0) <= 1e-4 else cmath.phase(m[0]) % two_pi)
+    eta = np.sum(wts * (log_l.real * dlog_m.imag - log_m.real * dlog_l.imag))
+    xi = -np.sum(wts * (log_m.real * dlog_l.real + log_l.imag * dlog_m.imag))
+    kk = np.sum(wts * (log_m * dlog_l - log_l * dlog_m)) / (2j * math.pi)
+    return {"eta": float(eta), "xi": float(xi), "kk": complex(kk)}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from apolylab import cli_app, lobachevsky, parse_poly, print_poly, vol_fig8
+from apolylab import cli_app, parse_poly, print_poly, vol_fig8
 from apolylab.poly_core import eval_poly, roots_in_l
 
 
@@ -56,14 +56,6 @@ class TestKnotTable:
         assert abs(eval_poly(rec.a_poly, rec.l_seed, rec.m0)) < 1e-10
         assert rec.l_seed.imag > 0
         assert abs(rec.l_seed + 1.0) < 0.1
-
-    def test_second_load_reuses_the_series(self):
-        # demo loads the table twice; the 3M-term series must run once
-        lobachevsky.cache_clear()
-        first = cli_app.load_knots()["fig8"].vol_k
-        second = cli_app.load_knots()["fig8"].vol_k
-        assert lobachevsky.cache_info().misses == 1
-        assert second == first
 
 
 class TestRunVerb:
@@ -178,7 +170,9 @@ class TestDemoVerb:
         forms = (d / "one_forms.csv").read_text()
         symbols = (d / "symbols.csv").read_text()
         jones = (d / "jones.csv").read_text()
-        for line in (d / "summary.txt").read_text().splitlines():
+        lines = (d / "summary.txt").read_text().splitlines()
+        assert all(line.endswith("PASS") for line in lines if line.startswith("[eta]"))
+        for line in lines:
             if not line.endswith(("PASS", "FAIL")):
                 continue
             tag, rest = line.split("]", 1)
@@ -200,6 +194,14 @@ class TestDemoVerb:
                 assert ",vol:%s," % name in forms
             else:
                 raise AssertionError("unrecognized verdict line: %s" % line)
+
+    def test_numpy_verdicts_are_counted(self):
+        summary = cli_app._Summary()
+        summary.add("a", ok=np.bool_(True))
+        summary.add("b", ok=np.bool_(False))
+        summary.add("c")
+        assert summary.lines == ["a  PASS", "b  FAIL", "c"]
+        assert summary.failures == ["b  FAIL"]
 
     def test_timings_flag_breaks_identity(self, tmp_path):
         d1, d2 = tmp_path / "plain", tmp_path / "timed"
@@ -337,6 +339,35 @@ class TestParseVerb:
         p.write_text("l +")
         assert cli_app.main(["parse", str(p)]) == 1
         assert "syntax error at offset 4" in capsys.readouterr().err
+
+
+def _file_error_argv(case, tmp_path, minimal_cfg):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("l - m")
+    if case == "parse_missing":
+        return ["parse", str(tmp_path / "nosuch.txt")]
+    if case == "parse_directory":
+        return ["parse", str(tmp_path)]
+    if case == "parse_not_utf8":
+        (tmp_path / "latin1.txt").write_bytes(b"l - \xe9m")
+        return ["parse", str(tmp_path / "latin1.txt")]
+    if case == "probe_missing_dir":
+        return ["probe", "fig8", "--density", "5", "-o",
+                str(tmp_path / "nosuch" / "x.csv")]
+    if case == "demo_under_file":
+        return ["demo", "-o", str(a_file / "sub")]
+    cfg = dict(minimal_cfg, out_dir="a_file/sub")
+    return ["run", str(write_cfg(tmp_path, cfg))]
+
+
+@pytest.mark.parametrize("case", ["parse_missing", "parse_directory", "parse_not_utf8",
+                                  "probe_missing_dir", "demo_under_file",
+                                  "run_out_dir_under_file"])
+def test_file_errors_exit_2_with_one_line(case, tmp_path, capsys, minimal_cfg):
+    assert cli_app.main(_file_error_argv(case, tmp_path, minimal_cfg)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error:" in err
+    assert "Traceback" not in err
 
 
 def test_console_script(tmp_path):

@@ -30,8 +30,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def _reconstructs(path):
-    l_back = np.exp(path.log_abs_l + 1j * path.arg_l)
-    m_back = np.exp(path.log_abs_m + 1j * path.arg_m)
+    l_back = np.exp(path.log_l)
+    m_back = np.exp(path.log_m)
     return (np.allclose(l_back, path.l, rtol=1e-9, atol=1e-12)
             and np.allclose(m_back, path.m, rtol=1e-9, atol=1e-12))
 
@@ -81,8 +81,8 @@ def test_sqrt_curve_monodromy(ctrl):
     assert path.l[-1] == pytest.approx(-1.0, abs=1e-9)
     assert path.l_monodromy_trivial is False
     assert path.l_return_gap == pytest.approx(2.0, abs=1e-9)
-    assert path.arg_l[-1] - path.arg_l[0] == pytest.approx(math.pi, abs=1e-9)
-    assert path.arg_m[-1] - path.arg_m[0] == pytest.approx(TWO_PI, abs=1e-12)
+    assert path.log_l.imag[-1] - path.log_l.imag[0] == pytest.approx(math.pi, abs=1e-9)
+    assert path.log_m.imag[-1] - path.log_m.imag[0] == pytest.approx(TWO_PI, abs=1e-12)
 
 
 def test_sqrt_curve_two_turns_restore(ctrl):
@@ -90,14 +90,14 @@ def test_sqrt_curve_two_turns_restore(ctrl):
     path = lift_path(p, loop_around_m(p, 0j, 1.0, 1.0, turns=2), ctrl)
     assert path.l_monodromy_trivial is True
     assert path.l[-1] == pytest.approx(1.0, abs=1e-9)
-    assert path.arg_l[-1] == pytest.approx(TWO_PI, abs=1e-9)
+    assert path.log_l.imag[-1] == pytest.approx(TWO_PI, abs=1e-9)
 
 
 def test_sqrt_curve_clockwise(ctrl):
     p = parse_poly("l^2 - m")
     path = lift_path(p, loop_around_m(p, 0j, 1.0, 1.0, turns=-1), ctrl)
-    assert path.arg_m[-1] == pytest.approx(-TWO_PI, abs=1e-12)
-    assert path.arg_l[-1] == pytest.approx(-math.pi, abs=1e-9)
+    assert path.log_m.imag[-1] == pytest.approx(-TWO_PI, abs=1e-12)
+    assert path.log_l.imag[-1] == pytest.approx(-math.pi, abs=1e-9)
     assert path.l[-1] == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -110,7 +110,7 @@ def test_two_single_turns_equal_one_double(fig8, ctrl):
                                            turns=2), ctrl)
     assert joined.n_samples == double.n_samples
     assert np.allclose(joined.l, double.l, atol=1e-9)
-    assert np.allclose(joined.arg_l, double.arg_l, atol=1e-8)
+    assert np.allclose(joined.log_l.imag, double.log_l.imag, atol=1e-8)
 
 
 def test_fig8_lift_stays_on_curve(fig8, ctrl):
@@ -130,12 +130,12 @@ def test_unwrap_matches_principal_at_end(fig8, ctrl):
         l_seed=small_root(fig8, 0.3 * unit(0.3)),
     )
     path = lift_path(fig8, spec, ctrl)
-    for arr, pts in ((path.arg_l, path.l), (path.arg_m, path.m)):
+    for arr, pts in ((path.log_l.imag, path.l), (path.log_m.imag, path.m)):
         principal = cmath.phase(pts[-1]) % TWO_PI
         assert (arr[-1] - principal) % TWO_PI == pytest.approx(0.0, abs=1e-9) \
             or (arr[-1] - principal) % TWO_PI == pytest.approx(TWO_PI, abs=1e-9)
-    steps_l = np.diff(path.arg_l)
-    steps_m = np.diff(path.arg_m)
+    steps_l = np.diff(path.log_l.imag)
+    steps_m = np.diff(path.log_m.imag)
     assert np.max(np.abs(steps_l)) < math.pi
     assert np.max(np.abs(steps_m)) < math.pi
 
@@ -145,7 +145,7 @@ def test_base_convention_near_geometric_point(fig8, ctrl):
     seed = [r for r in roots_in_l(fig8, m0) if r.imag > 0][0]
     path = lift_path(fig8, PathSpec(segments=(LineSeg(m0, 1.01),), l_seed=seed), ctrl)
     assert path.base_convention["arg_m_zeroed"] is True
-    assert path.arg_m[0] == 0.0
+    assert path.log_m.imag[0] == 0.0
 
 
 def test_base_convention_away_from_geometric_point(fig8, ctrl):
@@ -153,9 +153,9 @@ def test_base_convention_away_from_geometric_point(fig8, ctrl):
     seed = small_root(fig8, m0)
     path = lift_path(fig8, PathSpec(segments=(LineSeg(m0, 0.4j),), l_seed=seed), ctrl)
     assert path.base_convention["arg_m_zeroed"] is False
-    assert path.arg_m[0] == pytest.approx(math.pi / 2)
+    assert path.log_m.imag[0] == pytest.approx(math.pi / 2)
     # l base arg is the principal value in [0, 2pi)
-    assert 0.0 <= path.arg_l[0] < TWO_PI
+    assert 0.0 <= path.log_l.imag[0] < TWO_PI
 
 
 def test_refinement_stability(fig8, ctrl):
@@ -167,7 +167,7 @@ def test_refinement_stability(fig8, ctrl):
     fine = lift_path(fig8, spec, refine(ctrl))
     assert fine.n_samples == 2 * coarse.n_samples - 1
     assert np.allclose(coarse.l, fine.l[::2], atol=1e-9)
-    assert np.allclose(coarse.arg_l, fine.arg_l[::2], atol=1e-9)
+    assert np.allclose(coarse.log_l.imag, fine.log_l.imag[::2], atol=1e-9)
 
 
 def test_multi_segment_joint_dedup(fig8, ctrl):
@@ -189,7 +189,7 @@ def test_concat_matches_single_lift(fig8, ctrl):
     assert joined.n_samples == both.n_samples
     assert np.allclose(joined.m, both.m, atol=1e-12)
     assert np.allclose(joined.l, both.l, atol=1e-10)
-    assert np.allclose(joined.arg_l, both.arg_l, atol=1e-9)
+    assert np.allclose(joined.log_l.imag, both.log_l.imag, atol=1e-9)
     assert np.allclose(joined.t, both.t, atol=1e-12)
 
 
@@ -212,7 +212,7 @@ def test_reverse_involution(fig8, ctrl):
     assert rev.base_convention["reversed"] is True
     back = reverse(rev)
     assert np.array_equal(back.l, path.l)
-    assert np.array_equal(back.arg_l, path.arg_l)
+    assert np.array_equal(back.log_l.imag, path.log_l.imag)
     assert back.base_convention.get("reversed") is False
 
 
@@ -293,12 +293,12 @@ def test_closed_loop_gap_small_on_unbranched_sheet(fig8, ctrl):
     path = lift_path(fig8, spec, ctrl)
     assert path.closed
     assert path.l_monodromy_trivial is True
-    assert path.arg_m[-1] == pytest.approx(TWO_PI, abs=1e-12)
+    assert path.log_m.imag[-1] == pytest.approx(TWO_PI, abs=1e-12)
     # winding of l on this sheet is 4 (l ~ m^4 near the puncture)
-    assert path.arg_l[-1] - path.arg_l[0] == pytest.approx(4 * TWO_PI, abs=1e-8)
+    assert path.log_l.imag[-1] - path.log_l.imag[0] == pytest.approx(4 * TWO_PI, abs=1e-8)
 
 
 def test_big_sheet_winding(fig8, ctrl):
     spec = loop_around_m(fig8, 0j, 0.35, big_root(fig8, 0.35), turns=1)
     path = lift_path(fig8, spec, ctrl)
-    assert path.arg_l[-1] - path.arg_l[0] == pytest.approx(-4 * TWO_PI, abs=1e-8)
+    assert path.log_l.imag[-1] - path.log_l.imag[0] == pytest.approx(-4 * TWO_PI, abs=1e-8)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from apolylab import (
     ArcSeg,
     LineSeg,
@@ -236,10 +237,9 @@ def _fabricated_constant_m_path(n=41):
     m = np.ones(n, dtype=complex)
     return TrackedPath(
         t=t, l=l, m=m,
-        log_abs_l=np.log(np.abs(l)), arg_l=0.9 * t,
-        log_abs_m=np.zeros(n), arg_m=np.zeros(n),
+        log_l=np.log(np.abs(l)) + 0.9j * t, log_m=np.zeros(n, dtype=complex),
         residual_max=0.0, closed=False,
-        base_convention={"arg_m_zeroed": True, "base_eps": 1e-4},
+        base_convention={"arg_m_zeroed": True},
         l_return_gap=None,
     )
 
@@ -287,3 +287,20 @@ def test_kk_expr_diff_restates_est_error(fig8):
         ratio = kk.expr_diff / (abs(kk.value) * kk_exponent(path).est_error)
         assert abs(ratio - 1.0 / 3.0) < 1e-5
         ctrl = refine(ctrl)
+
+
+@pytest.mark.parametrize("radius, theta0, theta1, which", [
+    (0.3, 0.3, 1.0, "small"),   # the demo's arc_a
+    (0.42, 2.0, 3.2, "big"),    # big sheet, across the negative real axis
+], ids=["arc_a", "big_sheet_arc"])
+def test_open_arc_integrals_match_closed_form_lift(fig8, ctrl, radius, theta0, theta1,
+                                                   which):
+    m0 = radius * unit(theta0)
+    seed = small_root(fig8, m0) if which == "small" else big_root(fig8, m0)
+    spec = PathSpec(segments=(ArcSeg(0j, radius, theta0, theta1),), l_seed=seed)
+    _, res, _ = track_refined(fig8, spec, ctrl, forms=("eta", "xi", "kk"), target=1e-8)
+    want = oracles.fig8_arc_integrals(0j, radius, theta0, theta1, seed)
+    for name in ("eta", "xi", "kk"):
+        err = abs(res[name].value - want[name])
+        assert err < 1e-12, name
+        assert err <= res[name].est_error, name
