@@ -2,7 +2,10 @@
 
 A PathSpec is a chain of line and arc segments in the m-plane plus a
 branch seed for l at the first point.  lift_path follows the route by
-tangent prediction and Newton correction in l.  The result carries one
+tangent prediction and Newton correction in l; one Newton loop
+(_newton) serves the seed polish and every step, and returns dA/dl at
+its last iterate, so the ramification guard and the next predictor read
+dA/dl and dA/dm once per accepted point.  The result carries one
 log state: the complex arrays log_l and log_m, each log|z| + i arg z with
 arg continuously unwrapped (between consecutive samples |delta arg| < pi),
 so winding numbers and branch-sensitive integrals are well defined
@@ -113,6 +116,14 @@ class StepControls:
     min_step: float = 1e-12
     newton_budget: int = 20
 
+    def __post_init__(self):
+        for name in ("max_step", "min_step"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and positive" % name)
+        if not self.newton_budget >= 1:
+            raise ValueError("newton_budget must be at least 1")
+
 
 @dataclass(frozen=True)
 class TrackedPath:
@@ -141,25 +152,6 @@ class TrackedPath:
         return self.l_return_gap <= MONODROMY_TOL
 
 
-def _newton_polish(A: LaurentBiPoly, Al: LaurentBiPoly, l: complex, m: complex,
-                   r: complex, budget: int) -> Tuple[complex, complex]:
-    """Newton in l at fixed m while the residual strictly drops.
-
-    r is A(l, m); returns the polished l and its residual A(l, m).
-    """
-    for _ in range(budget):
-        d = eval_poly(Al, l, m)
-        if d == 0:
-            break
-        l_try = l - r / d
-        r_try = eval_poly(A, l_try, m)
-        if abs(r_try) < abs(r):
-            l, r = l_try, r_try
-        else:
-            break
-    return l, r
-
-
 def _check_seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> complex:
     """Validate the branch seed and snap it onto the curve."""
     scale = max_term(A, l_seed, m0)
@@ -182,66 +174,74 @@ def _check_seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> complex:
     return roots[nearest]
 
 
-def _correct(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, l: complex,
-             m0: complex, m1: complex, tol: float, ctrl: StepControls):
-    """Tangent predictor from (l, m0) to m1, Newton corrector at m1.
+def _newton(A: LaurentBiPoly, Al: LaurentBiPoly, l: complex, m: complex,
+            r: complex, tol: float, budget: int):
+    """Newton in l at fixed m; r is A(l, m).
 
-    The iteration count to the first tolerance hit decides step halving:
-    returns None when the hit needs more than HALVE_AFTER iterations
-    or never comes.  After the hit the root is polished while the residual
-    strictly drops, within the same total budget, so the ramification
-    guard sees a fully converged point.  Returns (l, A(l, m1)).
+    Steps unconditionally until |r| <= tol, then only while the residual
+    strictly drops, within budget steps in total.  Returns (l, A(l, m),
+    dA/dl(l, m), hit): hit is the step count at the first |r| <= tol, or
+    None when the budget or a zero derivative comes first.  A NaN
+    residual never counts as a hit.
     """
-    dal = eval_poly(Al, l, m0)
-    if dal == 0:
-        return None
-    l1 = l - eval_poly(Am, l, m0) / dal * (m1 - m0)
-    r = eval_poly(A, l1, m1)
-    iters = 0
-    while not abs(r) <= tol:  # a NaN residual never counts as a hit
-        if iters == ctrl.newton_budget:
-            return None
-        d = eval_poly(Al, l1, m1)
+    hit = 0 if abs(r) <= tol else None
+    d = None
+    for k in range(budget):
+        d = eval_poly(Al, l, m)
         if d == 0:
-            return None
-        l1 = l1 - r / d
-        r = eval_poly(A, l1, m1)
-        iters += 1
-    if iters > HALVE_AFTER:
-        return None
-    return _newton_polish(A, Al, l1, m1, r, ctrl.newton_budget - iters)
+            break
+        l_try = l - r / d
+        r_try = eval_poly(A, l_try, m)
+        if hit is not None and not abs(r_try) < abs(r):
+            break
+        l, r, d = l_try, r_try, None
+        if hit is None and abs(r) <= tol:
+            hit = k + 1
+    if d is None:
+        d = eval_poly(Al, l, m)
+    return l, r, d, hit
 
 
 def _track_grid(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment,
                 n: int, l: complex, scale: float, ctrl: StepControls):
     """March l along n equal steps of seg keeping A(l, m) = 0.
 
-    A failing step is halved by inserting the parameter midpoint.  Returns
-    (s, m, l, resid_max, scale): the accepted segment parameters with their
-    m and l samples, the largest residual and the running term scale.
+    Each step is a tangent prediction from the last accepted point and
+    one _newton run at the new m.  dA/dl and dA/dm are evaluated once per
+    accepted point and reused by every retry from it.  A step whose
+    Newton run misses the tolerance or needs more than HALVE_AFTER steps
+    to hit it is halved by inserting the parameter midpoint.  Returns
+    (s, m, l, resid_max, scale): the accepted segment parameters with
+    their m and l samples, the largest residual and the running term scale.
     """
     s = list(np.linspace(0.0, 1.0, n + 1))
     ms = [complex(seg.point(x)) for x in s]
     ls = [l]
     resid_max = abs(eval_poly(A, l, ms[0]))
+    dal, dam = eval_poly(Al, l, ms[0]), eval_poly(Am, l, ms[0])
     k = 0
     while k < len(s) - 1:
         m1 = ms[k + 1]
-        step = _correct(A, Al, Am, l, ms[k], m1, RESID_REL * scale, ctrl)
-        if step is None:
+        hit = None
+        if dal != 0:
+            l1 = l - dam / dal * (m1 - ms[k])
+            l1, r, d, hit = _newton(A, Al, l1, m1, eval_poly(A, l1, m1),
+                                    RESID_REL * scale, ctrl.newton_budget)
+        if hit is None or hit > HALVE_AFTER:
             gap = s[k + 1] - s[k]
             if gap / 2.0 < ctrl.min_step:
                 raise NonConvergence("step underflow near m = %s" % ms[k])
             s.insert(k + 1, s[k] + gap / 2.0)
             ms.insert(k + 1, complex(seg.point(s[k + 1])))
             continue
-        l, r = step
+        l, dal = l1, d
         scale = max(scale, max_term(A, l, m1))
-        if abs(eval_poly(Al, l, m1)) < RAM_REL * scale:
+        if abs(dal) < RAM_REL * scale:
             raise RamificationError(
                 "lift ran into a branch point near m = %s" % m1, m=m1, l=l)
         resid_max = max(resid_max, abs(r))
         ls.append(l)
+        dam = eval_poly(Am, l, m1)
         k += 1
     return s, ms, ls, resid_max, scale
 
@@ -250,19 +250,22 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
               ) -> TrackedPath:
     """Track the route in spec on A = 0 starting from the seeded branch.
 
-    Newton correction runs to |A| <= RESID_REL * scale with scale the
-    running maximum term magnitude along the path.  A step whose
-    correction needs more than HALVE_AFTER iterations is halved by
-    inserting the parameter midpoint, down to ctrl.min_step.  Raises
-    RamificationError when |dA/dl| at a corrected point falls below
-    RAM_REL * scale, and NonConvergence when the step size underflows.
+    The seed is polished by _newton with the hit taken at once (steps
+    only while the residual drops).  Each step then runs the same _newton
+    to |A| <= RESID_REL * scale, with scale the running maximum term
+    magnitude along the path, and polishes on within ctrl.newton_budget
+    steps in total.  A step whose run needs more than HALVE_AFTER steps
+    to the tolerance is halved by inserting the parameter midpoint, down
+    to ctrl.min_step.  Raises RamificationError when |dA/dl| at an
+    accepted point falls below RAM_REL * scale, and NonConvergence when
+    the step size underflows.
     """
     Al = partial(A, "l")
     Am = partial(A, "m")
 
     m0 = spec.segments[0].first
     l0 = _check_seed(A, spec.l_seed, m0)
-    l0, _ = _newton_polish(A, Al, l0, m0, eval_poly(A, l0, m0), ctrl.newton_budget)
+    l0 = _newton(A, Al, l0, m0, eval_poly(A, l0, m0), np.inf, ctrl.newton_budget)[0]
     scale = max_term(A, l0, m0)
 
     n = max(1, int(np.ceil(1.0 / ctrl.max_step)))

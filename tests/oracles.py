@@ -9,7 +9,9 @@ rather than the signed log-sum evaluator, |dA/dl| of the figure-eight
 from its discriminant rather than from root solves, and the figure-eight
 lift in closed form with Gauss-Legendre line integrals rather than
 Newton tracking with the trapezoid rule.  Tests compare package output
-to these.
+to these.  The scalar root loop, the per-term Jones loop and the lift
+kernel with two Newton loops are the package's own earlier code, kept so
+that the faster or smaller replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from apolylab import curve_tracker
+from apolylab.errors import NonConvergence, RamificationError
+from apolylab.poly_core import eval_poly, max_term, partial
 
 # Planar diagram of the figure-eight knot, 4 crossings, writhe 0.
 # Each crossing lists its four edge labels counterclockwise starting
@@ -375,3 +381,97 @@ def fig8_arc_integrals(center: complex, radius: float, angle_start: float,
     xi = -np.sum(wts * (log_m.real * dlog_l.real + log_l.imag * dlog_m.imag))
     kk = np.sum(wts * (log_m * dlog_l - log_l * dlog_m)) / (2j * math.pi)
     return {"eta": float(eta), "xi": float(xi), "kk": complex(kk)}
+
+
+def _newton_polish_reference(A, Al, l, m, r, budget):
+    """Newton in l at fixed m while the residual strictly drops."""
+    for _ in range(budget):
+        d = eval_poly(Al, l, m)
+        if d == 0:
+            break
+        l_try = l - r / d
+        r_try = eval_poly(A, l_try, m)
+        if abs(r_try) < abs(r):
+            l, r = l_try, r_try
+        else:
+            break
+    return l, r
+
+
+def _correct_reference(A, Al, Am, l, m0, m1, tol, ctrl):
+    """Tangent predictor from (l, m0) to m1, Newton to the tolerance hit
+    (None after more than HALVE_AFTER iterations or no hit), then the
+    polish with the rest of the budget."""
+    dal = eval_poly(Al, l, m0)
+    if dal == 0:
+        return None
+    l1 = l - eval_poly(Am, l, m0) / dal * (m1 - m0)
+    r = eval_poly(A, l1, m1)
+    iters = 0
+    while not abs(r) <= tol:
+        if iters == ctrl.newton_budget:
+            return None
+        d = eval_poly(Al, l1, m1)
+        if d == 0:
+            return None
+        l1 = l1 - r / d
+        r = eval_poly(A, l1, m1)
+        iters += 1
+    if iters > curve_tracker.HALVE_AFTER:
+        return None
+    return _newton_polish_reference(A, Al, l1, m1, r, ctrl.newton_budget - iters)
+
+
+def _track_grid_reference(A, Al, Am, seg, n, l, scale, ctrl):
+    """The lift kernel the package used before its one Newton loop: the
+    corrector and the polish are two loops, and dA/dl and dA/dm are
+    evaluated afresh on every try.  Same arguments and return value as
+    curve_tracker._track_grid."""
+    s = list(np.linspace(0.0, 1.0, n + 1))
+    ms = [complex(seg.point(x)) for x in s]
+    ls = [l]
+    resid_max = abs(eval_poly(A, l, ms[0]))
+    k = 0
+    while k < len(s) - 1:
+        m1 = ms[k + 1]
+        step = _correct_reference(A, Al, Am, l, ms[k], m1,
+                                  curve_tracker.RESID_REL * scale, ctrl)
+        if step is None:
+            gap = s[k + 1] - s[k]
+            if gap / 2.0 < ctrl.min_step:
+                raise NonConvergence("step underflow near m = %s" % ms[k])
+            s.insert(k + 1, s[k] + gap / 2.0)
+            ms.insert(k + 1, complex(seg.point(s[k + 1])))
+            continue
+        l, r = step
+        scale = max(scale, max_term(A, l, m1))
+        if abs(eval_poly(Al, l, m1)) < curve_tracker.RAM_REL * scale:
+            raise RamificationError(
+                "lift ran into a branch point near m = %s" % m1, m=m1, l=l)
+        resid_max = max(resid_max, abs(r))
+        ls.append(l)
+        k += 1
+    return s, ms, ls, resid_max, scale
+
+
+def lift_reference(A, spec, ctrl):
+    """lift_path's samples by the reference kernel: (t, l, m, residual_max)."""
+    Al, Am = partial(A, "l"), partial(A, "m")
+    m0 = spec.segments[0].first
+    l0 = curve_tracker._check_seed(A, spec.l_seed, m0)
+    l0, _ = _newton_polish_reference(A, Al, l0, m0, eval_poly(A, l0, m0),
+                                     ctrl.newton_budget)
+    scale = max_term(A, l0, m0)
+    n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
+    n_segs = len(spec.segments)
+    t_parts, m_all, l_all, resid_max = [], [], [l0], 0.0
+    for seg_idx, seg in enumerate(spec.segments):
+        s, m_seg, l_seg, resid, scale = _track_grid_reference(
+            A, Al, Am, seg, n, l_all[-1], scale, ctrl)
+        resid_max = max(resid_max, resid)
+        first = 1 if seg_idx > 0 else 0
+        t_parts.append((seg_idx + np.asarray(s[first:])) / n_segs)
+        m_all += m_seg[first:]
+        l_all += l_seg[1:]
+    return (np.concatenate(t_parts), np.array(l_all, dtype=complex),
+            np.array(m_all, dtype=complex), resid_max)

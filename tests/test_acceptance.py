@@ -4,9 +4,11 @@ Each test prints a single PASS/FAIL line (visible under pytest -s) and
 then asserts, so a plain pytest run is still authoritative.  The nine
 checks cover: closed-loop exactness of the volume form, lattice
 rationality of the Chern-Simons form, regulator vs tame symbol, the
-Steinberg relation, the holonomy integral's quadrature error (its two
-expressions differ by |ratio| est_error / 3, so check 5 restates the
-refinement target of one_forms.track_refined), the N=2 Jones oracle,
+Steinberg relation, the holonomy (its two expressions differ by |ratio|
+est_error / 3, which restates the refinement target of
+one_forms.track_refined, so check 5 also requires the value within 1e-12
+of the closed-form figure-eight lift and within its own est_error), the
+N=2 Jones oracle,
 the Kashaev growth rate, orientation/additivity of every integral, and
 the generalized-asymptotics scan.
 """
@@ -160,17 +162,26 @@ def test_4_steinberg_relation():
 
 def test_5_holonomy_expressions_agree(fig8):
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = worst_err = worst_ratio = 0.0
     for _ in range(10):
         rho = rng.uniform(0.25, 0.45)
         a0 = rng.uniform(0.2, 0.7)
-        spec = arc_spec(fig8, rho, a0, a0 + rng.uniform(0.3, 0.5))
-        path, _, _ = one_forms.track_refined(
+        a1 = a0 + rng.uniform(0.3, 0.5)
+        spec = arc_spec(fig8, rho, a0, a1)
+        path, res, _ = one_forms.track_refined(
             fig8, spec, StepControls(max_step=5e-4), forms=("kk",), target=1e-8,
             max_halvings=2)
-        worst = max(worst, one_forms.kirk_klassen(path).expr_diff)
-    verdict(5, "holonomy expressions agree", worst < 1e-8,
-            "10 random paths, worst diff %.2e" % worst)
+        kk = one_forms.kirk_klassen(path)
+        worst = max(worst, kk.expr_diff)
+        # the value itself, against the closed-form lift
+        exact = cmath.exp(oracles.fig8_arc_integrals(0j, rho, a0, a1, spec.l_seed)["kk"])
+        err = abs(kk.value - exact)
+        worst_err = max(worst_err, err)
+        worst_ratio = max(worst_ratio, err / res["kk"].est_error)
+    verdict(5, "holonomy expressions agree",
+            worst < 1e-8 and worst_err < 1e-12 and worst_ratio <= 1.0,
+            "10 random paths, worst diff %.2e, worst error %.2e "
+            "(%.2g of est_error)" % (worst, worst_err, worst_ratio))
 
 
 def test_6_jones_n2_against_bracket_oracle():

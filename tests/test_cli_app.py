@@ -116,10 +116,17 @@ class TestRunVerb:
                                         "loop": circle_json(1.0, 0.1, 0.1 + 0j)}}),
         ("symbols", "punctures", {"p": {"a_poly": "m + l - 1"}}),
         ("one_forms", "controls", {"max_step": "abc"}),
+        ("one_forms", "controls", {"max_step": 0}),
+        ("one_forms", "controls", {"max_step": -0.5}),
+        ("one_forms", "controls", {"max_step": math.nan}),
+        ("one_forms", "controls", {"newton_budget": -1}),
+        ("one_forms", "controls", {"min_step": 0}),
         ("one_forms", "tolerances", {"q_max": 0}),
         ("jones", "out_dir", 5),
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
-            "max_step_text", "q_max_zero", "out_dir_number"])
+            "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
+            "newton_budget_negative", "min_step_zero", "q_max_zero",
+            "out_dir_number"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
                                       target, section, entry):
         cfg = dict(minimal_cfg, targets=[target], **{section: entry})
@@ -127,6 +134,22 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "results").exists()
+
+    def test_missed_quadrature_target_is_noted(self, tmp_path, minimal_cfg):
+        # est_error >= 0, so a target of 0 is missed on every route; the kk
+        # check (expr_diff < 0) fails too, hence exit 1
+        seed = complex(*minimal_cfg["loops"]["m0_small"]["l_seed"])
+        arc = dict(circle_json(0j, 0.3, seed, 0.0, 0.5), closed=False)
+        cfg = dict(minimal_cfg, targets=["one_forms", "kirk_klassen"],
+                   paths={"arc": arc},
+                   tolerances={"quadrature_target": 0, "kirk_klassen": 0})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+        lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
+        noted = [line for line in lines if line.startswith("[quadrature]")]
+        assert len(noted) == 2
+        assert noted[0].startswith("[quadrature] loop m0_small: est_error eta ")
+        assert noted[1].startswith("[quadrature] path arc: est_error kk ")
+        assert all(line.endswith("misses target 0 (unverified)") for line in noted)
 
     def test_stage_failure_exits_1(self, tmp_path, capsys):
         # valuation on a loop through the square-root branching is
@@ -172,6 +195,8 @@ class TestDemoVerb:
         jones = (d / "jones.csv").read_text()
         lines = (d / "summary.txt").read_text().splitlines()
         assert all(line.endswith("PASS") for line in lines if line.startswith("[eta]"))
+        # every demo route meets its quadrature target
+        assert not any(line.startswith("[quadrature]") for line in lines)
         for line in lines:
             if not line.endswith(("PASS", "FAIL")):
                 continue

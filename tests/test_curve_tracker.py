@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from apolylab import (
     ArcSeg,
     LineSeg,
@@ -22,6 +23,7 @@ from apolylab import (
     reverse,
     roots_in_l,
 )
+from apolylab import cli_app, curve_tracker
 from apolylab.curve_tracker import _track_grid
 from apolylab.poly_core import max_term, partial
 from conftest import big_root, small_root, unit
@@ -302,3 +304,98 @@ def test_big_sheet_winding(fig8, ctrl):
     spec = loop_around_m(fig8, 0j, 0.35, big_root(fig8, 0.35), turns=1)
     path = lift_path(fig8, spec, ctrl)
     assert path.log_l.imag[-1] - path.log_l.imag[0] == pytest.approx(-4 * TWO_PI, abs=1e-8)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_step": 0.0}, {"max_step": -0.5}, {"max_step": math.nan},
+    {"max_step": math.inf}, {"min_step": 0.0}, {"min_step": math.nan},
+    {"newton_budget": 0}, {"newton_budget": -1},
+], ids=["max_step_zero", "max_step_negative", "max_step_nan", "max_step_inf",
+        "min_step_zero", "min_step_nan", "newton_budget_zero", "newton_budget_negative"])
+def test_step_controls_reject_values_they_cannot_run(kwargs):
+    with pytest.raises(ValueError):
+        StepControls(**kwargs)
+
+
+# ---------------------------------------------------------------- kernel
+# lift_path against the reference kernel of tests/oracles.py (the two
+# Newton loops it replaced): every sample must agree bit for bit.
+
+def _near_branch_line(fig8):
+    # passes the branch point 1/phi at 1e-5, so steps halve there
+    u = cmath.exp(1.0j)
+    mid = (math.sqrt(5.0) - 1.0) / 2.0 + 1e-5j * u
+    a, b = mid - 0.2 * u, mid + 0.2 * u
+    return PathSpec(segments=(LineSeg(a, b),), l_seed=small_root(fig8, a))
+
+
+def _kernel_routes(fig8):
+    demo = cli_app.build_demo_config()
+    routes = {name: (fig8, cli_app._pathspec_from_json(spec))
+              for name, spec in list(demo["loops"].items()) + list(demo["paths"].items())}
+    a, b = ArcSeg(0j, 0.3, 0.3, 0.65), ArcSeg(0j, 0.3, 0.65, 1.0)
+    routes["two_segments"] = (fig8, PathSpec(segments=(a, b), l_seed=small_root(fig8, a.first)))
+    routes["near_branch"] = (fig8, _near_branch_line(fig8))
+    laurent = parse_poly("l + l^-1*m - l^-1")
+    routes["laurent"] = (laurent, loop_around_m(laurent, 0j, 0.5, small_root(laurent, 0.5)))
+    return routes
+
+
+@pytest.mark.parametrize("name", ["m0_small", "m0_big", "contract_a", "contract_b",
+                                  "arc_a", "two_segments", "near_branch", "laurent"])
+@pytest.mark.parametrize("halvings", [0, 2])
+def test_lift_matches_reference_kernel(fig8, name, halvings):
+    curve, spec = _kernel_routes(fig8)[name]
+    ctrl = StepControls()
+    for _ in range(halvings):
+        ctrl = refine(ctrl)
+    path = lift_path(curve, spec, ctrl)
+    t, l, m, resid_max = oracles.lift_reference(curve, spec, ctrl)
+    assert np.array_equal(path.t, t)
+    assert np.array_equal(path.l, l)
+    assert np.array_equal(path.m, m)
+    assert path.residual_max == resid_max
+    if name == "near_branch":
+        n = int(np.ceil(1.0 / ctrl.max_step))
+        assert path.n_samples > n + 1  # the route does halve
+
+
+@pytest.mark.parametrize("curve, spec, ctrl, error", [
+    ("l^2 - m + 1", PathSpec(segments=(LineSeg(2.0, 1.0),), l_seed=1.0),
+     StepControls(), RamificationError),
+    ("l^2 - m", PathSpec(segments=(ArcSeg(0j, 1.0, 0.0, TWO_PI),), l_seed=1.0,
+                         closed=True),
+     StepControls(max_step=0.5, min_step=0.3), NonConvergence),
+], ids=["ramification", "step_underflow"])
+def test_failures_match_reference_kernel(curve, spec, ctrl, error):
+    p = parse_poly(curve)
+    with pytest.raises(error) as got:
+        lift_path(p, spec, ctrl)
+    with pytest.raises(error) as ref:
+        oracles.lift_reference(p, spec, ctrl)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert getattr(got.value, "m", None) == getattr(ref.value, "m", None)
+    assert getattr(got.value, "l", None) == getattr(ref.value, "l", None)
+
+
+@pytest.mark.parametrize("name", ["two_segments", "near_branch"])
+def test_dadm_evaluated_once_per_accepted_point(fig8, monkeypatch, name):
+    curve, spec = _kernel_routes(fig8)[name]
+    partials = {}
+    calls = {"m": 0}
+
+    def recording_partial(p, var):
+        partials[var] = partial(p, var)
+        return partials[var]
+
+    def counting_eval(p, l, m):
+        if p is partials.get("m"):
+            calls["m"] += 1
+        return eval_poly(p, l, m)
+
+    monkeypatch.setattr(curve_tracker, "partial", recording_partial)
+    monkeypatch.setattr(curve_tracker, "eval_poly", counting_eval)
+    path = lift_path(curve, spec, StepControls())
+    # one per accepted step, one per segment start; retries reuse it
+    assert calls["m"] == path.n_samples - 1 + len(spec.segments)
