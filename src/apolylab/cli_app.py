@@ -356,7 +356,7 @@ def _stage_one_forms(rc, run_id, csv, summary):
     for name, spec in rc.loops.items():
         path, res, used = one_forms.track_refined(
             knot.a_poly, spec, ctrl, forms=("eta", "xi"), target=target)
-        _note_missed_target(summary, "loop " + name, res, target)
+        _note_missed_target(summary, "loop " + name, path, res, target)
         eta, xi = res["eta"], res["xi"]
         csv.add(run_id, "eta:" + name, eta.value, 0.0, eta.est_error, eta.n_samples)
         csv.add(run_id, "xi:" + name, xi.value, 0.0, xi.est_error, xi.n_samples)
@@ -401,15 +401,13 @@ def _stage_one_forms(rc, run_id, csv, summary):
     return q_order
 
 
-def _note_missed_target(summary, route, res, target):
+def _note_missed_target(summary, route, path, res, target):
     """One summary line for a route whose refinement stopped short of its
     quadrature target (track_refined ran out of halvings): its values
     are unverified.  No line when the target is met."""
-    missed = ["%s %.2g" % (form, r.est_error) for form, r in res.items()
-              if not r.est_error < target]
-    if missed:
-        summary.note("[quadrature] %s: est_error %s misses target %.2g (unverified)"
-                     % (route, ", ".join(missed), target))
+    shortfall = one_forms.quadrature_shortfall(path, res, target)
+    if shortfall:
+        summary.note("[quadrature] %s: %s (unverified)" % (route, shortfall))
 
 
 def _add_along_rows(csv, run_id, label, knot, q_order, eta, xi):
@@ -453,7 +451,7 @@ def _stage_kirk_klassen(rc, run_id, csv, summary):
         path, res, _ = one_forms.track_refined(
             rc.knot.a_poly, spec, rc.ctrl, forms=("kk",), target=tol,
             max_halvings=8)
-        _note_missed_target(summary, "path " + name, res, tol)
+        _note_missed_target(summary, "path " + name, path, res, tol)
         est = res["kk"].est_error
         kk = one_forms.kirk_klassen(path)
         csv.add(run_id, "kk:" + name, kk.value.real, kk.value.imag,

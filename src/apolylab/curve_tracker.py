@@ -140,6 +140,10 @@ class TrackedPath:
     closed: bool
     base_convention: dict = field(compare=False)
     l_return_gap: Optional[float] = None
+    # sample intervals of each segment, in route order (empty: not known),
+    # and whether every segment kept its equal-step grid (no step halved)
+    segment_intervals: Tuple[int, ...] = ()
+    uniform: bool = False
 
     @property
     def n_samples(self) -> int:
@@ -154,6 +158,8 @@ class TrackedPath:
 
 def _check_seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> complex:
     """Validate the branch seed and snap it onto the curve."""
+    if not np.isfinite(l_seed):
+        raise SeedError("seed %s is not a finite number" % l_seed)
     scale = max_term(A, l_seed, m0)
     if abs(eval_poly(A, l_seed, m0)) > DEFAULT_SEED_TOL * scale:
         raise SeedError("seed does not satisfy A within tolerance at the start point")
@@ -273,11 +279,13 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     t_parts: List[np.ndarray] = []
     m_all: List[complex] = []
     l_all: List[complex] = [l0]
+    intervals: List[int] = []
     resid_max = 0.0
     for seg_idx, seg in enumerate(spec.segments):
         s, m_seg, l_seg, resid, scale = _track_grid(A, Al, Am, seg, n, l_all[-1],
                                                      scale, ctrl)
         resid_max = max(resid_max, resid)
+        intervals.append(len(s) - 1)
         # each later segment starts on the previous one's last sample
         first = 1 if seg_idx > 0 else 0
         t_parts.append((seg_idx + np.asarray(s[first:])) / n_segs)
@@ -296,6 +304,8 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
         closed=spec.closed,
         base_convention={"arg_m_zeroed": arg_m_zeroed},
         l_return_gap=gap,
+        segment_intervals=tuple(intervals),
+        uniform=all(k == n for k in intervals),
     )
 
 
@@ -336,6 +346,7 @@ def reverse(path: TrackedPath) -> TrackedPath:
         log_l=path.log_l[::-1].copy(),
         log_m=path.log_m[::-1].copy(),
         base_convention=conv,
+        segment_intervals=path.segment_intervals[::-1],
     )
 
 
@@ -360,6 +371,9 @@ def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
         closed=closed,
         base_convention=dict(a.base_convention),
         l_return_gap=float(abs(l[-1] - l[0])) if closed else None,
+        segment_intervals=(a.segment_intervals + b.segment_intervals
+                           if a.segment_intervals and b.segment_intervals else ()),
+        uniform=a.uniform and b.uniform,
     )
 
 

@@ -22,22 +22,30 @@ arg m(t0) = 0 at the geometric base point):
     Kirk-Klassen ratio = exp(2 pi i int (alpha beta' - beta alpha') dt)
     with alpha = log m / (2 pi i), beta = log l / (2 pi i); the equal
     second expression exp((1/2 pi i) int (log m dlog l - log l dlog m))
-    is the same trapezoid sum without the Richardson step, so their
-    difference is |ratio| est_error / 3 to first order: a restatement of
-    the quadrature estimate, not an independent check.
+    is the next-lower entry of the same quadrature table, so their
+    difference stays below |ratio| est_error: a restatement of the
+    quadrature estimate, not an independent check.
 
-One quadrature rule serves every integral (_integrate): the composite
+One quadrature rule serves every integral (_romberg): the composite
 trapezoid over the tracker's samples in Stieltjes form
-sum (u_k + u_{k+1})/2 (v_{k+1} - v_k), with one Richardson step against
-the half-resolution mesh; est_error is the full/half difference.
-track_refined re-lifts with a smaller step until the estimate meets a
-target.
+sum (u_k + u_{k+1})/2 (v_{k+1} - v_k), on the full mesh and on meshes
+that keep every 2nd, 4th and 8th sample of each segment (joints kept, so
+no coarse interval spans a segment joint).  It is cautious Romberg, as
+in de Boor's CADRE: on a uniform lift with a multiple of 8 intervals per
+segment, when the ratios of successive trapezoid differences read 4 (the
+h^2 regime), the value is the Romberg diagonal and est_error is the
+difference of the two finest one-step values, floored at the rounding
+level.  Otherwise, as on closed loops, where the trapezoid rule on a
+periodic integrand beats every Romberg column, and near branch points,
+the value is one Richardson step against the half mesh and est_error is
+the full/half trapezoid difference.  track_refined re-lifts with a
+smaller step until the forms meet a target (quadrature_shortfall).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +54,10 @@ from .errors import NotClosed
 from .poly_core import LaurentBiPoly
 
 TWO_PI = 2.0 * np.pi
+RHO_TOL = 0.05           # |rho - 4| gate on (T1 - T2) / (T0 - T1)
+RHO_COARSE_TOL = 0.2     # |rho' - 4| gate on (T2 - T3) / (T1 - T2), one mesh coarser
+ROUNDING = np.finfo(float).eps  # est_error floor per interval, relative to |T0|
+MIN_INTERVALS = 16       # fewer intervals per segment never meet a target
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,7 @@ class IntegralResult:
     value: Union[float, complex]
     est_error: float
     n_samples: int
+    certified: bool   # Romberg R3 (True) or one Richardson step (False)
 
 
 @dataclass(frozen=True)
@@ -79,17 +92,55 @@ def trapezoid(u: np.ndarray, v: np.ndarray):
     return np.sum((u[1:] + u[:-1]) * 0.5 * np.diff(v))
 
 
-def _integrate(path: TrackedPath, rule: Callable) -> IntegralResult:
+def _coarse_indices(path: TrackedPath, stride: int) -> np.ndarray:
+    """Every stride-th sample of each segment, counted from its start, plus
+    every segment's last sample: the coarse mesh never spans a joint."""
+    intervals = path.segment_intervals or (path.n_samples - 1,)
+    bounds = np.cumsum((0,) + intervals)
+    return np.concatenate([np.arange(a, b, stride) for a, b in zip(bounds[:-1], bounds[1:])]
+                          + [bounds[-1:]])
+
+
+def _romberg(path: TrackedPath, rule: Callable):
     """The one quadrature: rule(log_l, log_m) is a trapezoid sum over the
-    samples it is given.  It runs on every sample and on every other one
-    (the last sample always kept); the value takes one Richardson step
-    from the pair and est_error is their difference."""
-    n = path.n_samples
-    half = np.unique(np.append(np.arange(0, n, 2), n - 1))
+    samples it is given, T0 on all of them and T1, T2, T3 on the meshes
+    _coarse_indices keeps at strides 2, 4, 8.  Returns (value, lower,
+    est_error, certified), where lower is the next-lower entry of the
+    Romberg diagonal.
+
+    Cautious Romberg (de Boor's CADRE): on a uniform lift whose segments
+    all have a multiple of 8 intervals, the ratios rho = (T1 - T2)/(T0 - T1)
+    and rho' = (T2 - T3)/(T1 - T2) test for the h^2 error regime.  When
+    both are close to 4 the value is the Romberg diagonal R3 (lower R2)
+    and est_error is |R1(h) - R1(2h)|, floored at the rounding level
+    (n - 1) eps |T0|.  Otherwise the value is one Richardson step
+    R1 = T0 + (T0 - T1)/3 (lower T0) and est_error is |T0 - T1|.
+    """
     full = rule(path.log_l, path.log_m)
-    coarse = rule(path.log_l[half], path.log_m[half])
-    value = (full + (full - coarse) / 3.0).item()
-    return IntegralResult(value=value, est_error=float(abs(full - coarse)), n_samples=n)
+
+    def coarse(stride):
+        idx = _coarse_indices(path, stride)
+        return rule(path.log_l[idx], path.log_m[idx])
+
+    half = coarse(2)
+    if path.uniform and all(k % 8 == 0 for k in path.segment_intervals):
+        t = (full, half, coarse(4), coarse(8))
+        d = (t[0] - t[1], t[1] - t[2], t[2] - t[3])
+        if d[0] != 0 and d[1] != 0 and (abs(d[1] / d[0] - 4.0) < RHO_TOL
+                                        and abs(d[2] / d[1] - 4.0) < RHO_COARSE_TOL):
+            r1 = [ti + di / 3.0 for ti, di in zip(t, d)]
+            r2 = [r1[k] + (r1[k] - r1[k + 1]) / 15.0 for k in (0, 1)]
+            r3 = r2[0] + (r2[0] - r2[1]) / 63.0
+            est = max(abs(r1[0] - r1[1]), (path.n_samples - 1) * ROUNDING * abs(full))
+            return r3.item(), r2[0].item(), float(est), True
+    value = full + (full - half) / 3.0
+    return value.item(), full.item(), float(abs(full - half)), False
+
+
+def _integrate(path: TrackedPath, rule: Callable) -> IntegralResult:
+    value, _, est, certified = _romberg(path, rule)
+    return IntegralResult(value=value, est_error=est, n_samples=path.n_samples,
+                          certified=certified)
 
 
 def integrate_eta(path: TrackedPath) -> IntegralResult:
@@ -190,12 +241,13 @@ def kirk_klassen(path: TrackedPath) -> KirkKlassen:
     """Holonomy ratio z(1) z(0)^{-1} along the path, both expressions.
 
     The returned value uses kk_exponent; expr_diff is the distance to the
-    directly integrated (1/2 pi i) int (log m dlog l - log l dlog m) form.
-    That form is kk_exponent's trapezoid sum without the Richardson step,
-    so expr_diff = |value| est_error / 3 to first order.
+    directly integrated (1/2 pi i) int (log m dlog l - log l dlog m) form,
+    taken as the next-lower entry of kk_exponent's quadrature table: R2
+    when the value is the Romberg R3, the trapezoid sum T0 when it is one
+    Richardson step.  So expr_diff stays below |value| est_error (a third
+    of it in the Richardson case, to first order).
     """
-    e1 = kk_exponent(path).value
-    e2 = _kk_rule(path.log_l, path.log_m)
+    e1, e2, _, _ = _romberg(path, _kk_rule)
     v1 = complex(np.exp(e1))
     v2 = complex(np.exp(e2))
     return KirkKlassen(value=v1, expr_diff=abs(v1 - v2), exponent=complex(e1))
@@ -208,11 +260,37 @@ _FORMS: Dict[str, Callable[[TrackedPath], IntegralResult]] = {
 }
 
 
+def quadrature_shortfall(path: TrackedPath, results: Dict[str, IntegralResult],
+                         target: float) -> Optional[str]:
+    """Why the forms' results on one lift miss target, or None when they
+    meet it: every est_error below target, all forms on one rule (all
+    certified or none) and at least MIN_INTERVALS intervals per segment.
+    On fewer intervals the full and half meshes can agree exactly while
+    both are wrong (est_error 0 on a 2-sample loop)."""
+    missed = ["%s %.2g" % (name, r.est_error) for name, r in results.items()
+              if not r.est_error < target]
+    if missed:
+        return "est_error %s misses target %.2g" % (", ".join(missed), target)
+    fewest = min(path.segment_intervals, default=0)
+    if fewest < MIN_INTERVALS:
+        return ("est_error below target %.2g on %d intervals per segment, fewer than %d"
+                % (target, fewest, MIN_INTERVALS))
+    certified = [name for name, r in results.items() if r.certified]
+    if certified and len(certified) < len(results):
+        return ("est_error below target %.2g but Romberg certifies only %s"
+                % (target, ", ".join(certified)))
+    return None
+
+
 def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls(),
                   forms: Iterable[str] = ("eta", "xi"), target: float = 1e-8,
                   max_halvings: int = 6):
-    """Lift the route, halving max_step until every requested form's
-    est_error is below target (or the halving budget runs out).
+    """Lift the route, halving max_step until the requested forms meet
+    target (quadrature_shortfall is None) or the halving budget runs out.
+    A mix of certified and uncertified forms keeps refining: it marks a
+    mesh that is not yet in the h^2 regime everywhere, where the
+    uncertified forms' Richardson values can still be off (a big-sheet
+    arc at 401 samples reads eta 8e-13 off with est_error below 1e-9).
 
     Returns (path, {form: IntegralResult}, controls_used), where
     controls_used are the controls the returned path was lifted with.
@@ -225,7 +303,7 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     for halving in range(max_halvings + 1):
         path = lift_path(A, spec, current)
         results = {name: _FORMS[name](path) for name in forms}
-        if halving == max_halvings or all(r.est_error < target for r in results.values()):
+        if halving == max_halvings or quadrature_shortfall(path, results, target) is None:
             break
         current = refine(current)
     return path, results, current

@@ -338,27 +338,37 @@ def _unwrapped_log(z: np.ndarray, arg0: float) -> np.ndarray:
     return np.log(np.abs(z)) + 1j * arg
 
 
-def fig8_arc_integrals(center: complex, radius: float, angle_start: float,
-                       angle_end: float, l_seed: complex, panels: int = 64,
-                       order: int = 16) -> Dict[str, complex]:
-    """eta, xi and the Kirk-Klassen exponent along an arc of the
-    figure-eight curve, from the closed-form lift.
+def fig8_route_integrals(segments: Sequence, l_seed: complex, panels: int = 64,
+                         order: int = 16) -> Dict[str, complex]:
+    """eta, xi and the Kirk-Klassen exponent along a chain of
+    curve_tracker.ArcSeg / LineSeg segments on the figure-eight curve,
+    from the closed-form lift.
 
     The sheet through l_seed is followed node by node (the closed-form
     root nearest the previous one), dl/dm = -A_m / A_l is evaluated
-    exactly, and the arc angle is integrated with composite Gauss-Legendre
-    (panels x order nodes), so the arc must keep clear of branch points.
-    Base conventions are the package's: args start at their principal
-    value in [0, 2pi), arg m at 0 within 1e-4 of m = 1.
+    exactly, and each segment's parameter is integrated with composite
+    Gauss-Legendre (panels x order nodes), so the route must keep clear of
+    branch points.  Base conventions are the package's: args start at
+    their principal value in [0, 2pi), arg m at 0 within 1e-4 of m = 1.
     """
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(angle_start, angle_end, panels + 1)
+    edges = np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    phi = np.concatenate(([angle_start], (mid + half * x).ravel(), [angle_end]))
+    s = np.concatenate(([0.0], (mid + half * x).ravel(), [1.0]))
     wts = np.concatenate(([0.0], (half * w).ravel(), [0.0]))
-    m = center + radius * np.exp(1j * phi)
-    dm = 1j * (m - center)  # dm / dphi
+    ms, dms = [], []
+    for seg in segments:
+        if isinstance(seg, curve_tracker.ArcSeg):
+            span = seg.angle_end - seg.angle_start
+            ms.append(seg.center + seg.radius * np.exp(1j * (seg.angle_start + s * span)))
+            dms.append(1j * span * (ms[-1] - seg.center))
+        else:
+            ms.append(seg.m_start + s * (seg.m_end - seg.m_start))
+            dms.append(np.full(len(s), seg.m_end - seg.m_start))
+    m = np.concatenate(ms)
+    dm = np.concatenate(dms)
+    wts = np.tile(wts, len(segments))
 
     big, small = fig8_sheets(m)
     l = np.empty_like(m)
@@ -381,6 +391,14 @@ def fig8_arc_integrals(center: complex, radius: float, angle_start: float,
     xi = -np.sum(wts * (log_m.real * dlog_l.real + log_l.imag * dlog_m.imag))
     kk = np.sum(wts * (log_m * dlog_l - log_l * dlog_m)) / (2j * math.pi)
     return {"eta": float(eta), "xi": float(xi), "kk": complex(kk)}
+
+
+def fig8_arc_integrals(center: complex, radius: float, angle_start: float,
+                       angle_end: float, l_seed: complex, panels: int = 64,
+                       order: int = 16) -> Dict[str, complex]:
+    """fig8_route_integrals along the one arc of the given circle."""
+    arc = curve_tracker.ArcSeg(center, radius, angle_start, angle_end)
+    return fig8_route_integrals((arc,), l_seed, panels, order)
 
 
 def _newton_polish_reference(A, Al, l, m, r, budget):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import subprocess
@@ -150,6 +151,31 @@ class TestRunVerb:
         assert noted[0].startswith("[quadrature] loop m0_small: est_error eta ")
         assert noted[1].startswith("[quadrature] path arc: est_error kk ")
         assert all(line.endswith("misses target 0 (unverified)") for line in noted)
+
+    @pytest.mark.parametrize("max_step", [1.0, 0.5, 0.1])
+    def test_coarse_controls_refine_to_the_right_period(self, tmp_path, capsys,
+                                                        minimal_cfg, max_step):
+        # 2, 3 and 11 samples per loop can read est_error 0 on a wrong
+        # value; track_refined keeps halving to at least 16 intervals
+        cfg = dict(minimal_cfg, controls={"max_step": max_step})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("all checks passed")
+        rows = {r.split(",")[1]: r.split(",")
+                for r in (tmp_path / "results" / "one_forms.csv").read_text().splitlines()}
+        assert rows["xi/4pi2_rational:m0_small"][2:4] == ["-2", "1"]
+        assert abs(float(rows["eta:m0_small"][2])) <= 3e-12
+        assert int(rows["eta:m0_small"][5]) >= 17
+
+    @pytest.mark.parametrize("l_seed", [[math.nan, 0.0], [math.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_seed_exits_1_with_one_line(self, tmp_path, capsys, minimal_cfg,
+                                                   l_seed):
+        cfg = copy.deepcopy(minimal_cfg)
+        cfg["loops"]["m0_small"]["l_seed"] = l_seed
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "stage one_forms failed: seed (%s+0j) is not a finite number" % l_seed[0]]
+        assert "FAIL" in captured.out and "all checks passed" not in captured.out
 
     def test_stage_failure_exits_1(self, tmp_path, capsys):
         # valuation on a loop through the square-root branching is

@@ -270,6 +270,38 @@ def test_seed_rejected_slightly_off_curve():
         lift_path(p, spec, StepControls())
 
 
+@pytest.mark.parametrize("l_seed", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                    complex(math.inf, 0.0), complex(-1.0, -math.inf)],
+                         ids=["nan", "nan_imag", "inf", "inf_imag"])
+def test_seed_rejected_when_not_finite(fig8, l_seed):
+    # a NaN residual compares below every tolerance and NaN distances let
+    # argmin pick the first sheet; an infinite one overflows eval_poly
+    spec = loop_around_m(fig8, 0j, 0.3, l_seed)
+    with pytest.raises(SeedError, match="not a finite number"):
+        lift_path(fig8, spec, StepControls())
+
+
+def test_segment_intervals_record_the_grid(fig8, ctrl):
+    a = ArcSeg(0j, 0.3, 0.3, 0.65)
+    b = ArcSeg(0j, 0.3, 0.65, 1.0)
+    path = lift_path(fig8, PathSpec(segments=(a, b), l_seed=small_root(fig8, a.first)), ctrl)
+    assert path.segment_intervals == (100, 100) and path.uniform
+    rev = reverse(path)
+    assert rev.segment_intervals == (100, 100) and rev.uniform
+    pa = lift_path(fig8, PathSpec(segments=(a,), l_seed=small_root(fig8, a.first)),
+                   StepControls(max_step=1.0 / 24))
+    pb = lift_path(fig8, PathSpec(segments=(b,), l_seed=complex(pa.l[-1])), ctrl)
+    joined = concat(pa, pb)
+    assert joined.segment_intervals == (24, 100) and joined.uniform
+    # the line past the branch point 1/phi halves steps: not uniform
+    branch = 2.0 / (1.0 + math.sqrt(5.0))
+    line = LineSeg(branch - 0.2 + 1e-5j, branch + 0.2 + 1e-5j)
+    near = lift_path(fig8, PathSpec(segments=(line,), l_seed=small_root(fig8, line.first)),
+                     ctrl)
+    assert near.segment_intervals == (near.n_samples - 1,)
+    assert near.segment_intervals[0] > 100 and not near.uniform
+
+
 def test_track_grid_stays_on_curve(fig8):
     # one full circle of 64 steps on the small sheet needs no halving
     n = 64

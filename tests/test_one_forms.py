@@ -11,6 +11,7 @@ from apolylab import (
     NotClosed,
     PathSpec,
     StepControls,
+    cli_app,
     concat,
     cs1_along,
     cs_along,
@@ -18,6 +19,7 @@ from apolylab import (
     integrate_xi,
     lift_path,
     loop_around_m,
+    one_forms,
     parse_poly,
     refine,
     reverse,
@@ -28,7 +30,14 @@ from apolylab import (
     vol_fig8,
 )
 from apolylab.curve_tracker import TrackedPath
-from apolylab.one_forms import kirk_klassen, kk_exponent, regulator, regulator_exponent
+from apolylab.one_forms import (
+    kirk_klassen,
+    kk_exponent,
+    regulator,
+    regulator_exponent,
+    trapezoid,
+    vol_from,
+)
 from conftest import big_root, small_root, unit
 
 TWO_PI = 2.0 * math.pi
@@ -105,19 +114,25 @@ def test_concat_adds_form_integrals(fig8, ctrl):
 
 
 def test_quadrature_convergence_order(fig8):
-    spec_args = (0.3, 1.4)
-    truth = integrate_eta(_arc_path(fig8, *spec_args,
-                                    ctrl=StepControls(max_step=0.01 / 64))).value
-    errs = []
+    # the default mesh (100 intervals, not a multiple of 8) takes one
+    # Richardson step; from 200 intervals on the ratio test certifies the
+    # Romberg diagonal, which is at rounding level already, while its
+    # est_error keeps contracting like R1's h^4 error
+    seed = small_root(fig8, 0.3 * unit(0.3))
+    want = oracles.fig8_arc_integrals(0j, 0.3, 0.3, 1.4, seed)["eta"]
     ctrl = StepControls()
-    for _ in range(3):
-        got = integrate_eta(_arc_path(fig8, *spec_args, ctrl=ctrl)).value
-        errs.append(abs(got - truth))
+    results = []
+    for _ in range(4):
+        res = integrate_eta(_arc_path(fig8, 0.3, 1.4, ctrl=ctrl))
+        assert abs(res.value - want) <= res.est_error
+        results.append(res)
         ctrl = refine(ctrl)
-    # one Richardson step: better than h^3 contraction per halving
-    assert errs[0] > 0
-    assert errs[1] < errs[0] / 3.0
-    assert errs[2] < errs[1] / 3.0
+    assert [r.certified for r in results] == [False, True, True, True]
+    assert 1e-11 < abs(results[0].value - want) < 1e-9
+    for res in results[1:]:
+        assert abs(res.value - want) < 1e-13
+    for fine, coarse in zip(results[2:], results[1:]):
+        assert fine.est_error < coarse.est_error / 12.0
 
 
 def test_est_error_contracts(fig8):
@@ -276,17 +291,148 @@ def test_vol_cs_move_along_open_paths(fig8, ctrl):
 
 
 def test_kk_expr_diff_restates_est_error(fig8):
-    # the second expression is the trapezoid sum of the first without its
-    # Richardson step, so expr_diff = |kk| est_error / 3 at every mesh:
-    # it measures the quadrature, not an independent evaluation (the
-    # demo's route arc_a at halvings 0-4)
+    # the second expression is the next-lower entry of the first's
+    # quadrature table: the trapezoid sum under one Richardson step
+    # (expr_diff = |kk| est_error / 3), the Romberg R2 under R3 (expr_diff
+    # below |kk| est_error).  Either way it measures the quadrature, not an
+    # independent evaluation, and the value is within est_error of the
+    # closed-form lift (the demo's route arc_a at halvings 0-4)
+    seed = small_root(fig8, 0.3 * unit(0.3))
+    want = cmath.exp(oracles.fig8_arc_integrals(0j, 0.3, 0.3, 1.0, seed)["kk"])
     ctrl = StepControls()
-    for _ in range(5):
+    for level in range(5):
         path = _arc_path(fig8, 0.3, 1.0, ctrl=ctrl)
         kk = kirk_klassen(path)
-        ratio = kk.expr_diff / (abs(kk.value) * kk_exponent(path).est_error)
-        assert abs(ratio - 1.0 / 3.0) < 1e-5
+        exponent = kk_exponent(path)
+        assert exponent.certified == (level > 0)
+        bound = abs(kk.value) * exponent.est_error
+        if level == 0:
+            assert abs(kk.expr_diff / bound - 1.0 / 3.0) < 1e-5
+        else:
+            assert kk.expr_diff <= bound
+        assert abs(kk.value - want) <= bound
         ctrl = refine(ctrl)
+
+
+def _richardson(path, rule):
+    """The one-step rule on its own: T0 + (T0 - T1)/3 against every other
+    sample, the last one kept, and |T0 - T1|."""
+    n = path.n_samples
+    half = np.unique(np.append(np.arange(0, n, 2), n - 1))
+    full = rule(path.log_l, path.log_m)
+    coarse = rule(path.log_l[half], path.log_m[half])
+    return (full + (full - coarse) / 3.0).item(), float(abs(full - coarse))
+
+
+def _annulus_arc(fig8, radius, start, which, span=1.2):
+    m0 = radius * unit(start)
+    seed = small_root(fig8, m0) if which == "small" else big_root(fig8, m0)
+    spec = PathSpec(segments=(ArcSeg(0j, radius, start, start + span),), l_seed=seed)
+    return spec, oracles.fig8_arc_integrals(0j, radius, start, start + span, seed)
+
+
+def _stop_level(used):
+    """Halvings from the default controls to the ones a path was lifted with."""
+    return round(math.log2(StepControls().max_step / used.max_step))
+
+
+def test_romberg_arcs_in_the_annulus(fig8):
+    # open arcs on both sheets between m = 0 and the branch points at
+    # |m| = 1/phi, as in the benchmark's arcs routes: at a 1e-9 target the
+    # certified Romberg value is within 1e-13 of the closed-form lift after
+    # at most three halvings (at most 801 samples instead of 6401)
+    rng = np.random.default_rng(9)
+    for _ in range(6):
+        for which, centre in (("small", 0.6), ("big", 2.0)):
+            spec, want = _annulus_arc(fig8, rng.uniform(0.41, 0.43),
+                                      centre + rng.uniform(-0.1, 0.1), which)
+            path, res, used = track_refined(fig8, spec, forms=("eta", "xi", "kk"),
+                                            target=1e-9)
+            assert _stop_level(used) <= 3
+            for name in ("eta", "xi", "kk"):
+                err = abs(res[name].value - want[name])
+                assert res[name].certified, name
+                assert err < 1e-13, name
+                assert err <= res[name].est_error, name
+
+
+def test_mixed_certification_keeps_refining(fig8):
+    # pre-asymptotic big-sheet arc: at 401 samples xi is certified but eta
+    # is not (rho = 4.06, rho' = 4.24), and eta's one-step value, though
+    # its est_error is below the target, is 8e-13 off; track_refined
+    # halves once more, where both forms are certified
+    spec, want = _annulus_arc(fig8, 0.41669119406335, 1.939587920832504, "big")
+    path = lift_path(fig8, spec, StepControls(max_step=0.0025))
+    eta, xi = integrate_eta(path), integrate_xi(path)
+    assert (eta.certified, xi.certified) == (False, True)
+    assert eta.est_error < 1e-9 and xi.est_error < 1e-9
+    assert abs(eta.value - want["eta"]) > 5e-13
+    assert one_forms.quadrature_shortfall(path, {"eta": eta, "xi": xi}, 1e-9) \
+        == "est_error below target 1e-09 but Romberg certifies only xi"
+    path, res, used = track_refined(fig8, spec, target=1e-9)
+    assert _stop_level(used) == 3 and path.n_samples == 801
+    for name in ("eta", "xi"):
+        assert res[name].certified
+        err = abs(res[name].value - want[name])
+        assert err < 1e-13 and err <= res[name].est_error
+
+
+@pytest.mark.parametrize("max_step", [0.01, 1.0 / 64, 1.0 / 800])
+def test_closed_loop_keeps_one_richardson_step(fig8, max_step):
+    # on a closed loop the integrand is periodic and the trapezoid rule
+    # beats every Romberg column (at 64 intervals eta's R3 is 7e-7 off, the
+    # one-step value 3e-12), so the ratio test never certifies and value
+    # and estimate are the one-step rule's, bit for bit
+    spec = loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3))
+    path = lift_path(fig8, spec, StepControls(max_step=max_step))
+    rules = {"eta": lambda ll, lm: trapezoid(ll.real, lm.imag) - trapezoid(lm.real, ll.imag),
+             "xi": lambda ll, lm: -(trapezoid(lm.real, ll.real) + trapezoid(ll.imag, lm.imag))}
+    for name, integrate in (("eta", integrate_eta), ("xi", integrate_xi)):
+        res = integrate(path)
+        assert not res.certified
+        assert (res.value, res.est_error) == _richardson(path, rules[name])
+    assert abs(integrate_eta(path).value) < 5e-12
+    assert integrate_xi(path).value / FOUR_PI2 == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_richardson_never_spans_a_segment_joint(fig8):
+    # the demo's two-segment conjecture route for a = 0.9: an arc from the
+    # offset base point, then a radial drop onto |m| = 1.  Every coarse
+    # mesh keeps the joint, and the Romberg rule runs only when each
+    # segment (not just the whole route) has a multiple of 8 intervals;
+    # coarsening the 2 x 100 interval lift by 8 across its joint puts Vol
+    # 2e-9 off
+    knot = cli_app.load_knots()["fig8"]
+    spec, _ = cli_app._conjecture_path(knot, 0.9)
+    want = oracles.fig8_route_integrals(spec.segments, spec.l_seed)
+    for intervals, certified in ((96, True), (100, False), (101, False)):
+        path = lift_path(fig8, spec, StepControls(max_step=1.0 / intervals))
+        assert path.segment_intervals == (intervals, intervals) and path.uniform
+        for stride in (2, 4, 8):
+            assert intervals in one_forms._coarse_indices(path, stride)
+        eta = integrate_eta(path)
+        vol = vol_along(path, knot.vol_k)
+        assert eta.certified == certified
+        assert abs(vol - vol_from(want["eta"], knot.vol_k)) <= 2.0 * eta.est_error
+        if certified:
+            assert abs(vol - vol_from(want["eta"], knot.vol_k)) < 1e-13
+
+
+def test_track_refined_needs_sixteen_intervals_per_segment(fig8):
+    # on 2 samples the half mesh is the full mesh and est_error reads 0
+    # whatever the value; such a lift never meets a target
+    spec = loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3))
+    path, res, used = track_refined(fig8, spec, StepControls(max_step=1.0), target=1e-8,
+                                    max_halvings=0)
+    assert path.segment_intervals == (1,)
+    assert res["eta"].est_error == res["xi"].est_error == 0.0
+    assert abs(res["xi"].value) < 1e-12  # the period is -2 (4 pi^2)
+    assert one_forms.quadrature_shortfall(path, res, 1e-8) == (
+        "est_error below target 1e-08 on 1 intervals per segment, fewer than 16")
+    path, res, used = track_refined(fig8, spec, StepControls(max_step=1.0), target=1e-8)
+    assert min(path.segment_intervals) >= 16
+    assert one_forms.quadrature_shortfall(path, res, 1e-8) is None
+    assert res["xi"].value / FOUR_PI2 == pytest.approx(-2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("radius, theta0, theta1, which", [
