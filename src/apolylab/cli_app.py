@@ -356,7 +356,7 @@ def _stage_one_forms(rc, run_id, csv, summary):
     for name, spec in rc.loops.items():
         path, res, used = one_forms.track_refined(
             knot.a_poly, spec, ctrl, forms=("eta", "xi"), target=target)
-        _note_missed_target(summary, "loop " + name, path, res, target)
+        _note_quadrature(summary, "loop " + name, path, res, target)
         eta, xi = res["eta"], res["xi"]
         csv.add(run_id, "eta:" + name, eta.value, 0.0, eta.est_error, eta.n_samples)
         csv.add(run_id, "xi:" + name, xi.value, 0.0, xi.est_error, xi.n_samples)
@@ -401,10 +401,15 @@ def _stage_one_forms(rc, run_id, csv, summary):
     return q_order
 
 
-def _note_missed_target(summary, route, path, res, target):
-    """One summary line for a route whose refinement stopped short of its
-    quadrature target (track_refined ran out of halvings): its values
-    are unverified.  No line when the target is met."""
+def _note_quadrature(summary, route, path, res, target):
+    """Summary notes on one route refined by track_refined: a line per
+    branch point its lift was graded toward, with the route's closest
+    sample distance to it, and a line when the refinement stopped short of
+    its quadrature target (its values are then unverified).  No line for
+    an ungraded route that meets its target."""
+    for m_b in path.graded_toward:
+        summary.note("[quadrature] %s: graded toward m = %.9g%+.3gj (distance %.3g)"
+                     % (route, m_b.real, m_b.imag, float(np.min(np.abs(path.m - m_b)))))
     shortfall = one_forms.quadrature_shortfall(path, res, target)
     if shortfall:
         summary.note("[quadrature] %s: %s (unverified)" % (route, shortfall))
@@ -451,7 +456,7 @@ def _stage_kirk_klassen(rc, run_id, csv, summary):
         path, res, _ = one_forms.track_refined(
             rc.knot.a_poly, spec, rc.ctrl, forms=("kk",), target=tol,
             max_halvings=8)
-        _note_missed_target(summary, "path " + name, path, res, tol)
+        _note_quadrature(summary, "path " + name, path, res, tol)
         est = res["kk"].est_error
         kk = one_forms.kirk_klassen(path)
         csv.add(run_id, "kk:" + name, kk.value.real, kk.value.imag,

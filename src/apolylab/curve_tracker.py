@@ -11,6 +11,13 @@ arg continuously unwrapped (between consecutive samples |delta arg| < pi),
 so winding numbers and branch-sensitive integrals are well defined
 downstream.
 
+A segment is a LineSeg or an ArcSeg, each with its parameter inverse
+param(m), or a GradedSeg: a segment traversed on a sinh substitution
+crowded toward a nearby branch point.  grade_toward_branch_points finds
+such points from a lift (locate_branch_point, Newton on A = dA/dl = 0)
+and wraps the segments that pass one within a grid step; lift_path
+treats a graded segment like any other.
+
 Convention for the base sample: arg m(t0) = 0 whenever |m(t0) - 1| is
 within the base-point offset, otherwise principal values in [0, 2pi).
 The geometric base point of a knot curve may be a singular point of the
@@ -21,6 +28,7 @@ one of the two lifts).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple, Union
 
@@ -28,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DegenerateError,
+    DomainError,
     MismatchError,
     NonConvergence,
     RamificationError,
@@ -50,6 +59,9 @@ RESID_REL = 1e-12        # Newton tolerance, relative to the running term scale
 RAM_REL = 1e-8           # |dA/dl| guard, relative to the running term scale
 HALVE_AFTER = 5          # Newton iterations to tolerance before a step is halved
 BASE_EPS = 1e-4          # |m - 1| radius in which arg m(t0) is zeroed
+BRANCH_BUDGET = 30       # Newton steps of the branch-point locator
+BRANCH_STEP_REL = 1e-13  # its last step, relative to |l| and |m|
+SINGULAR_REL = 1e-6      # |m dA/dm| floor of a branch point, relative to the term scale
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,10 @@ class LineSeg:
 
     def point(self, s: float) -> complex:
         return self.m_start + s * (self.m_end - self.m_start)
+
+    def param(self, m: complex) -> complex:
+        """The complex s with point(s) = m."""
+        return (m - self.m_start) / (self.m_end - self.m_start)
 
     @property
     def first(self) -> complex:
@@ -80,6 +96,15 @@ class ArcSeg:
         a = self.angle_start + s * (self.angle_end - self.angle_start)
         return self.center + self.radius * complex(np.cos(a), np.sin(a))
 
+    def param(self, m: complex) -> complex:
+        """The complex s with point(s) = m, its real part taken within half
+        a turn of the arc's midpoint: arg and log of the radius ratio are
+        the real and (negated) imaginary angle."""
+        span = self.angle_end - self.angle_start
+        mid = self.angle_start + 0.5 * span
+        z = (m - self.center) / (self.radius * complex(math.cos(mid), math.sin(mid)))
+        return 0.5 + complex(math.atan2(z.imag, z.real), -math.log(abs(z))) / span
+
     @property
     def first(self) -> complex:
         return self.point(0.0)
@@ -89,7 +114,44 @@ class ArcSeg:
         return self.point(1.0)
 
 
-Segment = Union[LineSeg, ArcSeg]
+@dataclass(frozen=True)
+class GradedSeg:
+    """seg traversed at s = s0 + w sinh(a + u (b - a)), u in [0, 1], with
+    a and b the asinh of (0 - s0)/w and (1 - s0)/w: the same points in the
+    same order, crowded toward s0 on the scale w.  A lift on an equal-step
+    grid in u takes steps of about w near s0 and a fixed share of the
+    distance to s0 away from it, which is what a route passing a branch
+    point at complex parameter s0 + i w needs (the sinh substitution for
+    nearly singular integrands, Johnston and Elliott 2005).  u = 0 and 1
+    are seg's own endpoints, bit for bit."""
+
+    seg: Segment
+    s0: float
+    w: float
+    a: float = field(init=False, repr=False, compare=False)
+    b: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.s0) and math.isfinite(self.w) and self.w > 0):
+            raise ValueError("GradedSeg needs a finite s0 and a finite positive w")
+        object.__setattr__(self, "a", math.asinh(-self.s0 / self.w))
+        object.__setattr__(self, "b", math.asinh((1.0 - self.s0) / self.w))
+
+    def point(self, u: float) -> complex:
+        if u == 0.0 or u == 1.0:
+            return self.seg.point(u)
+        return self.seg.point(self.s0 + self.w * math.sinh(self.a + u * (self.b - self.a)))
+
+    @property
+    def first(self) -> complex:
+        return self.seg.first
+
+    @property
+    def last(self) -> complex:
+        return self.seg.last
+
+
+Segment = Union[LineSeg, ArcSeg, GradedSeg]
 
 
 @dataclass(frozen=True)
@@ -144,6 +206,9 @@ class TrackedPath:
     # and whether every segment kept its equal-step grid (no step halved)
     segment_intervals: Tuple[int, ...] = ()
     uniform: bool = False
+    # the branch points m_b the route's segments were graded toward
+    # (grade_toward_branch_points), in route order
+    graded_toward: Tuple[complex, ...] = ()
 
     @property
     def n_samples(self) -> int:
@@ -317,6 +382,74 @@ def _unwrapped_log(z: np.ndarray, zero_arg: bool = False) -> np.ndarray:
     return np.log(np.abs(z)) + 1j * arg
 
 
+def locate_branch_point(A: LaurentBiPoly, l: complex, m: complex
+                        ) -> Optional[Tuple[complex, complex]]:
+    """Newton on (A, dA/dl) = 0 in (l, m) from a point near the curve.
+
+    Returns the ramification point (l_b, m_b) of the projection to m that
+    the iteration reaches, or None when it does not settle within
+    BRANCH_BUDGET steps, meets a singular Jacobian, or ends where
+    |m dA/dm| is below SINGULAR_REL of the term scale.  A singular point
+    of the curve, such as a node, is not a branch point of its sheets:
+    there dA/dm vanishes too, the Jacobian is singular, and from 1e-3 away
+    on the figure-eight the iteration stalls at |m dA/dm| about 1e-8 of the
+    scale (against 3 to 5 at its branch points).
+    """
+    Al, Am = partial(A, "l"), partial(A, "m")
+    All, Alm = partial(Al, "l"), partial(Al, "m")
+    try:
+        for _ in range(BRANCH_BUDGET):
+            f, g = eval_poly(A, l, m), eval_poly(Al, l, m)
+            fm, gl, gm = eval_poly(Am, l, m), eval_poly(All, l, m), eval_poly(Alm, l, m)
+            det = g * gm - fm * gl
+            if det == 0 or not np.isfinite(det):
+                return None
+            dl, dm = (f * gm - fm * g) / det, (g * g - gl * f) / det
+            l, m = l - dl, m - dm
+            if abs(dl) <= BRANCH_STEP_REL * abs(l) and abs(dm) <= BRANCH_STEP_REL * abs(m):
+                break
+        else:
+            return None
+        if abs(eval_poly(Am, l, m) * m) < SINGULAR_REL * max_term(A, l, m):
+            return None
+    except DomainError:
+        return None
+    return l, m
+
+
+def grade_toward_branch_points(A: LaurentBiPoly, spec: PathSpec, path: TrackedPath,
+                               step: float) -> Tuple[PathSpec, Tuple[complex, ...]]:
+    """spec with each segment that passes a branch point closely wrapped in
+    a GradedSeg toward it, and the branch points m_b graded toward.
+
+    path is a lift of spec.  On each segment not graded yet, the sample
+    with the smallest |dA/dl| relative to the term scale seeds
+    locate_branch_point; the segment is graded when m_b's complex
+    parameter s_b = seg.param(m_b) has 0 < Re s_b < 1 and |Im s_b| below
+    step, the lift's grid step, where an equal-step grid cannot resolve
+    the square-root behaviour of l.  The route's points, and so its
+    integrals, are unchanged.
+    """
+    Al = partial(A, "l")
+    bounds = np.cumsum((0,) + path.segment_intervals)
+    segs: List[Segment] = []
+    toward: List[complex] = []
+    for seg, lo, hi in zip(spec.segments, bounds[:-1], bounds[1:]):
+        if isinstance(seg, GradedSeg):
+            segs.append(seg)
+            continue
+        k = min(range(lo, hi + 1), key=lambda k: abs(eval_poly(Al, path.l[k], path.m[k]))
+                / max_term(A, path.l[k], path.m[k]))
+        found = locate_branch_point(A, complex(path.l[k]), complex(path.m[k]))
+        if found is not None:
+            s_b = seg.param(found[1])
+            if 0.0 < s_b.real < 1.0 and 0.0 < abs(s_b.imag) < step:
+                seg = GradedSeg(seg, s_b.real, abs(s_b.imag))
+                toward.append(found[1])
+        segs.append(seg)
+    return replace(spec, segments=tuple(segs)), tuple(toward)
+
+
 def loop_around_m(A: LaurentBiPoly, m_center: complex, radius: float,
                   l_seed: complex, turns: int = 1) -> PathSpec:
     """Closed circle of |turns| full arcs around m_center, counterclockwise
@@ -347,6 +480,7 @@ def reverse(path: TrackedPath) -> TrackedPath:
         log_m=path.log_m[::-1].copy(),
         base_convention=conv,
         segment_intervals=path.segment_intervals[::-1],
+        graded_toward=path.graded_toward[::-1],
     )
 
 
@@ -374,6 +508,7 @@ def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
         segment_intervals=(a.segment_intervals + b.segment_intervals
                            if a.segment_intervals and b.segment_intervals else ()),
         uniform=a.uniform and b.uniform,
+        graded_toward=a.graded_toward + b.graded_toward,
     )
 
 

@@ -36,20 +36,31 @@ segment, when the ratios of successive trapezoid differences read 4 (the
 h^2 regime), the value is the Romberg diagonal and est_error is the
 difference of the two finest one-step values, floored at the rounding
 level.  Otherwise, as on closed loops, where the trapezoid rule on a
-periodic integrand beats every Romberg column, and near branch points,
-the value is one Richardson step against the half mesh and est_error is
-the full/half trapezoid difference.  track_refined re-lifts with a
-smaller step until the forms meet a target (quadrature_shortfall).
+periodic integrand beats every Romberg column, the value is one
+Richardson step against the half mesh and est_error is the full/half
+trapezoid difference.  track_refined re-lifts with a smaller step until
+the forms meet a target (quadrature_shortfall).  Near a branch point l
+behaves like sqrt(m - m_b), which no equal-step grid in the route's own
+parameter resolves; track_refined then grades the open route toward m_b
+(curve_tracker.GradedSeg, a sinh substitution), on whose equal-step grid
+the integrand is smooth and the Romberg rule applies unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .curve_tracker import PathSpec, StepControls, TrackedPath, lift_path, refine
+from .curve_tracker import (
+    PathSpec,
+    StepControls,
+    TrackedPath,
+    grade_toward_branch_points,
+    lift_path,
+    refine,
+)
 from .errors import NotClosed
 from .poly_core import LaurentBiPoly
 
@@ -292,18 +303,38 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     uncertified forms' Richardson values can still be off (a big-sheet
     arc at 401 samples reads eta 8e-13 off with est_error below 1e-9).
 
+    An open route whose first lift halved a step is graded once
+    (curve_tracker.grade_toward_branch_points): each segment passing a
+    branch point within one grid step is traversed on a sinh mesh crowded
+    toward it, lifted again at the same controls and refined as above.
+    On the equal-step grid in the new parameter the square-root
+    behaviour of l is smooth, so the lift keeps its grid and Romberg
+    certifies it (a line 1e-5 from 1/phi: 1,601 or 3,201 samples, errors
+    below 1e-13; on the line's own parameter six halvings, 6,401
+    samples, leave it uncertified and 1e-7 off).  A route
+    whose first lift is uniform, and every closed loop, keeps its own
+    parameter.
+
     Returns (path, {form: IntegralResult}, controls_used), where
-    controls_used are the controls the returned path was lifted with.
+    controls_used are the controls the returned path was lifted with and
+    path.graded_toward lists the branch points it was graded toward.
     """
     forms = tuple(forms)
     unknown = [name for name in forms if name not in _FORMS]
     if unknown:
         raise ValueError("unknown form(s): %s" % ", ".join(unknown))
     current = ctrl
+    path = lift_path(A, spec, current)
+    toward: Tuple[complex, ...] = ()
+    if not spec.closed and not path.uniform:
+        spec, toward = grade_toward_branch_points(A, spec, path, current.max_step)
+        if toward:
+            path = lift_path(A, spec, current)
     for halving in range(max_halvings + 1):
-        path = lift_path(A, spec, current)
+        if halving:
+            path = lift_path(A, spec, current)
         results = {name: _FORMS[name](path) for name in forms}
         if halving == max_halvings or quadrature_shortfall(path, results, target) is None:
             break
         current = refine(current)
-    return path, results, current
+    return replace(path, graded_toward=toward), results, current

@@ -338,7 +338,44 @@ def _unwrapped_log(z: np.ndarray, arg0: float) -> np.ndarray:
     return np.log(np.abs(z)) + 1j * arg
 
 
-def fig8_route_integrals(segments: Sequence, l_seed: complex, panels: int = 64,
+# branch points of the figure-eight's projection to m: the simple zeros
+# +-phi^{+-1}, e^{+-i pi/3}, e^{+-2 i pi/3} of its discriminant
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+FIG8_BRANCH_POINTS = np.array([_PHI, -_PHI, 1.0 / _PHI, -1.0 / _PHI]
+                              + [cmath.exp(1j * math.pi * k / 3.0) for k in (1, 2, 4, 5)])
+PANEL_FRACTION = 0.3     # panel length as a share of the distance to a branch point
+PANEL_MAX = 1.0 / 64.0   # longest panel, in segment parameter
+
+
+def _segment_nodes(seg, x: np.ndarray, w: np.ndarray):
+    """(m, dm/ds, weight) at the Gauss-Legendre nodes of geometrically
+    graded panels along one segment, with its two ends at weight 0.
+
+    Each panel is PANEL_FRACTION of the distance from its start to the
+    nearest branch point (at most PANEL_MAX), so the panels shrink
+    geometrically toward a branch point the route passes closely."""
+    if isinstance(seg, curve_tracker.ArcSeg):
+        span = seg.angle_end - seg.angle_start
+        point = lambda s: seg.center + seg.radius * np.exp(1j * (seg.angle_start + s * span))
+        deriv = lambda s: 1j * span * (point(s) - seg.center)
+        speed = abs(span) * seg.radius
+    else:
+        point = lambda s: seg.m_start + s * (seg.m_end - seg.m_start)
+        deriv = lambda s: np.full(np.shape(s), seg.m_end - seg.m_start)
+        speed = abs(seg.m_end - seg.m_start)
+    edges = [0.0]
+    while edges[-1] < 1.0:
+        dist = float(np.min(np.abs(point(edges[-1]) - FIG8_BRANCH_POINTS)))
+        edges.append(min(1.0, edges[-1] + min(PANEL_MAX, PANEL_FRACTION * dist / speed)))
+    edges = np.array(edges)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    s = np.concatenate(([0.0], (mid + half * x).ravel(), [1.0]))
+    wts = np.concatenate(([0.0], (half * w).ravel(), [0.0]))
+    return point(s), deriv(s), wts
+
+
+def fig8_route_integrals(segments: Sequence, l_seed: complex,
                          order: int = 16) -> Dict[str, complex]:
     """eta, xi and the Kirk-Klassen exponent along a chain of
     curve_tracker.ArcSeg / LineSeg segments on the figure-eight curve,
@@ -347,28 +384,18 @@ def fig8_route_integrals(segments: Sequence, l_seed: complex, panels: int = 64,
     The sheet through l_seed is followed node by node (the closed-form
     root nearest the previous one), dl/dm = -A_m / A_l is evaluated
     exactly, and each segment's parameter is integrated with composite
-    Gauss-Legendre (panels x order nodes), so the route must keep clear of
-    branch points.  Base conventions are the package's: args start at
-    their principal value in [0, 2pi), arg m at 0 within 1e-4 of m = 1.
+    Gauss-Legendre (order nodes a panel) on panels graded geometrically
+    toward the nearest branch point, so a route may pass one closely
+    (1e-5 away) but not through it.  The grading is a fixed share of the
+    distance, unlike the package's sinh mesh.  Base conventions are the
+    package's: args start at their principal value in [0, 2pi), arg m at 0
+    within 1e-4 of m = 1.
     """
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    s = np.concatenate(([0.0], (mid + half * x).ravel(), [1.0]))
-    wts = np.concatenate(([0.0], (half * w).ravel(), [0.0]))
-    ms, dms = [], []
-    for seg in segments:
-        if isinstance(seg, curve_tracker.ArcSeg):
-            span = seg.angle_end - seg.angle_start
-            ms.append(seg.center + seg.radius * np.exp(1j * (seg.angle_start + s * span)))
-            dms.append(1j * span * (ms[-1] - seg.center))
-        else:
-            ms.append(seg.m_start + s * (seg.m_end - seg.m_start))
-            dms.append(np.full(len(s), seg.m_end - seg.m_start))
+    ms, dms, wts = zip(*(_segment_nodes(seg, x, w) for seg in segments))
     m = np.concatenate(ms)
     dm = np.concatenate(dms)
-    wts = np.tile(wts, len(segments))
+    wts = np.concatenate(wts)
 
     big, small = fig8_sheets(m)
     l = np.empty_like(m)
@@ -394,11 +421,11 @@ def fig8_route_integrals(segments: Sequence, l_seed: complex, panels: int = 64,
 
 
 def fig8_arc_integrals(center: complex, radius: float, angle_start: float,
-                       angle_end: float, l_seed: complex, panels: int = 64,
+                       angle_end: float, l_seed: complex,
                        order: int = 16) -> Dict[str, complex]:
     """fig8_route_integrals along the one arc of the given circle."""
     arc = curve_tracker.ArcSeg(center, radius, angle_start, angle_end)
-    return fig8_route_integrals((arc,), l_seed, panels, order)
+    return fig8_route_integrals((arc,), l_seed, order)
 
 
 def _newton_polish_reference(A, Al, l, m, r, budget):

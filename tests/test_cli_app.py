@@ -152,6 +152,24 @@ class TestRunVerb:
         assert noted[1].startswith("[quadrature] path arc: est_error kk ")
         assert all(line.endswith("misses target 0 (unverified)") for line in noted)
 
+    def test_graded_route_is_noted(self, tmp_path, minimal_cfg, fig8_record):
+        # a path passing the branch point 1/phi at 1e-5 is graded toward it;
+        # the summary names the branch point and the route's distance to it
+        u = complex(math.cos(1.0), math.sin(1.0))
+        mid = (math.sqrt(5.0) - 1.0) / 2.0 + 1e-5j * u
+        a, b = mid - 0.2 * u, mid + 0.2 * u
+        seed = min(roots_in_l(fig8_record.a_poly, a), key=abs)
+        near = {"segments": [{"kind": "line", "m_start": [a.real, a.imag],
+                              "m_end": [b.real, b.imag]}],
+                "l_seed": [seed.real, seed.imag], "closed": False}
+        cfg = dict(minimal_cfg, targets=["one_forms", "kirk_klassen"], paths={"near": near})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
+        lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
+        noted = [line for line in lines if line.startswith("[quadrature]")]
+        assert len(noted) == 1
+        assert noted[0].startswith("[quadrature] path near: graded toward m = 0.618033989")
+        assert noted[0].endswith(" (distance 1e-05)")
+
     @pytest.mark.parametrize("max_step", [1.0, 0.5, 0.1])
     def test_coarse_controls_refine_to_the_right_period(self, tmp_path, capsys,
                                                         minimal_cfg, max_step):

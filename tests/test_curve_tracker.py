@@ -1,6 +1,8 @@
 import cmath
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -368,13 +370,18 @@ def _kernel_routes(fig8):
     a, b = ArcSeg(0j, 0.3, 0.3, 0.65), ArcSeg(0j, 0.3, 0.65, 1.0)
     routes["two_segments"] = (fig8, PathSpec(segments=(a, b), l_seed=small_root(fig8, a.first)))
     routes["near_branch"] = (fig8, _near_branch_line(fig8))
+    line = _near_branch_line(fig8)
+    s_b = line.segments[0].param((math.sqrt(5.0) - 1.0) / 2.0)
+    routes["graded"] = (fig8, PathSpec(segments=(curve_tracker.GradedSeg(
+        line.segments[0], s_b.real, abs(s_b.imag)),), l_seed=line.l_seed))
     laurent = parse_poly("l + l^-1*m - l^-1")
     routes["laurent"] = (laurent, loop_around_m(laurent, 0j, 0.5, small_root(laurent, 0.5)))
     return routes
 
 
 @pytest.mark.parametrize("name", ["m0_small", "m0_big", "contract_a", "contract_b",
-                                  "arc_a", "two_segments", "near_branch", "laurent"])
+                                  "arc_a", "two_segments", "near_branch", "graded",
+                                  "laurent"])
 @pytest.mark.parametrize("halvings", [0, 2])
 def test_lift_matches_reference_kernel(fig8, name, halvings):
     curve, spec = _kernel_routes(fig8)[name]
@@ -431,3 +438,141 @@ def test_dadm_evaluated_once_per_accepted_point(fig8, monkeypatch, name):
     path = lift_path(curve, spec, StepControls())
     # one per accepted step, one per segment start; retries reuse it
     assert calls["m"] == path.n_samples - 1 + len(spec.segments)
+
+
+# ---------------------------------------------------------------- grading
+# the pieces track_refined grades a route with: the inverse segment
+# parameter, the sinh-graded segment and the branch-point locator
+
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+@pytest.mark.parametrize("seg", [
+    LineSeg(0.5 - 0.1j, 0.7 + 0.3j),
+    ArcSeg(0.1 + 0.2j, 0.4, 0.3, 1.5),
+    ArcSeg(0j, 1.0 / PHI, 2.0, -1.5),
+    ArcSeg(0j, 0.42, 0.0, TWO_PI),
+], ids=["line", "arc", "clockwise_arc", "full_turn"])
+def test_param_inverts_point(seg):
+    for s in np.linspace(0.0, 1.0, 41)[1:-1]:
+        assert abs(seg.param(seg.point(s)) - s) <= 1e-14
+    # off the route: a step i h along the normal moves s by i h to first order
+    for s in (0.25, 0.6):
+        m = seg.point(s)
+        normal = 1j * (seg.point(s + 1e-9) - m) / 1e-9
+        assert seg.param(m + 1e-6 * normal) == pytest.approx(s + 1e-6j, abs=1e-10)
+
+
+@pytest.mark.parametrize("seg", [LineSeg(0.5 - 0.1j, 0.7 + 0.3j), ArcSeg(0j, 0.6, 0.3, 1.5)],
+                         ids=["line", "arc"])
+@pytest.mark.parametrize("s0, w", [(0.4, 1e-5), (1e-3, 1e-9), (0.999, 0.2)])
+def test_graded_segment_keeps_the_route(seg, s0, w):
+    graded = curve_tracker.GradedSeg(seg, s0, w)
+    assert graded.first == seg.first and graded.last == seg.last
+    # the lift's end samples are the wrapped segment's own
+    assert graded.point(0.0) == seg.point(0.0) and graded.point(1.0) == seg.point(1.0)
+    u = np.linspace(0.0, 1.0, 101)
+    s = np.array([seg.param(graded.point(x)) for x in u])
+    assert np.all(np.abs(s.imag) < 1e-12) and np.all(np.diff(s.real) > 0)
+    # crowded toward s0: ds/du = w (b - a) cosh(a + u (b - a)) is smallest
+    # there, one u-step of it at most cosh((b - a) du) times that
+    span = math.asinh((1.0 - s0) / w) - math.asinh(-s0 / w)
+    smallest = w * span * u[1]
+    assert smallest * (1 - 1e-5) <= np.min(np.diff(s.real)) \
+        <= smallest * math.cosh(span * u[1]) * (1 + 1e-5)
+
+
+@pytest.mark.parametrize("w", [0.0, -1e-3, math.nan])
+def test_graded_segment_needs_positive_width(w):
+    with pytest.raises(ValueError):
+        curve_tracker.GradedSeg(LineSeg(0j, 1.0), 0.5, w)
+
+
+@pytest.mark.parametrize("m_b", [1.0 / PHI, cmath.exp(1j * math.pi / 3.0),
+                                 -PHI, cmath.exp(2j * math.pi / 3.0)],
+                         ids=["inv_phi", "e^(i pi/3)", "-phi", "e^(2i pi/3)"])
+def test_branch_point_locator_converges(fig8, m_b):
+    # from samples on either sheet 1e-3 away, on four sides
+    l_b = complex(oracles.fig8_sheets(np.array([m_b]))[0][0])
+    for theta in (0.0, 1.0, 2.5, 4.0):
+        m = m_b + 1e-3 * unit(theta)
+        for l in (small_root(fig8, m), big_root(fig8, m)):
+            found = curve_tracker.locate_branch_point(fig8, l, m)
+            assert found is not None
+            assert abs(found[1] - m_b) < 1e-12
+            assert abs(found[0] - l_b) < 1e-6  # l_b is a double root in l
+
+
+def test_branch_point_locator_rejects_the_node(fig8):
+    # at m = 1, l = -1 the curve has a node: A, dA/dl and dA/dm all vanish
+    assert eval_poly(fig8, -1.0, 1.0) == 0
+    assert eval_poly(partial(fig8, "l"), -1.0, 1.0) == 0
+    assert eval_poly(partial(fig8, "m"), -1.0, 1.0) == 0
+    assert curve_tracker.locate_branch_point(fig8, -1.0 + 0j, 1.0 + 0j) is None
+    # 1e-3 away Newton creeps toward it and stalls; no branch point either
+    for theta in (0.0, 1.0, 2.5, 4.0):
+        m = 1.0 + 1e-3 * unit(theta)
+        for l in (small_root(fig8, m), big_root(fig8, m)):
+            assert curve_tracker.locate_branch_point(fig8, l, m) is None
+
+
+def test_grading_wraps_only_the_segment_that_passes_the_branch_point(fig8):
+    line = _near_branch_line(fig8).segments[0]
+    arc = ArcSeg(0j, abs(line.last), np.angle(line.last), np.angle(line.last) + 0.5)
+    spec = PathSpec(segments=(line, arc), l_seed=_near_branch_line(fig8).l_seed)
+    ctrl = StepControls()
+    path = lift_path(fig8, spec, ctrl)
+    assert not path.uniform
+    graded, toward = curve_tracker.grade_toward_branch_points(fig8, spec, path, ctrl.max_step)
+    assert len(toward) == 1 and abs(toward[0] - 1.0 / PHI) < 1e-12
+    assert isinstance(graded.segments[0], curve_tracker.GradedSeg)
+    assert graded.segments[0].seg == line and graded.segments[1] == arc
+    s_b = line.param(toward[0])
+    assert (graded.segments[0].s0, graded.segments[0].w) == (s_b.real, abs(s_b.imag))
+    # a graded segment is kept as it is
+    assert curve_tracker.grade_toward_branch_points(
+        fig8, graded, lift_path(fig8, graded, ctrl), ctrl.max_step) == (graded, ())
+    # a branch point further than one grid step off the route is left alone
+    far = PathSpec(segments=(LineSeg(line.first + 0.02j, line.last + 0.02j),),
+                   l_seed=small_root(fig8, line.first + 0.02j))
+    path = lift_path(fig8, far, ctrl)
+    assert curve_tracker.grade_toward_branch_points(fig8, far, path, ctrl.max_step) \
+        == (far, ())
+
+
+def test_grading_reads_the_sample_nearest_the_branch_point(fig8):
+    # the line starts 0.03 from e^{i pi/3}, where Newton from its first
+    # sample would go, and passes 1/phi at 1e-5, where its lift halves
+    start = cmath.exp(1j * math.pi / 3.0) + 0.03 * unit(-0.5)
+    u = (1.0 / PHI - start) / abs(1.0 / PHI - start)
+    mid = 1.0 / PHI + 1e-5j * u
+    line = LineSeg(mid - abs(1.0 / PHI - start) * u, mid + 0.1 * u)
+    spec = PathSpec(segments=(line,), l_seed=small_root(fig8, line.first))
+    first = curve_tracker.locate_branch_point(fig8, spec.l_seed, line.first)
+    assert abs(first[1] - cmath.exp(1j * math.pi / 3.0)) < 1e-12
+    path = lift_path(fig8, spec, StepControls())
+    _, toward = curve_tracker.grade_toward_branch_points(fig8, spec, path, 0.01)
+    assert len(toward) == 1 and abs(toward[0] - 1.0 / PHI) < 1e-12
+
+
+def test_no_grading_toward_a_branch_point_past_the_end(fig8):
+    # the line stops 1e-5 short of 1/phi: its lift halves near the end,
+    # but Re s_b > 1, so the branch point is not on the segment
+    u = unit(1.0)
+    end = 1.0 / PHI - 1e-5 * u
+    spec = PathSpec(segments=(LineSeg(end - 0.3 * u, end),), l_seed=small_root(fig8, end - 0.3 * u))
+    path = lift_path(fig8, spec, StepControls())
+    assert not path.uniform
+    assert spec.segments[0].param(1.0 / PHI).real > 1.0
+    assert curve_tracker.grade_toward_branch_points(fig8, spec, path, 0.01) == (spec, ())
+
+
+def test_reverse_and_concat_keep_graded_toward(fig8, ctrl):
+    spec = PathSpec(segments=(ArcSeg(0j, 0.3, 0.3, 1.0),),
+                    l_seed=small_root(fig8, 0.3 * unit(0.3)))
+    path = lift_path(fig8, spec, ctrl)
+    assert path.graded_toward == ()
+    a = replace(path, graded_toward=(0.5 + 0j, 0.75 + 0j))
+    assert reverse(a).graded_toward == (0.75 + 0j, 0.5 + 0j)
+    b = replace(reverse(path), graded_toward=(0.25j,))
+    assert concat(a, b).graded_toward == (0.5 + 0j, 0.75 + 0j, 0.25j)

@@ -29,6 +29,7 @@ from apolylab import (
     vol_along,
     vol_fig8,
 )
+from apolylab import curve_tracker
 from apolylab.curve_tracker import TrackedPath
 from apolylab.one_forms import (
     kirk_klassen,
@@ -450,3 +451,90 @@ def test_open_arc_integrals_match_closed_form_lift(fig8, ctrl, radius, theta0, t
         err = abs(res[name].value - want[name])
         assert err < 1e-12, name
         assert err <= res[name].est_error, name
+
+
+# ---------------------------------------------------------------- grading
+# a route passing a branch point closely: track_refined lifts it once,
+# sees halved steps, and grades the segment toward the branch point
+
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _near_branch_line(fig8, direction, gap=1e-5, length=0.4):
+    # the benchmark's arcs line: it passes 1/phi at gap, on the small sheet
+    u = unit(direction)
+    mid = INV_PHI + gap * 1j * u
+    a, b = mid - 0.5 * length * u, mid + 0.5 * length * u
+    return PathSpec(segments=(LineSeg(a, b),), l_seed=small_root(fig8, a))
+
+
+def _assert_graded_and_accurate(fig8, spec, want):
+    path, res, used = track_refined(fig8, spec, forms=("eta", "xi", "kk"), target=1e-9)
+    assert len(path.graded_toward) == 1 and abs(path.graded_toward[0] - INV_PHI) < 1e-12
+    assert path.uniform and path.n_samples <= 3201
+    for name in ("eta", "xi", "kk"):
+        err = abs(res[name].value - want[name])
+        assert res[name].certified, name
+        assert err < 1e-12, name
+        assert err <= res[name].est_error, name
+    return path
+
+
+def test_near_branch_line_certifies_on_a_graded_mesh(fig8):
+    # on an equal-step grid this line never certifies: it runs out at 6401
+    # samples, 1e-7 off, and its est_error can sit below its error
+    rng = np.random.default_rng(10)
+    for direction in 1.0 + rng.uniform(-0.15, 0.15, 8):
+        spec = _near_branch_line(fig8, direction, gap=1e-5 * rng.uniform(0.8, 1.25))
+        assert not lift_path(fig8, spec, StepControls()).uniform  # steps halve
+        _assert_graded_and_accurate(
+            fig8, spec, oracles.fig8_route_integrals(spec.segments, spec.l_seed))
+
+
+@pytest.mark.parametrize("which", ["small", "big"])
+def test_arc_past_a_branch_point_is_graded(fig8, which):
+    radius, theta0, theta1 = INV_PHI - 1e-5, -0.2, 0.35
+    m0 = radius * unit(theta0)
+    seed = small_root(fig8, m0) if which == "small" else big_root(fig8, m0)
+    spec = PathSpec(segments=(ArcSeg(0j, radius, theta0, theta1),), l_seed=seed)
+    _assert_graded_and_accurate(
+        fig8, spec, oracles.fig8_arc_integrals(0j, radius, theta0, theta1, seed))
+
+
+@pytest.mark.parametrize("route", ["arc_a", "m0_small", "line_1e-3"])
+def test_uniform_first_lift_is_not_graded(fig8, route):
+    # every demo route lifts on its equal-step grid: track_refined's path is
+    # the plain lift at the controls it stopped at, array for array.  So
+    # does a line 1e-3 from 1/phi, though the branch point lies within one
+    # grid step of it
+    if route == "line_1e-3":
+        spec = _near_branch_line(fig8, 1.0, gap=1e-3)
+        _, toward = curve_tracker.grade_toward_branch_points(
+            fig8, spec, lift_path(fig8, spec, StepControls()), StepControls().max_step)
+        assert len(toward) == 1
+    else:
+        demo = cli_app.build_demo_config()
+        spec = cli_app._pathspec_from_json(dict(demo["paths"], **demo["loops"])[route])
+    assert lift_path(fig8, spec, StepControls()).uniform
+    path, res, used = track_refined(fig8, spec, forms=("eta", "xi", "kk"), target=1e-9)
+    plain = lift_path(fig8, spec, used)
+    assert path.graded_toward == ()
+    for name in ("t", "l", "m", "log_l", "log_m"):
+        assert np.array_equal(getattr(path, name), getattr(plain, name)), name
+    assert res["eta"] == integrate_eta(plain) and res["kk"] == kk_exponent(plain)
+
+
+def test_closed_loop_is_never_graded(fig8):
+    # a circle passing 1/phi at 1e-5 halves steps like the open line; open,
+    # the same route is graded, closed it keeps its own parameter (the
+    # trapezoid rule on a periodic integrand wants the equal-step grid)
+    radius = 0.05
+    centre = INV_PHI + radius + 1e-5
+    spec = loop_around_m(fig8, centre, radius, small_root(fig8, centre + radius))
+    assert not lift_path(fig8, spec, StepControls()).uniform
+    path, _, used = track_refined(fig8, spec, target=1e-9, max_halvings=1)
+    assert path.graded_toward == ()
+    assert np.array_equal(path.l, lift_path(fig8, spec, used).l)
+    opened = PathSpec(segments=spec.segments, l_seed=spec.l_seed)
+    path, _, _ = track_refined(fig8, opened, target=1e-9, max_halvings=1)
+    assert len(path.graded_toward) == 1
