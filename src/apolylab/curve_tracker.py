@@ -2,14 +2,18 @@
 
 A PathSpec is a chain of line and arc segments in the m-plane plus a
 branch seed for l at the first point.  lift_path follows the route by
-tangent prediction and Newton correction in l; one Newton loop
-(_newton) serves the seed polish and every step, and returns dA/dl at
-its last iterate, so the ramification guard and the next predictor read
-dA/dl and dA/dm once per accepted point.  The result carries one
-log state: the complex arrays log_l and log_m, each log|z| + i arg z with
-arg continuously unwrapped (between consecutive samples |delta arg| < pi),
-so winding numbers and branch-sensitive integrals are well defined
-downstream.
+tangent prediction and Newton correction in l.  At each grid m, A and
+dA/dm are polynomials in l: their coefficient rows are built for a
+segment's whole grid at once (poly_core.laurent_rows, one numpy pass),
+and Newton runs scalar Horner on the current row (poly_core.horner_row),
+which gives A and dA/dl together.  One Newton loop (_newton) serves the
+seed polish and every step and returns dA/dl at its last iterate, so the
+ramification guard and the next predictor read dA/dl and dA/dm's row
+once per accepted point.  Each lift reports what it did in a
+LiftDiagnostics record.  The result carries one log state: the complex
+arrays log_l and log_m, each log|z| + i arg z with arg continuously
+unwrapped (between consecutive samples |delta arg| < pi), so winding
+numbers and branch-sensitive integrals are well defined downstream.
 
 A segment is a LineSeg or an ArcSeg, each with its parameter inverse
 param(m), or a GradedSeg: a segment traversed on a sinh substitution
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,9 +49,14 @@ from .errors import (
 from .poly_core import (
     LaurentBiPoly,
     eval_poly,
+    horner_row,
+    l_range,
+    laurent_rows,
     max_term,
     partial,
     roots_in_l,
+    row_max_term,
+    term_maxima,
 )
 
 JOINT_TOL = 1e-12        # segment endpoints must chain within this
@@ -187,6 +196,24 @@ class StepControls:
             raise ValueError("newton_budget must be at least 1")
 
 
+class LiftDiagnostics(NamedTuple):
+    """What a lift did, deterministic: the step halvings, the smallest
+    accepted step (in segment parameter), the most Newton steps an
+    accepted step took to the tolerance, and the smallest |dA/dl| / scale
+    at an accepted point, the margin that RAM_REL guards."""
+
+    halvings: int = 0
+    min_step: float = math.inf
+    max_newton: int = 0
+    min_margin: float = math.inf
+
+    def join(self, other: "LiftDiagnostics") -> "LiftDiagnostics":
+        return LiftDiagnostics(self.halvings + other.halvings,
+                               min(self.min_step, other.min_step),
+                               max(self.max_newton, other.max_newton),
+                               min(self.min_margin, other.min_margin))
+
+
 @dataclass(frozen=True)
 class TrackedPath:
     """Dense samples of the lift.  Arrays share one index; log_l and log_m
@@ -209,6 +236,7 @@ class TrackedPath:
     # the branch points m_b the route's segments were graded toward
     # (grade_toward_branch_points), in route order
     graded_toward: Tuple[complex, ...] = ()
+    diagnostics: LiftDiagnostics = LiftDiagnostics()
 
     @property
     def n_samples(self) -> int:
@@ -245,76 +273,98 @@ def _check_seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> complex:
     return roots[nearest]
 
 
-def _newton(A: LaurentBiPoly, Al: LaurentBiPoly, l: complex, m: complex,
-            r: complex, tol: float, budget: int):
-    """Newton in l at fixed m; r is A(l, m).
+def _newton(row: List[complex], lo: int, l: complex, tol: float, budget: int):
+    """Newton in l on one coefficient row of A (poly_core.horner_row).
 
-    Steps unconditionally until |r| <= tol, then only while the residual
-    strictly drops, within budget steps in total.  Returns (l, A(l, m),
-    dA/dl(l, m), hit): hit is the step count at the first |r| <= tol, or
-    None when the budget or a zero derivative comes first.  A NaN
-    residual never counts as a hit.
+    Steps unconditionally until |A| <= tol, then only while the residual
+    strictly drops, within budget steps in total.  Returns (l, A, dA/dl,
+    hit) at the last iterate: hit is the step count at the first
+    |A| <= tol, or None when the budget or a zero derivative comes first.
+    A NaN residual never counts as a hit.
     """
+    r, d = horner_row(row, lo, l)
     hit = 0 if abs(r) <= tol else None
-    d = None
     for k in range(budget):
-        d = eval_poly(Al, l, m)
         if d == 0:
             break
         l_try = l - r / d
-        r_try = eval_poly(A, l_try, m)
+        r_try, d_try = horner_row(row, lo, l_try)
         if hit is not None and not abs(r_try) < abs(r):
             break
-        l, r, d = l_try, r_try, None
+        l, r, d = l_try, r_try, d_try
         if hit is None and abs(r) <= tol:
             hit = k + 1
-    if d is None:
-        d = eval_poly(Al, l, m)
     return l, r, d, hit
 
 
-def _track_grid(A: LaurentBiPoly, Al: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment,
-                n: int, l: complex, scale: float, ctrl: StepControls):
+def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
+                l: complex, scale: float, ctrl: StepControls):
     """March l along n equal steps of seg keeping A(l, m) = 0.
 
-    Each step is a tangent prediction from the last accepted point and
-    one _newton run at the new m.  dA/dl and dA/dm are evaluated once per
-    accepted point and reused by every retry from it.  A step whose
-    Newton run misses the tolerance or needs more than HALVE_AFTER steps
-    to hit it is halved by inserting the parameter midpoint.  Returns
-    (s, m, l, resid_max, scale): the accepted segment parameters with
-    their m and l samples, the largest residual and the running term scale.
+    A is read as a polynomial in l whose coefficients are taken once per
+    grid m: poly_core.laurent_rows gives, for every grid m, the
+    l-coefficient rows of A and of dA/dm, and poly_core.term_maxima the
+    per-power term maxima (so the running scale is max_term's value), in
+    numpy arrays; a
+    halving midpoint gets its rows when it is inserted.  Each step is a
+    tangent prediction from the last accepted point and one _newton run
+    on the new m's row.  dA/dl comes with each Newton iterate, and dA/dm's
+    row is read once per accepted point and reused by every retry from
+    it.  A step whose Newton run misses the tolerance or needs more than
+    HALVE_AFTER steps to hit it is halved by inserting the parameter
+    midpoint.  Returns (s, m, l, resid_max, scale, diagnostics): the
+    accepted segment parameters with their m and l samples, the largest
+    residual, the running term scale and the segment's LiftDiagnostics.
     """
-    s = list(np.linspace(0.0, 1.0, n + 1))
+    lo, hi = l_range(A)
+    w = hi - lo + 1
+
+    def rows_at(m):
+        return (np.concatenate((laurent_rows(A, m, lo, hi), laurent_rows(Am, m, lo, hi)),
+                               axis=1), term_maxima(A, m, lo, hi))
+
+    s = np.linspace(0.0, 1.0, n + 1).tolist()
     ms = [complex(seg.point(x)) for x in s]
+    rows, maxima = rows_at(ms)
+    row = rows[0].tolist()
+    r, dal = horner_row(row[:w], lo, l)
+    resid_max = abs(r)
+    dam = horner_row(row[w:], lo, l)[0]
     ls = [l]
-    resid_max = abs(eval_poly(A, l, ms[0]))
-    dal, dam = eval_poly(Al, l, ms[0]), eval_poly(Am, l, ms[0])
+    halvings, min_step, max_newton, min_margin = 0, math.inf, 0, math.inf
     k = 0
     while k < len(s) - 1:
         m1 = ms[k + 1]
+        row = rows[k + 1].tolist()
         hit = None
         if dal != 0:
             l1 = l - dam / dal * (m1 - ms[k])
-            l1, r, d, hit = _newton(A, Al, l1, m1, eval_poly(A, l1, m1),
-                                    RESID_REL * scale, ctrl.newton_budget)
+            l1, r, d, hit = _newton(row[:w], lo, l1, RESID_REL * scale, ctrl.newton_budget)
         if hit is None or hit > HALVE_AFTER:
             gap = s[k + 1] - s[k]
             if gap / 2.0 < ctrl.min_step:
                 raise NonConvergence("step underflow near m = %s" % ms[k])
             s.insert(k + 1, s[k] + gap / 2.0)
             ms.insert(k + 1, complex(seg.point(s[k + 1])))
+            mid, mid_maxima = rows_at(ms[k + 1:k + 2])
+            rows = np.insert(rows, k + 1, mid[0], axis=0)
+            maxima = np.insert(maxima, k + 1, mid_maxima[0], axis=0)
+            halvings += 1
             continue
         l, dal = l1, d
-        scale = max(scale, max_term(A, l, m1))
+        scale = max(scale, row_max_term(maxima[k + 1].tolist(), lo, l))
         if abs(dal) < RAM_REL * scale:
             raise RamificationError(
                 "lift ran into a branch point near m = %s" % m1, m=m1, l=l)
         resid_max = max(resid_max, abs(r))
         ls.append(l)
-        dam = eval_poly(Am, l, m1)
+        dam = horner_row(row[w:], lo, l)[0]
+        min_step = min(min_step, s[k + 1] - s[k])
+        max_newton = max(max_newton, hit)
+        min_margin = min(min_margin, abs(dal) / scale)
         k += 1
-    return s, ms, ls, resid_max, scale
+    return (s, ms, ls, resid_max, scale,
+            LiftDiagnostics(halvings, min_step, max_newton, min_margin))
 
 
 def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls()
@@ -329,14 +379,17 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     to the tolerance is halved by inserting the parameter midpoint, down
     to ctrl.min_step.  Raises RamificationError when |dA/dl| at an
     accepted point falls below RAM_REL * scale, and NonConvergence when
-    the step size underflows.
+    the step size underflows.  The path's diagnostics record the halvings,
+    the smallest accepted step, the most Newton steps to a hit and the
+    smallest |dA/dl| / scale over every segment.
     """
-    Al = partial(A, "l")
     Am = partial(A, "m")
 
     m0 = spec.segments[0].first
     l0 = _check_seed(A, spec.l_seed, m0)
-    l0 = _newton(A, Al, l0, m0, eval_poly(A, l0, m0), np.inf, ctrl.newton_budget)[0]
+    lo, hi = l_range(A)
+    row0 = laurent_rows(A, [m0], lo, hi)[0].tolist()
+    l0 = _newton(row0, lo, l0, np.inf, ctrl.newton_budget)[0]
     scale = max_term(A, l0, m0)
 
     n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
@@ -346,10 +399,12 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     l_all: List[complex] = [l0]
     intervals: List[int] = []
     resid_max = 0.0
+    diagnostics = LiftDiagnostics()
     for seg_idx, seg in enumerate(spec.segments):
-        s, m_seg, l_seg, resid, scale = _track_grid(A, Al, Am, seg, n, l_all[-1],
-                                                     scale, ctrl)
+        s, m_seg, l_seg, resid, scale, diag = _track_grid(A, Am, seg, n, l_all[-1],
+                                                           scale, ctrl)
         resid_max = max(resid_max, resid)
+        diagnostics = diagnostics.join(diag)
         intervals.append(len(s) - 1)
         # each later segment starts on the previous one's last sample
         first = 1 if seg_idx > 0 else 0
@@ -371,6 +426,7 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
         l_return_gap=gap,
         segment_intervals=tuple(intervals),
         uniform=all(k == n for k in intervals),
+        diagnostics=diagnostics,
     )
 
 
@@ -509,6 +565,7 @@ def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
                            if a.segment_intervals and b.segment_intervals else ()),
         uniform=a.uniform and b.uniform,
         graded_toward=a.graded_toward + b.graded_toward,
+        diagnostics=a.diagnostics.join(b.diagnostics),
     )
 
 

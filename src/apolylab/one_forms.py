@@ -48,6 +48,7 @@ the integrand is smooth and the Romberg rule applies unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
@@ -95,7 +96,7 @@ class KirkKlassen:
 @dataclass(frozen=True)
 class SpecialCS:
     value: float
-    torus_class: float   # value / (2 pi)^2 mod 1
+    torus_class: float   # value / (2 pi)^2 mod 1, the representative in [-1/2, 1/2]
 
 
 def trapezoid(u: np.ndarray, v: np.ndarray):
@@ -181,7 +182,9 @@ def special_cs_from(xi: float, q_order: int) -> SpecialCS:
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     value = q_order * xi
-    return SpecialCS(value=float(value), torus_class=float((value / TWO_PI ** 2) % 1.0))
+    # + 0.0: an exact integer class of negative U reads 0, not -0
+    return SpecialCS(value=float(value),
+                     torus_class=math.remainder(value / TWO_PI ** 2, 1.0) + 0.0)
 
 
 def cs1_from(eta: float, xi: float) -> complex:

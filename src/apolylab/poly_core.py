@@ -22,7 +22,11 @@ unary minus, so the canonical printer emits a leading negative term as
 Roots in l at fixed m come from one solver that works on a batch of m
 at once.  :func:`l_coefficients` takes a scalar m (one coefficient
 vector) or a 1-D array of m (one row per m); :func:`horner_rows`
-evaluates such rows at per-row points.  :func:`roots_in_l_batch` takes
+evaluates such rows at per-row points.  :func:`laurent_rows` builds the
+same rows with the denominators kept and :func:`term_maxima` each
+l-power's largest term magnitude; :func:`horner_row` and
+:func:`row_max_term` read one such row at a scalar l, which is how the
+lift runs Newton in l at a fixed m.  :func:`roots_in_l_batch` takes
 the eigenvalues of the companion matrices of every solvable row in one
 stacked LAPACK call (``np.linalg.eigvals``, backward stable), polishes
 them by Newton's method and returns them with a per-row status code
@@ -270,12 +274,71 @@ def l_coefficients(p: LaurentBiPoly, m) -> np.ndarray:
     index = l-power: a vector c[i] for a scalar m, one row c[b, i] per
     entry of a 1-D array of m."""
     q, _ = clear_denominators(p)
-    deg = max(i for i, _ in q.terms)
-    ms = np.atleast_1d(np.asarray(m, dtype=complex))
-    coeffs = np.zeros((len(ms), deg + 1), dtype=complex)
-    for (i, j), c in q.terms.items():
-        coeffs[:, i] += float(c) * ms ** j
+    coeffs = laurent_rows(q, np.atleast_1d(m), *l_range(q))
     return coeffs if np.ndim(m) else coeffs[0]
+
+
+def l_range(p: LaurentBiPoly) -> Tuple[int, int]:
+    """(lo, hi): the lowest and highest l-power of p, widened to hold 0."""
+    powers = [i for i, _ in p.terms] + [0]
+    return min(powers), max(powers)
+
+
+def laurent_rows(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
+    """p as a Laurent polynomial in l at each entry of a 1-D array of m,
+    denominators kept: coeffs[b, k] = sum_j c_ij m_b^j for the l-power
+    i = lo + k.  p's l-powers must lie in lo..hi.  On one row, horner_row
+    gives p and dp/dl at any l.  Raises DomainError, as eval_poly does,
+    when p has a negative m-power and an m is 0."""
+    ms = _checked_m(p, m)
+    coeffs = np.zeros((len(ms), hi - lo + 1), dtype=complex)
+    for (i, j), c in p.terms.items():
+        coeffs[:, i - lo] += float(c) * ms ** j
+    return coeffs
+
+
+def term_maxima(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
+    """max_j |c_ij| |m_b|^j in laurent_rows' layout: on one row,
+    row_max_term gives max_term at any l."""
+    am = np.abs(_checked_m(p, m))
+    maxima = np.zeros((len(am), hi - lo + 1))
+    for (i, j), c in p.terms.items():
+        np.maximum(maxima[:, i - lo], abs(float(c)) * am ** j, out=maxima[:, i - lo])
+    return maxima
+
+
+def _checked_m(p: LaurentBiPoly, m) -> np.ndarray:
+    """m as a complex array; DomainError, as eval_poly raises it, when p
+    has a negative m-power and an m is 0."""
+    ms = np.asarray(m, dtype=complex)
+    if any(j < 0 for _, j in p.terms) and (ms == 0).any():
+        raise DomainError("negative exponent at zero argument")
+    return ms
+
+
+def horner_row(row: List[complex], lo: int, l: complex) -> Tuple[complex, complex]:
+    """Value and l-derivative at l of sum_k row[k] l^(lo + k), lo <= 0, by
+    Horner's rule on one row of laurent_rows' coefficients (as a list).
+    A negative lo at l = 0 raises DomainError, as eval_poly does."""
+    v, dv = row[-1], 0j
+    for c in row[-2::-1]:
+        dv = dv * l + v
+        v = v * l + c
+    if lo:
+        if l == 0:
+            raise DomainError("negative exponent at zero argument")
+        w = l ** lo
+        return w * v, w * (dv + lo * v / l)
+    return v, dv
+
+
+def row_max_term(maxima: List[float], lo: int, l: complex) -> float:
+    """max_term at l on one row of term_maxima (as a list):
+    max_k maxima[k] |l|^(lo + k)."""
+    al = abs(l)
+    if lo and al == 0:
+        raise DomainError("negative exponent at zero argument")
+    return max([x * al ** i for i, x in enumerate(maxima, lo)])
 
 
 def horner_rows(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

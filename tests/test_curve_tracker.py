@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 import oracles
 from apolylab import (
     ArcSeg,
+    DomainError,
     LineSeg,
     MismatchError,
     NonConvergence,
@@ -18,6 +20,8 @@ from apolylab import (
     StepControls,
     concat,
     eval_poly,
+    integrate_eta,
+    integrate_xi,
     lift_path,
     loop_around_m,
     parse_poly,
@@ -25,9 +29,9 @@ from apolylab import (
     reverse,
     roots_in_l,
 )
-from apolylab import cli_app, curve_tracker
+from apolylab import cli_app, curve_tracker, one_forms
 from apolylab.curve_tracker import _track_grid
-from apolylab.poly_core import max_term, partial
+from apolylab.poly_core import horner_row, l_range, laurent_rows, max_term, partial
 from conftest import big_root, small_root, unit
 
 TWO_PI = 2.0 * math.pi
@@ -308,10 +312,10 @@ def test_track_grid_stays_on_curve(fig8):
     # one full circle of 64 steps on the small sheet needs no halving
     n = 64
     seg = ArcSeg(0j, 0.3, 0.0, TWO_PI)
-    s, m, l, resid_max, scale = _track_grid(
-        fig8, partial(fig8, "l"), partial(fig8, "m"), seg, n,
-        small_root(fig8, 0.3), 1.0, StepControls())
+    s, m, l, resid_max, scale, diag = _track_grid(
+        fig8, partial(fig8, "m"), seg, n, small_root(fig8, 0.3), 1.0, StepControls())
     assert len(s) == len(m) == len(l) == n + 1
+    assert diag.halvings == 0 and diag.min_step == pytest.approx(1.0 / n)
     for k in (0, n // 2, n):
         assert abs(eval_poly(fig8, l[k], m[k])) <= 1e-11 * scale
     assert resid_max <= 1e-11 * scale
@@ -352,14 +356,20 @@ def test_step_controls_reject_values_they_cannot_run(kwargs):
 
 
 # ---------------------------------------------------------------- kernel
-# lift_path against the reference kernel of tests/oracles.py (the two
-# Newton loops it replaced): every sample must agree bit for bit.
+# lift_path against the reference kernel of tests/oracles.py (eval_poly on
+# the term map, two Newton loops).  Horner on the coefficient rows rounds
+# differently, so l agrees within L_REL; the t and m grids, which only the
+# hit decisions shape, agree bit for bit, and so do the halvings.
 
-def _near_branch_line(fig8):
-    # passes the branch point 1/phi at 1e-5, so steps halve there
-    u = cmath.exp(1.0j)
-    mid = (math.sqrt(5.0) - 1.0) / 2.0 + 1e-5j * u
-    a, b = mid - 0.2 * u, mid + 0.2 * u
+L_REL = 1e-12  # relative; the worst seen is 3.7e-14 (arcs seeds 1-10, 0-5 halvings)
+FORM_TOL = 1e-13
+
+
+def _near_branch_line(fig8, gap=1e-5, direction=1.0, length=0.4):
+    # passes the branch point 1/phi at gap, so steps halve there
+    u = cmath.exp(1.0j * direction)
+    mid = (math.sqrt(5.0) - 1.0) / 2.0 + gap * 1j * u
+    a, b = mid - 0.5 * length * u, mid + 0.5 * length * u
     return PathSpec(segments=(LineSeg(a, b),), l_seed=small_root(fig8, a))
 
 
@@ -379,24 +389,67 @@ def _kernel_routes(fig8):
     return routes
 
 
-@pytest.mark.parametrize("name", ["m0_small", "m0_big", "contract_a", "contract_b",
-                                  "arc_a", "two_segments", "near_branch", "graded",
-                                  "laurent"])
-@pytest.mark.parametrize("halvings", [0, 2])
-def test_lift_matches_reference_kernel(fig8, name, halvings):
-    curve, spec = _kernel_routes(fig8)[name]
+KERNEL_ROUTES = ["m0_small", "m0_big", "contract_a", "contract_b", "arc_a",
+                 "two_segments", "near_branch", "graded", "laurent"]
+
+
+def _halved(halvings):
     ctrl = StepControls()
     for _ in range(halvings):
         ctrl = refine(ctrl)
+    return ctrl
+
+
+def _matches_reference(curve, spec, ctrl):
+    """lift_path against the reference kernel; returns both lifts."""
     path = lift_path(curve, spec, ctrl)
-    t, l, m, resid_max = oracles.lift_reference(curve, spec, ctrl)
+    t, l, m, _ = oracles.lift_reference(curve, spec, ctrl)
     assert np.array_equal(path.t, t)
-    assert np.array_equal(path.l, l)
     assert np.array_equal(path.m, m)
-    assert path.residual_max == resid_max
+    assert path.n_samples == len(t)
+    grid = len(spec.segments) * int(np.ceil(1.0 / ctrl.max_step)) + 1
+    assert path.diagnostics.halvings == len(t) - grid
+    assert np.max(np.abs(path.l - l) / np.abs(l)) <= L_REL
+    return path, replace(path, l=l, log_l=curve_tracker._unwrapped_log(l))
+
+
+@pytest.mark.parametrize("name", KERNEL_ROUTES)
+@pytest.mark.parametrize("halvings", [0, 2])
+def test_lift_matches_reference_kernel(fig8, name, halvings):
+    curve, spec = _kernel_routes(fig8)[name]
+    ctrl = _halved(halvings)
+    path, _ = _matches_reference(curve, spec, ctrl)
     if name == "near_branch":
-        n = int(np.ceil(1.0 / ctrl.max_step))
-        assert path.n_samples > n + 1  # the route does halve
+        assert path.diagnostics.halvings > 0  # the route does halve
+
+
+def _arcs_routes(fig8, rng):
+    # the benchmark's arcs round: an arc on each sheet between m = 0 and
+    # the branch points at |m| = 1/phi, and a line past 1/phi
+    routes = []
+    for start, root in ((0.6, small_root), (2.0, big_root)):
+        radius, angle = 0.42 + rng.uniform(-0.01, 0.01), start + rng.uniform(-0.1, 0.1)
+        arc = ArcSeg(0j, radius, angle, angle + 1.2)
+        routes.append(PathSpec(segments=(arc,), l_seed=root(fig8, arc.first)))
+    routes.append(_near_branch_line(fig8, 1e-5 * rng.uniform(0.8, 1.25),
+                                    1.0 + rng.uniform(-0.15, 0.15)))
+    return routes
+
+
+@pytest.mark.parametrize("draw", range(18))
+def test_kernel_sweep_matches_reference(fig8, draw):
+    # seeded benchmark-shaped routes plus one named route per draw, at
+    # draw % 6 halvings: grids, halvings and l as above, and the integrals
+    # eta, xi and the Kirk-Klassen exponent within FORM_TOL of the
+    # reference kernel's
+    name = KERNEL_ROUTES[draw % len(KERNEL_ROUTES)]
+    ctrl = _halved(draw % 6)
+    routes = [(fig8, spec) for spec in _arcs_routes(fig8, random.Random(draw))]
+    routes.append(_kernel_routes(fig8)[name])
+    for curve, spec in routes:
+        path, ref = _matches_reference(curve, spec, ctrl)
+        for form in (integrate_eta, integrate_xi, one_forms.kk_exponent):
+            assert abs(form(path).value - form(ref).value) <= FORM_TOL
 
 
 @pytest.mark.parametrize("curve, spec, ctrl, error", [
@@ -407,6 +460,7 @@ def test_lift_matches_reference_kernel(fig8, name, halvings):
      StepControls(max_step=0.5, min_step=0.3), NonConvergence),
 ], ids=["ramification", "step_underflow"])
 def test_failures_match_reference_kernel(curve, spec, ctrl, error):
+    # l at a branch point is ill-conditioned, so only m is pinned
     p = parse_poly(curve)
     with pytest.raises(error) as got:
         lift_path(p, spec, ctrl)
@@ -415,29 +469,65 @@ def test_failures_match_reference_kernel(curve, spec, ctrl, error):
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
     assert getattr(got.value, "m", None) == getattr(ref.value, "m", None)
-    assert getattr(got.value, "l", None) == getattr(ref.value, "l", None)
+
+
+@pytest.mark.parametrize("curve, spec", [
+    ("l - m^-1", PathSpec(segments=(LineSeg(1.0, 0.0),), l_seed=1.0)),
+    ("l^2 - m^-2", PathSpec(segments=(LineSeg(1.0, 0.0),), l_seed=1.0)),
+    ("l + l^-1*m - l^-1", PathSpec(segments=(LineSeg(0.5, 0.7),), l_seed=0.0)),
+], ids=["m_inverse", "m_inverse_squared", "l_seed_zero"])
+def test_negative_exponent_at_zero_is_a_domain_error(curve, spec):
+    # a route that reaches m = 0 on a curve with a negative m-power, and
+    # a seed at l = 0 on one with a negative l-power
+    with pytest.raises(DomainError, match="negative exponent at zero argument"):
+        lift_path(parse_poly(curve), spec, StepControls())
 
 
 @pytest.mark.parametrize("name", ["two_segments", "near_branch"])
 def test_dadm_evaluated_once_per_accepted_point(fig8, monkeypatch, name):
+    # dA/dm's row is read once per accepted point: once per accepted
+    # step, once per segment start; retries reuse it
     curve, spec = _kernel_routes(fig8)[name]
-    partials = {}
-    calls = {"m": 0}
+    rows = []
 
-    def recording_partial(p, var):
-        partials[var] = partial(p, var)
-        return partials[var]
+    def recording_horner(row, lo, l):
+        rows.append(tuple(row))
+        return horner_row(row, lo, l)
 
-    def counting_eval(p, l, m):
-        if p is partials.get("m"):
-            calls["m"] += 1
-        return eval_poly(p, l, m)
-
-    monkeypatch.setattr(curve_tracker, "partial", recording_partial)
-    monkeypatch.setattr(curve_tracker, "eval_poly", counting_eval)
+    monkeypatch.setattr(curve_tracker, "horner_row", recording_horner)
     path = lift_path(curve, spec, StepControls())
-    # one per accepted step, one per segment start; retries reuse it
-    assert calls["m"] == path.n_samples - 1 + len(spec.segments)
+    dadm_rows = {tuple(r) for r in laurent_rows(partial(curve, "m"), path.m,
+                                                *l_range(curve)).tolist()}
+    assert sum(row in dadm_rows for row in rows) == path.n_samples - 1 + len(spec.segments)
+
+
+def test_diagnostics_report_the_lift(fig8):
+    near = lift_path(fig8, _near_branch_line(fig8), StepControls())
+    diag = near.diagnostics
+    assert diag.halvings == near.n_samples - 101 > 0
+    assert diag.min_step == pytest.approx(0.01 / 2 ** 5)
+    assert 1 <= diag.max_newton <= curve_tracker.HALVE_AFTER
+    # the margin shrinks like the square root of the closest approach:
+    # 5.7e-3 at 1e-5 from 1/phi, below 1e-3 at 1e-7
+    assert curve_tracker.RAM_REL < diag.min_margin < 1e-2
+    closer = lift_path(fig8, _near_branch_line(fig8, gap=1e-7), StepControls())
+    assert curve_tracker.RAM_REL < closer.diagnostics.min_margin < 1e-3
+    arc = ArcSeg(0j, 0.42, 0.6, 1.8)
+    smooth = lift_path(fig8, PathSpec(segments=(arc,), l_seed=small_root(fig8, arc.first)),
+                       StepControls())
+    assert smooth.diagnostics.halvings == 0
+    assert smooth.diagnostics.min_step == pytest.approx(0.01)
+    assert smooth.diagnostics.min_margin > 1.0
+    # reverse keeps the record and concat joins two
+    assert reverse(near).diagnostics == diag
+    end = complex(near.m[-1])
+    tail = lift_path(fig8, PathSpec(segments=(LineSeg(end, end + 0.1),),
+                                    l_seed=complex(near.l[-1])), StepControls())
+    assert concat(near, tail).diagnostics == (
+        diag.halvings + tail.diagnostics.halvings,
+        min(diag.min_step, tail.diagnostics.min_step),
+        max(diag.max_newton, tail.diagnostics.max_newton),
+        min(diag.min_margin, tail.diagnostics.min_margin))
 
 
 # ---------------------------------------------------------------- grading

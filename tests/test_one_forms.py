@@ -36,6 +36,7 @@ from apolylab.one_forms import (
     kk_exponent,
     regulator,
     regulator_exponent,
+    special_cs_from,
     trapezoid,
     vol_from,
 )
@@ -174,6 +175,19 @@ def test_special_cs_torus_class(fig8, ctrl):
     assert special_cs_U(path, 3).value == pytest.approx(3 * u.value)
     with pytest.raises(ValueError):
         special_cs_U(path, 0)
+
+
+@pytest.mark.parametrize("u", [
+    1e-17, -1e-17,
+    2.0 * TWO_PI ** 2, math.nextafter(2.0 * TWO_PI ** 2, math.inf),
+    math.nextafter(2.0 * TWO_PI ** 2, 0.0),
+], ids=["plus_noise", "minus_noise", "two", "two_plus_ulp", "two_minus_ulp"])
+def test_torus_class_of_an_integer_is_near_zero(u):
+    # the symmetric representative: rounding on either side of an integer
+    # class reads as a tiny class, never as one that is almost 1
+    torus_class = special_cs_from(u, 1).torus_class
+    assert abs(torus_class) <= 1e-15
+    assert special_cs_from(-u, 1).torus_class == -torus_class
 
 
 def test_cs1_closed_loop_matches_xi(fig8, ctrl):

@@ -27,10 +27,15 @@ from apolylab.poly_core import (
     NO_CONVERGENCE,
     ROW_ERRORS,
     clear_denominators,
+    horner_row,
     horner_rows,
     l_coefficients,
+    l_range,
+    laurent_rows,
     max_term,
     roots_in_l_batch,
+    row_max_term,
+    term_maxima,
 )
 
 ROUND_TRIP_CASES = [
@@ -411,3 +416,43 @@ def test_roots_re_expansion_property(coeff_list):
     coeffs = np.array([float(c) for c in coeff_list], dtype=complex)
     rebuilt = oracles.poly_from_roots(coeffs[-1], roots)
     assert np.allclose(rebuilt, coeffs, atol=1e-6 * np.max(np.abs(coeffs)))
+
+
+_points = st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0)
+
+
+@given(st.dictionaries(_exps, _coeffs.filter(bool), min_size=1, max_size=6), _points, _points)
+@settings(max_examples=80, deadline=None)
+def test_laurent_rows_match_the_term_map(terms, l, m):
+    # Horner on one row against eval_poly term by term: equal to rounding,
+    # and the row maxima give max_term
+    p = LaurentBiPoly(dict(terms))
+    lo, hi = l_range(p)
+    value, deriv = horner_row(laurent_rows(p, [m], lo, hi)[0].tolist(), lo, l)
+    scale = max_term(p, l, m)
+    assert abs(value - eval_poly(p, l, m)) <= 1e-13 * scale
+    dl = partial(p, "l")
+    # the l^lo factor's product rule cancels terms of size (hi - lo) scale / |l|
+    assert abs(deriv - eval_poly(dl, l, m)) <= 1e-13 * (max_term(dl, l, m)
+                                                       + (hi - lo) * scale / abs(l))
+    maxima = term_maxima(p, [m], lo, hi)[0].tolist()
+    assert row_max_term(maxima, lo, l) == pytest.approx(scale, rel=1e-14)
+
+
+def test_laurent_rows_raise_at_zero_like_eval_poly():
+    p = parse_poly("l + l^-1*m - m^-1")
+    lo, hi = l_range(p)
+    assert (lo, hi) == (-1, 1)
+    for build in (laurent_rows, term_maxima):
+        with pytest.raises(DomainError, match="negative exponent at zero argument"):
+            build(p, [0.5, 0.0], lo, hi)
+    row = laurent_rows(p, [0.5], lo, hi)[0].tolist()
+    maxima = term_maxima(p, [0.5], lo, hi)[0].tolist()
+    with pytest.raises(DomainError, match="negative exponent at zero argument"):
+        horner_row(row, lo, 0j)
+    with pytest.raises(DomainError, match="negative exponent at zero argument"):
+        row_max_term(maxima, lo, 0j)
+    # without a negative m-power, m = 0 is a row like any other
+    q = parse_poly("l^2 - m + 1")
+    assert laurent_rows(q, [0.0], *l_range(q)).tolist() == [[1, 0, 1]]
+    assert horner_row([1 + 0j, 0j, 1 + 0j], 0, 0j) == (1, 0)
