@@ -36,13 +36,11 @@ from .jones_kashaev import (
 )
 from .lobachevsky import lobachevsky, vol_fig8
 from .one_forms import (
-    cs1_along,
     cs_along,
     integrate_eta,
     integrate_xi,
     kirk_klassen,
     regulator,
-    special_cs_U,
     track_refined,
     vol_along,
 )
@@ -74,9 +72,8 @@ __all__ = [
     "colored_jones_fig8", "conjecture_gap", "growth_rate",
     "jones_sequence", "kashaev_sequence",
     "lobachevsky", "vol_fig8",
-    "cs1_along", "cs_along", "integrate_eta", "integrate_xi",
-    "kirk_klassen", "regulator", "special_cs_U", "track_refined",
-    "vol_along",
+    "cs_along", "integrate_eta", "integrate_xi", "kirk_klassen",
+    "regulator", "track_refined", "vol_along",
     "LaurentBiPoly", "eval_poly", "parse_poly", "partial", "print_poly",
     "roots_in_l", "roots_in_l_batch",
     "estimate_symbol_order", "recognize_rational", "tame_symbol",

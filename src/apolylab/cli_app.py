@@ -239,7 +239,8 @@ def _knot_from_config(cfg: dict) -> KnotRecord:
     if isinstance(knot, dict):
         try:
             return _record_from_dict(knot)
-        except (KeyError, ValueError, TypeError, PolySyntaxError) as exc:
+        except (KeyError, ValueError, TypeError, PolySyntaxError, DegenerateError,
+                NonConvergence) as exc:
             raise ConfigError("bad inline knot record: %s" % exc)
     if isinstance(knot, str):
         table = load_knots()
@@ -347,16 +348,15 @@ def _run_id(cfg: dict) -> str:
 def _stage_one_forms(rc, run_id, csv, summary):
     """eta/xi/vol/cs/U/cs1 per named loop, with rational recognition of
     xi periods and the symbol-order estimate feeding U."""
-    knot, ctrl = rc.knot, rc.ctrl
+    knot = rc.knot
     eta_tol, q_max = rc.tol["eta"], rc.tol["q_max"]
     rat_tol, target = rc.tol["rational"], rc.tol["quadrature_target"]
 
     recognized: List[symbols_k2.RationalRecognition] = []
     per_loop = {}
     for name, spec in rc.loops.items():
-        path, res, used = one_forms.track_refined(
-            knot.a_poly, spec, ctrl, forms=("eta", "xi"), target=target)
-        _note_quadrature(summary, "loop " + name, path, res, target)
+        path, res, used = _track_noted(rc, summary, "loop " + name, spec, ("eta", "xi"),
+                                       target)
         eta, xi = res["eta"], res["xi"]
         csv.add(run_id, "eta:" + name, eta.value, 0.0, eta.est_error, eta.n_samples)
         csv.add(run_id, "xi:" + name, xi.value, 0.0, xi.est_error, xi.n_samples)
@@ -401,18 +401,21 @@ def _stage_one_forms(rc, run_id, csv, summary):
     return q_order
 
 
-def _note_quadrature(summary, route, path, res, target):
-    """Summary notes on one route refined by track_refined: a line per
-    branch point its lift was graded toward, with the route's closest
-    sample distance to it, and a line when the refinement stopped short of
-    its quadrature target (its values are then unverified).  No line for
-    an ungraded route that meets its target."""
+def _track_noted(rc, summary, route, spec, forms, target, max_halvings=6):
+    """track_refined on one route of the run's knot, with summary notes: a
+    line per branch point its lift was graded toward, with the route's
+    closest sample distance to it, and a line when the refinement stopped
+    short of its quadrature target (its values are then unverified).  No
+    line for an ungraded route that meets its target."""
+    path, res, used = one_forms.track_refined(rc.knot.a_poly, spec, rc.ctrl, forms=forms,
+                                              target=target, max_halvings=max_halvings)
     for m_b in path.graded_toward:
         summary.note("[quadrature] %s: graded toward m = %.9g%+.3gj (distance %.3g)"
                      % (route, m_b.real, m_b.imag, float(np.min(np.abs(path.m - m_b)))))
     shortfall = one_forms.quadrature_shortfall(path, res, target)
     if shortfall:
         summary.note("[quadrature] %s: %s (unverified)" % (route, shortfall))
+    return path, res, used
 
 
 def _add_along_rows(csv, run_id, label, knot, q_order, eta, xi):
@@ -453,10 +456,8 @@ def _stage_kirk_klassen(rc, run_id, csv, summary):
     tol = rc.tol["kirk_klassen"]
     for name, spec in rc.paths.items():
         # refine until the exponent's quadrature estimate supports tol
-        path, res, _ = one_forms.track_refined(
-            rc.knot.a_poly, spec, rc.ctrl, forms=("kk",), target=tol,
-            max_halvings=8)
-        _note_quadrature(summary, "path " + name, path, res, tol)
+        path, res, _ = _track_noted(rc, summary, "path " + name, spec, ("kk",), tol,
+                                    max_halvings=8)
         est = res["kk"].est_error
         kk = one_forms.kirk_klassen(path)
         csv.add(run_id, "kk:" + name, kk.value.real, kk.value.imag,
@@ -505,14 +506,14 @@ def _conjecture_path(knot: KnotRecord, a: float) -> Tuple[PathSpec, float]:
 
 
 def _stage_conjecture(rc, run_id, csv, jones_csv, summary, q_order, timings):
-    knot = rc.knot
+    knot, target = rc.knot, rc.tol["quadrature_target"]
     for a in rc.a_values:
         spec, ang = _conjecture_path(knot, a)
-        path = lift_path(knot.a_poly, spec, rc.ctrl)
         label = "a=%g" % a
+        path, res, _ = _track_noted(rc, summary, "conjecture " + label, spec, ("eta", "xi"),
+                                    target)
         vol, cs, u = _add_along_rows(csv, run_id, label, knot, q_order,
-                                     one_forms.integrate_eta(path),
-                                     one_forms.integrate_xi(path))
+                                     res["eta"], res["xi"])
         t0 = time.perf_counter()
         seq = jones_sequence(rc.n_list, a)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0

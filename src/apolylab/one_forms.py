@@ -1,49 +1,48 @@
 """Line integrals of the curve's 1-forms over tracked paths.
 
 A tracked path carries one log state: the complex arrays log_l and
-log_m, each log|z| + i arg z with arg continuously unwrapped.  Every
-integrand is assembled from that pair, so the integration-by-parts
-identities relating the forms hold numerically instead of depending on
-per-integral branch choices.
+log_m, each log|z| + i arg z with arg continuously unwrapped (arg l
+starts in [0, 2pi), arg m at 0 at the geometric base point).  Write
+log l = a + ib, log m = c + id and [x] for x at the end minus x at the
+start.  The regulator's C*-valued 1-form is log l dlog m, and each form
+is an affine map of its one integral t = int log l dlog m:
 
-Forms and conventions (log branch 0 <= arg z < 2pi at the base point,
-arg m(t0) = 0 at the geometric base point):
+    xi  = -(int c da + int b dd)  = Re t - [c a]
+    eta = int a dd - int c db     = Im t - [c b]     (exact on the curve)
+    kk  = (1/2 pi i) int (log m dlog l - log l dlog m)
+                                  = ([log l log m] - 2 t) / (2 pi i)
+    regulator exponent of (f, g)  = (1/2 pi i)(int log f dlog g
+                                    - log g(t0) 2 pi i w_f),
+        w_f the winding of f on a closed loop, t taken of (log f, log g)
 
-    eta = log|l| d(arg m) - log|m| d(arg l)          (exact on the curve)
-    xi  = -(log|m| d log|l| + arg l d(arg m))
-    Vol along a path = Vol_K - 2 int eta
-    CS  along a path = CS_K + (1/pi^2) int xi
-    U   = q int xi   for q the (estimated) order of the symbol {l, m}
-    CS1 = (1/2 pi i)(int xi + i int eta)
+    Vol along a path = Vol_K - 2 int eta,   CS = CS_K + (1/pi^2) int xi,
+    U = q int xi (q the order of {l, m}),   CS1 = (1/2 pi i)(int xi + i int eta)
 
-    regulator r(f,g) = exp((1/2 pi i)(int log f dg/g - log g(t0) int df/f))
-    with int df/f = 2 pi i (winding of f) on a closed loop.
+The identities are summation by parts, which Stieltjes trapezoid sums
+satisfy exactly on every mesh, T(u, v) + T(v, u) = [u v], as does every
+Romberg combination of them.  kk is the Kirk-Klassen exponent
+2 pi i int (alpha beta' - beta alpha') dt, alpha = log m / (2 pi i),
+beta = log l / (2 pi i) (Kirk-Klassen, Math. Ann. 287, 1990);
+kirk_klassen's second expression is the next-lower entry of the same
+table, so expr_diff restates est_error rather than checking anything.
 
-    Kirk-Klassen ratio = exp(2 pi i int (alpha beta' - beta alpha') dt)
-    with alpha = log m / (2 pi i), beta = log l / (2 pi i); the equal
-    second expression exp((1/2 pi i) int (log m dlog l - log l dlog m))
-    is the next-lower entry of the same quadrature table, so their
-    difference stays below |ratio| est_error: a restatement of the
-    quadrature estimate, not an independent check.
-
-One quadrature rule serves every integral (_romberg): the composite
-trapezoid over the tracker's samples in Stieltjes form
-sum (u_k + u_{k+1})/2 (v_{k+1} - v_k), on the full mesh and on meshes
-that keep every 2nd, 4th and 8th sample of each segment (joints kept, so
-no coarse interval spans a segment joint).  It is cautious Romberg, as
-in de Boor's CADRE: on a uniform lift with a multiple of 8 intervals per
-segment, when the ratios of successive trapezoid differences read 4 (the
-h^2 regime), the value is the Romberg diagonal and est_error is the
-difference of the two finest one-step values, floored at the rounding
-level.  Otherwise, as on closed loops, where the trapezoid rule on a
-periodic integrand beats every Romberg column, the value is one
-Richardson step against the half mesh and est_error is the full/half
-trapezoid difference.  track_refined re-lifts with a smaller step until
-the forms meet a target (quadrature_shortfall).  Near a branch point l
-behaves like sqrt(m - m_b), which no equal-step grid in the route's own
-parameter resolves; track_refined then grades the open route toward m_b
+One quadrature serves every form.  _table gives the trapezoid sums
+sum (u_k + u_{k+1})/2 (v_{k+1} - v_k) of int u dv on the full mesh and on
+meshes keeping every 2nd, 4th and 8th sample of each segment (joints
+kept, so no coarse interval spans one).  _romberg is cautious Romberg
+(de Boor's CADRE) on a real or complex table: on a uniform lift with a
+multiple of 8 intervals per segment whose trapezoid differences shrink
+by 4 (the h^2 regime) it returns the Romberg diagonal; otherwise, as on
+closed loops, where the trapezoid rule on a periodic integrand beats
+every Romberg column, one Richardson step.  eta and xi are Im and Re of
+one table but keep their own real ratio gates: a pre-asymptotic arc can
+be in the h^2 regime for one and not the other.  track_refined builds
+the table once per lift and halves the step until the forms meet a
+target (quadrature_shortfall).  Near a branch point l behaves like
+sqrt(m - m_b), which no equal-step grid in the route's own parameter
+resolves; track_refined then grades the open route toward m_b
 (curve_tracker.GradedSeg, a sinh substitution), on whose equal-step grid
-the integrand is smooth and the Romberg rule applies unchanged.
+the integrand is smooth.
 """
 
 from __future__ import annotations
@@ -113,30 +112,34 @@ def _coarse_indices(path: TrackedPath, stride: int) -> np.ndarray:
                           + [bounds[-1:]])
 
 
-def _romberg(path: TrackedPath, rule: Callable):
-    """The one quadrature: rule(log_l, log_m) is a trapezoid sum over the
-    samples it is given, T0 on all of them and T1, T2, T3 on the meshes
-    _coarse_indices keeps at strides 2, 4, 8.  Returns (value, lower,
-    est_error, certified), where lower is the next-lower entry of the
-    Romberg diagonal.
-
-    Cautious Romberg (de Boor's CADRE): on a uniform lift whose segments
-    all have a multiple of 8 intervals, the ratios rho = (T1 - T2)/(T0 - T1)
-    and rho' = (T2 - T3)/(T1 - T2) test for the h^2 error regime.  When
-    both are close to 4 the value is the Romberg diagonal R3 (lower R2)
-    and est_error is |R1(h) - R1(2h)|, floored at the rounding level
-    (n - 1) eps |T0|.  Otherwise the value is one Richardson step
-    R1 = T0 + (T0 - T1)/3 (lower T0) and est_error is |T0 - T1|.
-    """
-    full = rule(path.log_l, path.log_m)
-
-    def coarse(stride):
+def _table(path: TrackedPath, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Trapezoid sums of int u dv: T0 on all samples and T1, T2, T3 on the
+    meshes _coarse_indices keeps at strides 2, 4, 8; T2 and T3 only on a
+    uniform lift whose segments all have a multiple of 8 intervals, the
+    one mesh where _romberg can use them."""
+    romberg = path.uniform and all(k % 8 == 0 for k in path.segment_intervals)
+    sums = [trapezoid(u, v)]
+    for stride in (2, 4, 8) if romberg else (2,):
         idx = _coarse_indices(path, stride)
-        return rule(path.log_l[idx], path.log_m[idx])
+        sums.append(trapezoid(u[idx], v[idx]))
+    return np.array(sums)
 
-    half = coarse(2)
-    if path.uniform and all(k % 8 == 0 for k in path.segment_intervals):
-        t = (full, half, coarse(4), coarse(8))
+
+def _romberg(path: TrackedPath, t: np.ndarray):
+    """The one quadrature, on a real or complex table t from _table (or an
+    affine map of one).  Returns (value, lower, est_error, certified),
+    where lower is the next-lower entry of the Romberg diagonal.
+
+    Cautious Romberg (de Boor's CADRE): given T0..T3, the ratios
+    rho = (T1 - T2)/(T0 - T1) and rho' = (T2 - T3)/(T1 - T2) test for the
+    h^2 error regime.  When both are close to 4 the value is the Romberg
+    diagonal R3 (lower R2) and est_error is |R1(h) - R1(2h)|, floored at
+    the rounding level (n - 1) eps |T0|.  Otherwise the value is one
+    Richardson step R1 = T0 + (T0 - T1)/3 (lower T0) and est_error is
+    |T0 - T1|.
+    """
+    full, half = t[0], t[1]
+    if len(t) == 4:
         d = (t[0] - t[1], t[1] - t[2], t[2] - t[3])
         if d[0] != 0 and d[1] != 0 and (abs(d[1] / d[0] - 4.0) < RHO_TOL
                                         and abs(d[2] / d[1] - 4.0) < RHO_COARSE_TOL):
@@ -149,22 +152,33 @@ def _romberg(path: TrackedPath, rule: Callable):
     return value.item(), full.item(), float(abs(full - half)), False
 
 
-def _integrate(path: TrackedPath, rule: Callable) -> IntegralResult:
-    value, _, est, certified = _romberg(path, rule)
+def _integrate(path: TrackedPath, t: np.ndarray) -> IntegralResult:
+    value, _, est, certified = _romberg(path, t)
     return IntegralResult(value=value, est_error=est, n_samples=path.n_samples,
                           certified=certified)
 
 
+def _jump(u: np.ndarray, v: np.ndarray):
+    """[u v]: u v at the last sample minus u v at the first."""
+    return u[-1] * v[-1] - u[0] * v[0]
+
+
+# each form's table as an affine map of the table t of int log l dlog m
+_FORMS: Dict[str, Callable[[TrackedPath, np.ndarray], np.ndarray]] = {
+    "eta": lambda path, t: t.imag - _jump(path.log_m.real, path.log_l.imag),
+    "xi": lambda path, t: t.real - _jump(path.log_m.real, path.log_l.real),
+    "kk": lambda path, t: (_jump(path.log_l, path.log_m) - 2.0 * t) / (2j * np.pi),
+}
+
+
 def integrate_eta(path: TrackedPath) -> IntegralResult:
     """int (log|l| d arg m - log|m| d arg l); real."""
-    return _integrate(path, lambda ll, lm: (trapezoid(ll.real, lm.imag)
-                                            - trapezoid(lm.real, ll.imag)))
+    return _integrate(path, _FORMS["eta"](path, _table(path, path.log_l, path.log_m)))
 
 
 def integrate_xi(path: TrackedPath) -> IntegralResult:
     """int of -(log|m| d log|l| + arg l d arg m); real, branch-dependent."""
-    return _integrate(path, lambda ll, lm: -(trapezoid(lm.real, ll.real)
-                                             + trapezoid(ll.imag, lm.imag)))
+    return _integrate(path, _FORMS["xi"](path, _table(path, path.log_l, path.log_m)))
 
 
 def vol_from(eta: float, vol_k: float) -> float:
@@ -200,14 +214,6 @@ def cs_along(path: TrackedPath, cs_k: float) -> float:
     return cs_from(integrate_xi(path).value, cs_k)
 
 
-def special_cs_U(path: TrackedPath, q_order: int) -> SpecialCS:
-    return special_cs_from(integrate_xi(path).value, q_order)
-
-
-def cs1_along(path: TrackedPath) -> complex:
-    return cs1_from(integrate_eta(path).value, integrate_xi(path).value)
-
-
 Role = Union[str, Tuple[int, int]]
 _ROLES = {"l": (1, 0), "m": (0, 1)}
 
@@ -228,8 +234,7 @@ def regulator_exponent(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
     lam_g = ga * loop.log_l + gb * loop.log_m
     w_f = round(float((lam_f[-1] - lam_f[0]).imag) / TWO_PI)
     base = lam_g[0] * (2j * np.pi * w_f)
-    return _integrate(loop, lambda ll, lm: (
-        trapezoid(fa * ll + fb * lm, ga * ll + gb * lm) - base) / (2j * np.pi))
+    return _integrate(loop, (_table(loop, lam_f, lam_g) - base) / (2j * np.pi))
 
 
 def regulator(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
@@ -239,39 +244,23 @@ def regulator(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
     return RegulatorValue(value=value, modulus_defect=abs(abs(value) - 1.0))
 
 
-def _kk_rule(ll: np.ndarray, lm: np.ndarray) -> complex:
-    """(1/2 pi i) int (log m dlog l - log l dlog m), which is
-    2 pi i int (alpha dbeta - beta dalpha) for alpha = log m / 2 pi i and
-    beta = log l / 2 pi i."""
-    return (trapezoid(lm, ll) - trapezoid(ll, lm)) / (2j * np.pi)
-
-
 def kk_exponent(path: TrackedPath) -> IntegralResult:
     """2 pi i int (alpha beta' - beta alpha') dt from the log state."""
-    return _integrate(path, _kk_rule)
+    return _integrate(path, _FORMS["kk"](path, _table(path, path.log_l, path.log_m)))
 
 
 def kirk_klassen(path: TrackedPath) -> KirkKlassen:
     """Holonomy ratio z(1) z(0)^{-1} along the path, both expressions.
 
-    The returned value uses kk_exponent; expr_diff is the distance to the
-    directly integrated (1/2 pi i) int (log m dlog l - log l dlog m) form,
-    taken as the next-lower entry of kk_exponent's quadrature table: R2
-    when the value is the Romberg R3, the trapezoid sum T0 when it is one
-    Richardson step.  So expr_diff stays below |value| est_error (a third
-    of it in the Richardson case, to first order).
+    The value uses kk_exponent; expr_diff is its distance to the
+    next-lower entry of the same table (R2 under R3, T0 under one
+    Richardson step), so it stays below |value| est_error (a third of it
+    in the Richardson case, to first order).
     """
-    e1, e2, _, _ = _romberg(path, _kk_rule)
+    e1, e2, _, _ = _romberg(path, _FORMS["kk"](path, _table(path, path.log_l, path.log_m)))
     v1 = complex(np.exp(e1))
     v2 = complex(np.exp(e2))
     return KirkKlassen(value=v1, expr_diff=abs(v1 - v2), exponent=complex(e1))
-
-
-_FORMS: Dict[str, Callable[[TrackedPath], IntegralResult]] = {
-    "eta": integrate_eta,
-    "xi": integrate_xi,
-    "kk": kk_exponent,
-}
 
 
 def quadrature_shortfall(path: TrackedPath, results: Dict[str, IntegralResult],
@@ -336,7 +325,8 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     for halving in range(max_halvings + 1):
         if halving:
             path = lift_path(A, spec, current)
-        results = {name: _FORMS[name](path) for name in forms}
+        t = _table(path, path.log_l, path.log_m)
+        results = {name: _integrate(path, _FORMS[name](path, t)) for name in forms}
         if halving == max_halvings or quadrature_shortfall(path, results, target) is None:
             break
         current = refine(current)

@@ -9,9 +9,11 @@ rather than the signed log-sum evaluator, |dA/dl| of the figure-eight
 from its discriminant rather than from root solves, and the figure-eight
 lift in closed form with Gauss-Legendre line integrals rather than
 Newton tracking with the trapezoid rule.  Tests compare package output
-to these.  The scalar root loop, the per-term Jones loop and the lift
-kernel with two Newton loops are the package's own earlier code, kept so
-that the faster or smaller replacements can be checked against them.
+to these.  The scalar root loop, the per-term Jones loop, the lift
+kernel with two Newton loops and the four quadrature integrands (one
+trapezoid rule per form, before every form was read off the one table of
+int log l dlog m) are the package's own earlier code, kept so that the
+faster or smaller replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from apolylab import curve_tracker
+from apolylab import curve_tracker, one_forms
 from apolylab.errors import NonConvergence, RamificationError
 from apolylab.poly_core import eval_poly, max_term, partial
 
@@ -520,3 +522,93 @@ def lift_reference(A, spec, ctrl):
         l_all += l_seg[1:]
     return (np.concatenate(t_parts), np.array(l_all, dtype=complex),
             np.array(m_all, dtype=complex), resid_max)
+
+
+# ---------------------------------------------------------------- quadrature
+# One trapezoid rule per form, each called on (log_l, log_m) of the full
+# mesh and of every coarse mesh, and the Romberg driver and refinement
+# loop that took them.
+
+def _trapezoid(u: np.ndarray, v: np.ndarray):
+    return np.sum((u[1:] + u[:-1]) * 0.5 * np.diff(v))
+
+
+def eta_rule(ll: np.ndarray, lm: np.ndarray) -> float:
+    """int (log|l| d arg m - log|m| d arg l)."""
+    return _trapezoid(ll.real, lm.imag) - _trapezoid(lm.real, ll.imag)
+
+
+def xi_rule(ll: np.ndarray, lm: np.ndarray) -> float:
+    """-int (log|m| d log|l| + arg l d arg m)."""
+    return -(_trapezoid(lm.real, ll.real) + _trapezoid(ll.imag, lm.imag))
+
+
+def kk_rule(ll: np.ndarray, lm: np.ndarray) -> complex:
+    """(1/2 pi i) int (log m dlog l - log l dlog m)."""
+    return (_trapezoid(lm, ll) - _trapezoid(ll, lm)) / (2j * math.pi)
+
+
+def regulator_rule(loop, f=(1, 0), g=(0, 1)):
+    """The rule of (1/2 pi i)(int log f dlog g - log g(t0) 2 pi i w_f) on a
+    closed loop, for the monomials f = l^f[0] m^f[1] and g likewise."""
+    (fa, fb), (ga, gb) = f, g
+    lam_f = fa * loop.log_l + fb * loop.log_m
+    w_f = round(float((lam_f[-1] - lam_f[0]).imag) / (2.0 * math.pi))
+    base = (ga * loop.log_l[0] + gb * loop.log_m[0]) * (2j * math.pi * w_f)
+    return lambda ll, lm: (_trapezoid(fa * ll + fb * lm, ga * ll + gb * lm)
+                           - base) / (2j * math.pi)
+
+
+FORM_RULES = {"eta": eta_rule, "xi": xi_rule, "kk": kk_rule}
+
+
+def romberg_reference(path, rule):
+    """(value, lower, est_error, certified) of rule by the cautious Romberg
+    driver that called it on each mesh; same gates and constants as
+    one_forms._romberg."""
+    full = rule(path.log_l, path.log_m)
+
+    def coarse(stride):
+        idx = one_forms._coarse_indices(path, stride)
+        return rule(path.log_l[idx], path.log_m[idx])
+
+    half = coarse(2)
+    if path.uniform and all(k % 8 == 0 for k in path.segment_intervals):
+        t = (full, half, coarse(4), coarse(8))
+        d = (t[0] - t[1], t[1] - t[2], t[2] - t[3])
+        if d[0] != 0 and d[1] != 0 and (abs(d[1] / d[0] - 4.0) < one_forms.RHO_TOL
+                                        and abs(d[2] / d[1] - 4.0) < one_forms.RHO_COARSE_TOL):
+            r1 = [ti + di / 3.0 for ti, di in zip(t, d)]
+            r2 = [r1[k] + (r1[k] - r1[k + 1]) / 15.0 for k in (0, 1)]
+            r3 = r2[0] + (r2[0] - r2[1]) / 63.0
+            est = max(abs(r1[0] - r1[1]),
+                      (path.n_samples - 1) * one_forms.ROUNDING * abs(full))
+            return r3.item(), r2[0].item(), float(est), True
+    value = full + (full - half) / 3.0
+    return value.item(), full.item(), float(abs(full - half)), False
+
+
+def integrate_reference(path, rule) -> one_forms.IntegralResult:
+    value, _, est, certified = romberg_reference(path, rule)
+    return one_forms.IntegralResult(value=value, est_error=est, n_samples=path.n_samples,
+                                    certified=certified)
+
+
+def track_refined_reference(A, spec, ctrl, forms=("eta", "xi"), target=1e-8,
+                            max_halvings=6):
+    """one_forms.track_refined's refinement loop on FORM_RULES: returns
+    (path, {form: IntegralResult})."""
+    path = curve_tracker.lift_path(A, spec, ctrl)
+    if not spec.closed and not path.uniform:
+        spec, toward = curve_tracker.grade_toward_branch_points(A, spec, path, ctrl.max_step)
+        if toward:
+            path = curve_tracker.lift_path(A, spec, ctrl)
+    for halving in range(max_halvings + 1):
+        if halving:
+            path = curve_tracker.lift_path(A, spec, ctrl)
+        results = {name: integrate_reference(path, FORM_RULES[name]) for name in forms}
+        if halving == max_halvings or one_forms.quadrature_shortfall(path, results,
+                                                                     target) is None:
+            break
+        ctrl = curve_tracker.refine(ctrl)
+    return path, results

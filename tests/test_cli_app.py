@@ -124,10 +124,16 @@ class TestRunVerb:
         ("one_forms", "controls", {"min_step": 0}),
         ("one_forms", "tolerances", {"q_max": 0}),
         ("jones", "out_dir", 5),
+        # the seed's roots_in_l: the leading l-coefficient vanishes at m0 = 2
+        ("jones", "knot", {"name": "k", "a_poly": "m*l - 2*l + 1", "vol": 1.0, "cs": 0.0,
+                           "seed": {"m0": [2, 0], "l_near": [1, 0]}}),
+        # ... and m0^4 overflows to a non-finite coefficient
+        ("jones", "knot", {"name": "k", "a_poly": "l*m^4 - 1", "vol": 1.0, "cs": 0.0,
+                           "seed": {"m0": [1e100, 0], "l_near": [1, 0]}}),
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
             "newton_budget_negative", "min_step_zero", "q_max_zero",
-            "out_dir_number"])
+            "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
                                       target, section, entry):
         cfg = dict(minimal_cfg, targets=[target], **{section: entry})

@@ -13,7 +13,6 @@ from apolylab import (
     StepControls,
     cli_app,
     concat,
-    cs1_along,
     cs_along,
     integrate_eta,
     integrate_xi,
@@ -24,7 +23,6 @@ from apolylab import (
     refine,
     reverse,
     roots_in_l,
-    special_cs_U,
     track_refined,
     vol_along,
     vol_fig8,
@@ -32,6 +30,7 @@ from apolylab import (
 from apolylab import curve_tracker
 from apolylab.curve_tracker import TrackedPath
 from apolylab.one_forms import (
+    cs1_from,
     kirk_klassen,
     kk_exponent,
     regulator,
@@ -62,7 +61,7 @@ def test_zero_length_path_integrals(fig8):
     path = _stationary_path(fig8)
     assert integrate_eta(path).value == 0.0
     assert integrate_xi(path).value == 0.0
-    assert cs1_along(path) == 0j
+    assert cs1_from(integrate_eta(path).value, integrate_xi(path).value) == 0j
     assert vol_along(path, 2.5) == 2.5
     assert cs_along(path, 0.125) == 0.125
 
@@ -169,12 +168,13 @@ def test_track_refined_rejects_unknown_form(fig8, ctrl):
 
 def test_special_cs_torus_class(fig8, ctrl):
     path = lift_path(fig8, loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3)), ctrl)
-    u = special_cs_U(path, 1)
+    xi = integrate_xi(path).value
+    u = special_cs_from(xi, 1)
     assert u.value / (TWO_PI ** 2) == pytest.approx(-2.0, abs=1e-5)
     assert u.torus_class == pytest.approx(0.0, abs=1e-5)
-    assert special_cs_U(path, 3).value == pytest.approx(3 * u.value)
+    assert special_cs_from(xi, 3).value == pytest.approx(3 * u.value)
     with pytest.raises(ValueError):
-        special_cs_U(path, 0)
+        special_cs_from(xi, 0)
 
 
 @pytest.mark.parametrize("u", [
@@ -192,8 +192,8 @@ def test_torus_class_of_an_integer_is_near_zero(u):
 
 def test_cs1_closed_loop_matches_xi(fig8, ctrl):
     path = lift_path(fig8, loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3)), ctrl)
-    cs1 = cs1_along(path)
     xi = integrate_xi(path).value
+    cs1 = cs1_from(integrate_eta(path).value, xi)
     # eta's contribution is the exact form's zero period
     assert cs1 == pytest.approx(xi / (2j * math.pi), abs=1e-7)
 
@@ -329,13 +329,18 @@ def test_kk_expr_diff_restates_est_error(fig8):
         ctrl = refine(ctrl)
 
 
-def _richardson(path, rule):
-    """The one-step rule on its own: T0 + (T0 - T1)/3 against every other
-    sample, the last one kept, and |T0 - T1|."""
+def _richardson(path, form):
+    """The one-step rule on its own, on the table of t = int log l dlog m:
+    T0 on every sample and T1 on every other one, the last one kept, mapped
+    to eta = Im t - [log|m| arg l] or xi = Re t - [log|m| log|l|]; returns
+    T0 + (T0 - T1)/3 and |T0 - T1|."""
     n = path.n_samples
     half = np.unique(np.append(np.arange(0, n, 2), n - 1))
-    full = rule(path.log_l, path.log_m)
-    coarse = rule(path.log_l[half], path.log_m[half])
+    ll, lm = path.log_l, path.log_m
+    t = np.array([trapezoid(ll, lm), trapezoid(ll[half], lm[half])])
+    part = ll.imag if form == "eta" else ll.real
+    full, coarse = (t.imag if form == "eta" else t.real) - (lm[-1].real * part[-1]
+                                                            - lm[0].real * part[0])
     return (full + (full - coarse) / 3.0).item(), float(abs(full - coarse))
 
 
@@ -397,15 +402,13 @@ def test_closed_loop_keeps_one_richardson_step(fig8, max_step):
     # on a closed loop the integrand is periodic and the trapezoid rule
     # beats every Romberg column (at 64 intervals eta's R3 is 7e-7 off, the
     # one-step value 3e-12), so the ratio test never certifies and value
-    # and estimate are the one-step rule's, bit for bit
+    # and estimate are the one-step rule's on the one table, bit for bit
     spec = loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3))
     path = lift_path(fig8, spec, StepControls(max_step=max_step))
-    rules = {"eta": lambda ll, lm: trapezoid(ll.real, lm.imag) - trapezoid(lm.real, ll.imag),
-             "xi": lambda ll, lm: -(trapezoid(lm.real, ll.real) + trapezoid(ll.imag, lm.imag))}
     for name, integrate in (("eta", integrate_eta), ("xi", integrate_xi)):
         res = integrate(path)
         assert not res.certified
-        assert (res.value, res.est_error) == _richardson(path, rules[name])
+        assert (res.value, res.est_error) == _richardson(path, name)
     assert abs(integrate_eta(path).value) < 5e-12
     assert integrate_xi(path).value / FOUR_PI2 == pytest.approx(-2.0, abs=1e-12)
 
@@ -552,3 +555,57 @@ def test_closed_loop_is_never_graded(fig8):
     opened = PathSpec(segments=spec.segments, l_seed=spec.l_seed)
     path, _, _ = track_refined(fig8, opened, target=1e-9, max_halvings=1)
     assert len(path.graded_toward) == 1
+
+
+# ---------------------------------------------------------------- one table
+# every form is an affine map of the table of int log l dlog m; the
+# package's earlier integrands, one per form (tests/oracles.py), must give
+# the same values, the same Romberg verdicts and the same refinement
+
+def _table_routes(fig8):
+    demo = cli_app.build_demo_config()
+    routes = {name: cli_app._pathspec_from_json(spec) for name, spec in demo["loops"].items()}
+    routes["arc_a"] = cli_app._pathspec_from_json(demo["paths"]["arc_a"])
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for which, centre in (("small", 0.6), ("big", 2.0)):
+            routes["arcs%d_%s" % (seed, which)], _ = _annulus_arc(
+                fig8, rng.uniform(0.41, 0.43), centre + rng.uniform(-0.1, 0.1), which)
+    routes["near_branch_line"] = _near_branch_line(fig8, 1.0)
+    return routes
+
+
+def _assert_same_result(new, old, scale, what):
+    assert new.certified == old.certified, what
+    assert new.n_samples == old.n_samples, what
+    assert abs(new.value - old.value) <= 1e-14 * scale, what
+    assert abs(new.est_error - old.est_error) <= 1e-14 * scale, what
+
+
+def test_one_table_matches_the_four_integrands(fig8):
+    forms = {"eta": integrate_eta, "xi": integrate_xi, "kk": kk_exponent}
+    roles = (("l", "m"), ("m", "l"), ((2, 0), "m"))
+    for name, spec in _table_routes(fig8).items():
+        ctrl = StepControls()
+        for level in range(4):
+            path = lift_path(fig8, spec, ctrl)
+            # the size of the integrand's terms
+            scale = max(1.0, np.max(np.abs(path.log_l)) * np.max(np.abs(path.log_m)))
+            for form, integrate in forms.items():
+                _assert_same_result(integrate(path), oracles.integrate_reference(
+                    path, oracles.FORM_RULES[form]), scale, (name, level, form))
+            if spec.closed:
+                for f, g in roles:
+                    rule = oracles.regulator_rule(path, *(one_forms._ROLES.get(r, r)
+                                                          for r in (f, g)))
+                    _assert_same_result(regulator_exponent(path, f, g),
+                                        oracles.integrate_reference(path, rule), scale,
+                                        (name, level, f, g))
+            ctrl = refine(ctrl)
+        path, res, _ = track_refined(fig8, spec, forms=tuple(forms), target=1e-9)
+        ref_path, ref = oracles.track_refined_reference(fig8, spec, StepControls(),
+                                                        forms=tuple(forms), target=1e-9)
+        assert path.n_samples == ref_path.n_samples, name
+        scale = max(1.0, np.max(np.abs(path.log_l)) * np.max(np.abs(path.log_m)))
+        for form in forms:
+            _assert_same_result(res[form], ref[form], scale, (name, form))
