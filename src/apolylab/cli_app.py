@@ -364,19 +364,8 @@ def _stage_one_forms(rc, run_id, csv, summary):
                     % (name, abs(eta.value), eta.est_error, eta.n_samples),
                     ok=abs(eta.value) < max(eta_tol, 10.0 * eta.est_error))
         ratio = xi.value / FOUR_PI2
-        halved = lift_path(knot.a_poly, spec, refine(used))
-        ratio_h = one_forms.integrate_xi(halved).value / FOUR_PI2
         try:
             rec = symbols_k2.recognize_rational(ratio, q_max, rat_tol)
-            rec_h = symbols_k2.recognize_rational(ratio_h, q_max, rat_tol)
-            rec = symbols_k2.mark_stable(rec, rec_h)
-            recognized.append(rec)
-            csv.add(run_id, "xi/4pi2_rational:" + name, rec.p, rec.q,
-                    rec.residual, int(rec.stable))
-            summary.add("[xi] loop %s: /4pi^2 = %.12g -> %d/%d residual %.2g%s"
-                        % (name, ratio, rec.p, rec.q, rec.residual,
-                           "" if rec.stable else " (unstable)"),
-                        ok=rec.stable and rec.residual < rat_tol)
         except NoRational as exc:
             best = exc.best
             csv.add(run_id, "xi/4pi2_rational:" + name, best.p, best.q,
@@ -384,6 +373,21 @@ def _stage_one_forms(rc, run_id, csv, summary):
             summary.add("[xi] loop %s: /4pi^2 = %.12g has no q<=%d rational "
                         "within %g (best %d/%d)"
                         % (name, ratio, q_max, rat_tol, best.p, best.q))
+        else:
+            halved = lift_path(knot.a_poly, spec, refine(used))
+            try:
+                rec_h = symbols_k2.recognize_rational(
+                    one_forms.integrate_xi(halved).value / FOUR_PI2, q_max, rat_tol)
+                rec = symbols_k2.mark_stable(rec, rec_h)
+            except NoRational:
+                pass  # no rational on the halved mesh: rec stays unstable
+            recognized.append(rec)
+            csv.add(run_id, "xi/4pi2_rational:" + name, rec.p, rec.q,
+                    rec.residual, int(rec.stable))
+            summary.add("[xi] loop %s: /4pi^2 = %.12g -> %d/%d residual %.2g%s"
+                        % (name, ratio, rec.p, rec.q, rec.residual,
+                           "" if rec.stable else " (unstable)"),
+                        ok=rec.stable and rec.residual < rat_tol)
         per_loop[name] = (path, res)
 
     try:
@@ -438,7 +442,7 @@ def _stage_symbols(rc, csv, summary):
         loop = lift_path(curve, spec, ctrl)
         v_l = symbols_k2.valuation(curve, loop, "l")
         v_m = symbols_k2.valuation(curve, loop, "m")
-        tame = symbols_k2.tame_symbol(curve, loop, v_l, v_m, ctrl)
+        tame = symbols_k2.tame_symbol(curve, loop, v_l, v_m)
         reg = one_forms.regulator(loop)
         match = abs(reg.value - tame)
         csv.add(name, v_l.v, v_m.v, tame.real, tame.imag,

@@ -39,7 +39,6 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import (
-    DegenerateError,
     DomainError,
     MismatchError,
     NonConvergence,
@@ -47,6 +46,7 @@ from .errors import (
     SeedError,
 )
 from .poly_core import (
+    REAL_SNAP_REL,
     LaurentBiPoly,
     eval_poly,
     horner_row,
@@ -54,7 +54,6 @@ from .poly_core import (
     laurent_rows,
     max_term,
     partial,
-    roots_in_l,
     row_max_term,
     term_maxima,
 )
@@ -62,7 +61,6 @@ from .poly_core import (
 JOINT_TOL = 1e-12        # segment endpoints must chain within this
 CONCAT_TOL = 1e-9        # concat endpoint agreement in (l, m)
 MONODROMY_TOL = 1e-8     # closed-loop l return test
-SEED_SEPARATION = 1e-8   # min distance of the seed root from other roots
 DEFAULT_SEED_TOL = 1e-6  # seed residual, relative to the term scale
 RESID_REL = 1e-12        # Newton tolerance, relative to the running term scale
 RAM_REL = 1e-8           # |dA/dl| guard, relative to the running term scale
@@ -249,28 +247,35 @@ class TrackedPath:
         return self.l_return_gap <= MONODROMY_TOL
 
 
-def _check_seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> complex:
-    """Validate the branch seed and snap it onto the curve."""
+def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex, budget: int):
+    """The branch seed polished onto the curve at m0, and the term scale
+    there.
+
+    The seed must be finite and satisfy A within DEFAULT_SEED_TOL of the
+    term scale on A's coefficient row at m0.  One _newton run polishes it
+    (steps only while the residual drops); on a real row a root within
+    REAL_SNAP_REL of the axis is put on it, so the [0, 2pi) arg convention
+    does not flip on sub-epsilon imaginary noise.  |dA/dl| there must pass
+    the lift's ramification guard: at a branch or singular point the
+    sheets are not separated.
+    """
     if not np.isfinite(l_seed):
         raise SeedError("seed %s is not a finite number" % l_seed)
-    scale = max_term(A, l_seed, m0)
-    if abs(eval_poly(A, l_seed, m0)) > DEFAULT_SEED_TOL * scale:
+    lo, hi = l_range(A)
+    row = laurent_rows(A, [m0], lo, hi)[0].tolist()
+    maxima = term_maxima(A, [m0], lo, hi)[0].tolist()
+    residual = horner_row(row, lo, l_seed)[0]
+    if abs(residual) > DEFAULT_SEED_TOL * row_max_term(maxima, lo, l_seed):
         raise SeedError("seed does not satisfy A within tolerance at the start point")
-    try:
-        roots = roots_in_l(A, m0)
-    except DegenerateError:
-        return l_seed  # branch at infinity present; skip the separation check
-    if not roots:
-        raise SeedError("no roots in l at the start point")
-    dist = [abs(r - l_seed) for r in roots]
-    nearest = int(np.argmin(dist))
-    others = [abs(roots[k] - roots[nearest]) for k in range(len(roots)) if k != nearest]
-    if others and min(others) < SEED_SEPARATION:
-        raise SeedError(
-            "seed root is not separated from the other sheets; "
-            "start at an offset point instead"
-        )
-    return roots[nearest]
+    l0, _, dal, _ = _newton(row, lo, l_seed, np.inf, budget)
+    l0 = complex(l0)
+    if all(c.imag == 0.0 for c in row) and abs(l0.imag) <= REAL_SNAP_REL * (1.0 + abs(l0)):
+        l0 = complex(l0.real)
+    scale = max_term(A, l0, m0)
+    if not abs(dal) >= RAM_REL * scale:
+        raise SeedError("seed is not separated from the other sheets; "
+                        "start at an offset point instead")
+    return l0, scale
 
 
 def _newton(row: List[complex], lo: int, l: complex, tol: float, budget: int):
@@ -371,8 +376,9 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
               ) -> TrackedPath:
     """Track the route in spec on A = 0 starting from the seeded branch.
 
-    The seed is polished by _newton with the hit taken at once (steps
-    only while the residual drops).  Each step then runs the same _newton
+    The seed is checked and polished on A's coefficient row at the start
+    point, with no root solve (_seed: SeedError when it is off the curve
+    or where |dA/dl| fails the guard below).  Each step then runs the same _newton
     to |A| <= RESID_REL * scale, with scale the running maximum term
     magnitude along the path, and polishes on within ctrl.newton_budget
     steps in total.  A step whose run needs more than HALVE_AFTER steps
@@ -385,12 +391,7 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     """
     Am = partial(A, "m")
 
-    m0 = spec.segments[0].first
-    l0 = _check_seed(A, spec.l_seed, m0)
-    lo, hi = l_range(A)
-    row0 = laurent_rows(A, [m0], lo, hi)[0].tolist()
-    l0 = _newton(row0, lo, l0, np.inf, ctrl.newton_budget)[0]
-    scale = max_term(A, l0, m0)
+    l0, scale = _seed(A, spec.l_seed, spec.segments[0].first, ctrl.newton_budget)
 
     n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
     n_segs = len(spec.segments)

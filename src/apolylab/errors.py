@@ -22,7 +22,7 @@ class NonConvergence(RuntimeError):
 
 
 class SeedError(ValueError):
-    """Branch seed is off the curve or too close to another root."""
+    """Branch seed is off the curve or where the sheets are not separated."""
 
 
 class RamificationError(RuntimeError):
@@ -47,7 +47,8 @@ class AmbiguousWinding(ArithmeticError):
 
 
 class ExtrapolationUnstable(ArithmeticError):
-    """Two-radius estimates of a limit disagree beyond tolerance."""
+    """Estimates of a limit on two meshes of one loop disagree beyond
+    tolerance."""
 
 
 class NoRational(ArithmeticError):

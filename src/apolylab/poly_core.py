@@ -390,7 +390,10 @@ def roots_in_l_batch(p: LaurentBiPoly, m):
         raise DegenerateError("zero polynomial")
     m = np.asarray(m, dtype=complex)
     status = np.where(m == 0, M_ZERO, 0)
-    return _solve_rows(l_coefficients(p, m), status)
+    # coefficients that overflow are reported as NO_CONVERGENCE rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = l_coefficients(p, m)
+    return _solve_rows(coeffs, status)
 
 
 def _solve_rows(coeffs: np.ndarray, status: np.ndarray):

@@ -6,11 +6,16 @@ tame symbol
 
     T_x(l, m) = (-1)^{v_l v_m} (l^{v_m} / m^{v_l})(x)
 
-is extracted by averaging the single-valued monomial l^{v_m} m^{-v_l}
-over the witness loop and over an internally re-lifted loop at half the
-radius, combined by one linear Richardson step toward radius zero.  The
-monomial has zero winding at x, so the circle average converges to the
-limit value as the radius shrinks.
+is read off the witness loop as a residue.  The monomial
+h = l^{v_m} m^{-v_l} is holomorphic and nonzero at x, and a loop that
+turns k times about x in the m-plane has t^k proportional to m - x in the
+local parameter t, so Cauchy's formula gives
+
+    h(x) = (1 / 2 pi i k) int h dlog(m - x)
+
+on any loop that encloses no other puncture, whatever its shape.  The
+integral runs through one_forms' table and Romberg step, the quadrature
+of every other form, and lifts no further path.
 
 Loop periods of xi are recognized as rationals: the quantization result
 for the curve says (1/4 pi^2) times the closed xi-period is p/q, with q
@@ -27,16 +32,9 @@ from typing import Iterable, List
 
 import numpy as np
 
-from .curve_tracker import (
-    ArcSeg,
-    LineSeg,
-    PathSpec,
-    StepControls,
-    TrackedPath,
-    lift_path,
-)
+from .curve_tracker import TrackedPath, _unwrapped_log
 from .errors import AmbiguousWinding, ExtrapolationUnstable, NoRational
-from .one_forms import trapezoid
+from .one_forms import _romberg, _table
 from .poly_core import LaurentBiPoly
 
 WINDING_SLACK = 0.1
@@ -58,13 +56,12 @@ class RationalRecognition:
 
 
 def _loop_geometry(loop: TrackedPath):
+    """Center and mean radius of the loop's m samples, and log(m - center)
+    along it, its arg unwrapped sample to sample."""
     m = loop.m[:-1] if loop.closed else loop.m
     center = complex(np.mean(m))
     radius = float(np.mean(np.abs(m - center)))
-    rel = loop.m - center
-    dang = np.angle(rel[1:] / rel[:-1])
-    turns = int(round(float(np.sum(dang)) / TWO_PI))
-    return center, radius, turns
+    return center, radius, _unwrapped_log(loop.m - center)
 
 
 def valuation(A: LaurentBiPoly, x_loop: TrackedPath, f_role: str) -> Valuation:
@@ -80,52 +77,34 @@ def valuation(A: LaurentBiPoly, x_loop: TrackedPath, f_role: str) -> Valuation:
     return Valuation(v=v, witness_radius=radius)
 
 
-def _monomial_mean(loop: TrackedPath, a: int, b: int) -> complex:
-    """Average of l^a m^b over the loop, trapezoid-weighted by the angle of
-    m around the recovered center (uniform-angle loops reduce to the
-    plain mean)."""
-    h = np.exp(a * loop.log_l + b * loop.log_m)
-    center, _, _ = _loop_geometry(loop)
-    rel = loop.m - center
-    theta = np.concatenate(([0.0], np.cumsum(np.angle(rel[1:] / rel[:-1]))))
-    span = theta[-1] - theta[0]
-    if span == 0.0:
-        return complex(np.mean(h))
-    return complex(trapezoid(h, theta) / span)
-
-
 def tame_symbol(A: LaurentBiPoly, x_loop: TrackedPath, v_l: Valuation,
-                v_m: Valuation, ctrl: StepControls = StepControls()) -> complex:
-    """Tame symbol at the puncture enclosed by x_loop.
+                v_m: Valuation) -> complex:
+    """Tame symbol at the puncture x enclosed by x_loop.
 
-    The limit of l^{v_m} m^{-v_l} toward the puncture is taken from the
-    witness loop and a half-radius re-lift: est(0) ~ 2 est(r/2) - est(r).
+    h = l^{v_m} m^{-v_l} is holomorphic and nonzero at x, and the loop's
+    local parameter t has t^k proportional to m - x, so Cauchy's formula
+    gives h(x) = (1/2 pi i k) int h dlog(m - x), k the loop's turns about
+    x, on any loop that encloses no other puncture.  The integral is
+    one_forms' table and Romberg step; its est_error / 2 pi |k|, the
+    spread of T between the full and the half mesh, must be within 1e-4
+    of max(1, |T|), or ExtrapolationUnstable is raised.  A loop with no
+    turn about x raises AmbiguousWinding.  A is not read.
     """
-    est_r = _monomial_mean(x_loop, v_m.v, -v_l.v)
-    center, radius, turns = _loop_geometry(x_loop)
-    m0 = complex(x_loop.m[0])
-    l0 = complex(x_loop.l[0])
-    # walk radially onto the half-radius circle (the witness loop itself
-    # need not be circular, so |m0 - center| can differ from radius)
-    target = center + 0.5 * radius * (m0 - center) / abs(m0 - center)
-    inward = PathSpec(segments=(LineSeg(m0, target),), l_seed=l0, closed=False)
-    stub = lift_path(A, inward, ctrl)
-    phi0 = float(np.angle(m0 - center))
-    sgn = 1.0 if turns >= 0 else -1.0
-    arcs = tuple(
-        ArcSeg(center, radius / 2.0, phi0 + TWO_PI * sgn * k, phi0 + TWO_PI * sgn * (k + 1))
-        for k in range(abs(turns))
-    )
-    half_spec = PathSpec(segments=arcs, l_seed=complex(stub.l[-1]), closed=True)
-    half_loop = lift_path(A, half_spec, ctrl)
-    est_r2 = _monomial_mean(half_loop, v_m.v, -v_l.v)
-    extrap = 2.0 * est_r2 - est_r
-    if abs(est_r - est_r2) > 1e-4 * max(1.0, abs(extrap)):
-        raise ExtrapolationUnstable(
-            "two-radius estimates differ: %s vs %s" % (est_r, est_r2)
-        )
+    center, _, log_rel = _loop_geometry(x_loop)
+    winding = float((log_rel[-1] - log_rel[0]).imag) / TWO_PI
+    turns = round(winding) if math.isfinite(winding) else 0
+    if turns == 0:
+        raise AmbiguousWinding("witness loop makes %.6f turns about its center %s"
+                               % (winding, center))
+    h = np.exp(v_m.v * x_loop.log_l - v_l.v * x_loop.log_m)
+    value, _, est, _ = _romberg(x_loop, _table(x_loop, h, log_rel))
     sign = -1.0 if (v_l.v * v_m.v) % 2 else 1.0
-    return sign * extrap
+    tame = sign * value / (2j * math.pi * turns)
+    spread = est / (TWO_PI * abs(turns))
+    if not spread <= 1e-4 * max(1.0, abs(tame)):
+        raise ExtrapolationUnstable(
+            "T on the full and the half mesh differs by %.3g at T = %s" % (spread, tame))
+    return tame
 
 
 def recognize_rational(value: float, q_max: int = 48, tol: float = 1e-5

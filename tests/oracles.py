@@ -25,8 +25,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from apolylab import curve_tracker, one_forms
-from apolylab.errors import NonConvergence, RamificationError
-from apolylab.poly_core import eval_poly, max_term, partial
+from apolylab.errors import DegenerateError, NonConvergence, RamificationError, SeedError
+from apolylab.poly_core import eval_poly, max_term, partial, roots_in_l
 
 # Planar diagram of the figure-eight knot, 4 crossings, writhe 0.
 # Each crossing lists its four edge labels counterclockwise starting
@@ -430,6 +430,31 @@ def fig8_arc_integrals(center: complex, radius: float, angle_start: float,
     return fig8_route_integrals((arc,), l_seed, order)
 
 
+SEED_SEPARATION = 1e-8   # min distance of the seed root from the other roots
+
+
+def _check_seed_reference(A, l_seed, m0):
+    """The reference seed step: validate the branch seed and snap it to the
+    nearest root that roots_in_l gives at m0."""
+    if not np.isfinite(l_seed):
+        raise SeedError("seed %s is not a finite number" % l_seed)
+    scale = max_term(A, l_seed, m0)
+    if abs(eval_poly(A, l_seed, m0)) > curve_tracker.DEFAULT_SEED_TOL * scale:
+        raise SeedError("seed does not satisfy A within tolerance at the start point")
+    try:
+        roots = roots_in_l(A, m0)
+    except DegenerateError:
+        return l_seed  # branch at infinity present; skip the separation check
+    if not roots:
+        raise SeedError("no roots in l at the start point")
+    dist = [abs(r - l_seed) for r in roots]
+    nearest = int(np.argmin(dist))
+    others = [abs(roots[k] - roots[nearest]) for k in range(len(roots)) if k != nearest]
+    if others and min(others) < SEED_SEPARATION:
+        raise SeedError("seed root is not separated from the other sheets")
+    return roots[nearest]
+
+
 def _newton_polish_reference(A, Al, l, m, r, budget):
     """Newton in l at fixed m while the residual strictly drops."""
     for _ in range(budget):
@@ -505,7 +530,7 @@ def lift_reference(A, spec, ctrl):
     """lift_path's samples by the reference kernel: (t, l, m, residual_max)."""
     Al, Am = partial(A, "l"), partial(A, "m")
     m0 = spec.segments[0].first
-    l0 = curve_tracker._check_seed(A, spec.l_seed, m0)
+    l0 = _check_seed_reference(A, spec.l_seed, m0)
     l0, _ = _newton_polish_reference(A, Al, l0, m0, eval_poly(A, l0, m0),
                                      ctrl.newton_budget)
     scale = max_term(A, l0, m0)

@@ -142,7 +142,7 @@ def test_3_regulator_matches_tame_symbol(fig8):
         loop = lift_path(curve, circle_spec(curve, center, radius), ctrl)
         v_l = symbols_k2.valuation(curve, loop, "l")
         v_m = symbols_k2.valuation(curve, loop, "m")
-        tame = symbols_k2.tame_symbol(curve, loop, v_l, v_m, ctrl)
+        tame = symbols_k2.tame_symbol(curve, loop, v_l, v_m)
         reg = one_forms.regulator(loop)
         worst = max(worst, abs(reg.value - tame))
     verdict(3, "regulator equals tame symbol",

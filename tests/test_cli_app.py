@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from apolylab import cli_app, parse_poly, print_poly, vol_fig8
+from apolylab import cli_app, one_forms, parse_poly, print_poly, vol_fig8
 from apolylab.poly_core import eval_poly, roots_in_l
 
 
@@ -134,6 +134,7 @@ class TestRunVerb:
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
             "newton_budget_negative", "min_step_zero", "q_max_zero",
             "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
                                       target, section, entry):
         cfg = dict(minimal_cfg, targets=[target], **{section: entry})
@@ -200,6 +201,41 @@ class TestRunVerb:
         assert captured.err.splitlines() == [
             "stage one_forms failed: seed (%s+0j) is not a finite number" % l_seed[0]]
         assert "FAIL" in captured.out and "all checks passed" not in captured.out
+
+    def test_witness_without_turns_exits_1_with_one_line(self, tmp_path, capsys,
+                                                         fig8_record):
+        # out around m = 0.25 and back clockwise around -0.05: the loop
+        # makes no turn about its center 0.1, so no residue is read off it
+        seed = min(roots_in_l(fig8_record.a_poly, 0.1 + 0j), key=abs)
+        out = circle_json(0.25 + 0j, 0.15, seed, math.pi, 3.0 * math.pi)
+        back = circle_json(-0.05 + 0j, 0.15, seed, 0.0, -2.0 * math.pi)
+        loop = dict(out, segments=out["segments"] + back["segments"])
+        cfg = {"knot": "fig8", "targets": ["symbols"],
+               "punctures": {"eight": {"a_poly": "knot", "loop": loop}}}
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage symbols failed: witness loop makes ")
+        assert "turns about its center" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_xi_row_keeps_the_full_mesh_rational(self, tmp_path, monkeypatch,
+                                                  minimal_cfg):
+        # the full-mesh xi/4pi^2 is -2; a halved-mesh value with no rational
+        # only leaves the recognition unstable
+        def halved_xi(path):
+            return one_forms.IntegralResult(value=4.0 * math.pi ** 2 / 97.0, est_error=0.0,
+                                            n_samples=path.n_samples, certified=False)
+
+        monkeypatch.setattr(one_forms, "integrate_xi", halved_xi)
+        assert cli_app.main(["run", str(write_cfg(tmp_path, minimal_cfg))]) == 1
+        rows = {r.split(",")[1]: r.split(",")
+                for r in (tmp_path / "results" / "one_forms.csv").read_text().splitlines()}
+        p, q, residual, stable = rows["xi/4pi2_rational:m0_small"][2:6]
+        assert (p, q, stable) == ("-2", "1", "0") and float(residual) < 1e-12
+        lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
+        xi_line, = [line for line in lines if line.startswith("[xi]")]
+        assert " -> -2/1 residual " in xi_line
+        assert xi_line.endswith(" (unstable)  FAIL")
 
     def test_stage_failure_exits_1(self, tmp_path, capsys):
         # valuation on a loop through the square-root branching is

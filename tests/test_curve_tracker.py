@@ -328,6 +328,19 @@ def test_seed_snaps_to_exact_root(fig8, ctrl):
     assert abs(eval_poly(fig8, path.l[0], m0)) <= 1e-12 * max_term(fig8, path.l[0], m0)
 
 
+@pytest.mark.parametrize("m0", [0.3, -0.3, 1.7, -1.7, 2.0, -2.0, 3.0])
+def test_noisy_real_seed_starts_on_the_axis(fig8, ctrl, m0):
+    # on a real row the polished seed is snapped onto the axis, so the lift
+    # starts at arg l = 0, not 2 pi, whatever the sign of the noise
+    for root in roots_in_l(fig8, m0):
+        assert root.imag == 0.0 and root.real > 0.0
+        for noise in (1e-17, -1e-17, 1e-12, -1e-12, 3e-8, -3e-8):
+            seed = root + 1j * noise * abs(root)
+            path = lift_path(fig8, PathSpec(segments=(LineSeg(m0, 1.05 * m0),),
+                                            l_seed=seed), ctrl)
+            assert path.l[0].imag == 0.0 and path.log_l[0].imag == 0.0
+
+
 def test_closed_loop_gap_small_on_unbranched_sheet(fig8, ctrl):
     spec = loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3), turns=1)
     path = lift_path(fig8, spec, ctrl)

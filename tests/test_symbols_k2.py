@@ -8,7 +8,6 @@ from apolylab import (
     LineSeg,
     NoRational,
     PathSpec,
-    StepControls,
     concat,
     estimate_symbol_order,
     lift_path,
@@ -19,6 +18,7 @@ from apolylab import (
     tame_symbol,
     valuation,
 )
+from apolylab import curve_tracker
 from apolylab.symbols_k2 import RationalRecognition, Valuation, mark_stable
 from conftest import big_root, small_root
 
@@ -76,7 +76,7 @@ def test_valuation_ambiguous_on_ramified_witness(ctrl):
 def test_tame_symbol_fig8_puncture(fig8, ctrl):
     loop = lift_path(fig8, loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3)), ctrl)
     t = tame_symbol(fig8, loop, valuation(fig8, loop, "l"),
-                    valuation(fig8, loop, "m"), ctrl)
+                    valuation(fig8, loop, "m"))
     assert t == pytest.approx(1.0, abs=1e-9)
 
 
@@ -86,17 +86,17 @@ def test_tame_symbol_linear_curves(ctrl):
     for center, seed in ((1.0 + 0j, -0.1), (0j, 0.9)):
         loop = lift_path(lin1, loop_around_m(lin1, center, 0.1, seed), ctrl)
         t = tame_symbol(lin1, loop, valuation(lin1, loop, "l"),
-                        valuation(lin1, loop, "m"), ctrl)
+                        valuation(lin1, loop, "m"))
         assert t == pytest.approx(1.0, abs=1e-9)
     # l = 2 - m: value 1/2 at m=2 (around l=0) and 2 at m=0 (around l=2)
     lin2 = parse_poly("m + l - 2")
     loop_l0 = lift_path(lin2, loop_around_m(lin2, 2.0 + 0j, 0.1, -0.1), ctrl)
     t_l0 = tame_symbol(lin2, loop_l0, valuation(lin2, loop_l0, "l"),
-                       valuation(lin2, loop_l0, "m"), ctrl)
+                       valuation(lin2, loop_l0, "m"))
     assert t_l0 == pytest.approx(0.5, abs=1e-9)
     loop_m0 = lift_path(lin2, loop_around_m(lin2, 0j, 0.1, 1.9), ctrl)
     t_m0 = tame_symbol(lin2, loop_m0, valuation(lin2, loop_m0, "l"),
-                       valuation(lin2, loop_m0, "m"), ctrl)
+                       valuation(lin2, loop_m0, "m"))
     assert t_m0 == pytest.approx(2.0, abs=1e-9)
 
 
@@ -107,7 +107,7 @@ def test_tame_symbol_odd_odd_sign(ctrl):
     v_l = valuation(p, loop, "l")
     v_m = valuation(p, loop, "m")
     assert (v_l.v, v_m.v) == (-1, 1)
-    assert tame_symbol(p, loop, v_l, v_m, ctrl) == pytest.approx(-2.0, abs=1e-12)
+    assert tame_symbol(p, loop, v_l, v_m) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_tame_symbol_inverse_cycle(fig8, ctrl):
@@ -116,26 +116,53 @@ def test_tame_symbol_inverse_cycle(fig8, ctrl):
     v_l = valuation(fig8, loop, "l")
     v_m = valuation(fig8, loop, "m")
     assert (v_l.v, v_m.v) == (-4, -1)
-    assert tame_symbol(fig8, loop, v_l, v_m, ctrl) == pytest.approx(1.0, abs=1e-9)
+    assert tame_symbol(fig8, loop, v_l, v_m) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tame_symbol_square_witness(fig8, ctrl):
-    loop = _square_loop(fig8, 0.1, ctrl)
-    v_l = valuation(fig8, loop, "l")
-    v_m = valuation(fig8, loop, "m")
-    assert (v_l.v, v_m.v) == (4, 1)
-    t = tame_symbol(fig8, loop, v_l, v_m, ctrl)
-    assert t == pytest.approx(1.0, abs=2e-4)
+    # Cauchy's formula holds on any witness shape, not only on circles
+    for half_width, tol in ((0.1, 1e-10), (0.3, 1e-9)):
+        loop = _square_loop(fig8, half_width, ctrl)
+        v_l = valuation(fig8, loop, "l")
+        v_m = valuation(fig8, loop, "m")
+        assert (v_l.v, v_m.v) == (4, 1)
+        assert tame_symbol(fig8, loop, v_l, v_m) == pytest.approx(1.0, abs=tol)
+
+
+def test_tame_symbol_two_turns_of_a_ramified_sheet(ctrl):
+    # l^2 = m: two turns of m close the loop once around l = 0
+    p = parse_poly("l^2 - m")
+    loop = lift_path(p, loop_around_m(p, 0j, 0.5, math.sqrt(0.5), turns=2), ctrl)
+    v_l = valuation(p, loop, "l")
+    v_m = valuation(p, loop, "m")
+    assert (v_l.v, v_m.v) == (1, 2)
+    assert tame_symbol(p, loop, v_l, v_m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tame_symbol_rejects_eccentric_witness(fig8, ctrl):
-    # a wide square's angle average carries an O(r^4) bias the two-radius
-    # check refuses to extrapolate through
-    loop = _square_loop(fig8, 0.3, ctrl)
-    v_l = valuation(fig8, loop, "l")
-    v_m = valuation(fig8, loop, "m")
-    with pytest.raises(ExtrapolationUnstable):
-        tame_symbol(fig8, loop, v_l, v_m, ctrl)
+    # the circle passes 8e-3 from the branch point 1/phi and the wide
+    # square's corner at 0.5 is 0.12 from it: the residues on the two
+    # meshes differ by more than 1e-4 of |T|
+    circle = lift_path(fig8, loop_around_m(fig8, 0j, 0.61, small_root(fig8, 0.61)), ctrl)
+    for loop in (circle, _square_loop(fig8, 0.5, ctrl)):
+        v_l = valuation(fig8, loop, "l")
+        v_m = valuation(fig8, loop, "m")
+        with pytest.raises(ExtrapolationUnstable):
+            tame_symbol(fig8, loop, v_l, v_m)
+
+
+def test_tame_symbol_lifts_nothing(fig8, ctrl, monkeypatch):
+    loop = lift_path(fig8, loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3)), ctrl)
+    calls = []
+    track_grid = curve_tracker._track_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return track_grid(*args, **kwargs)
+
+    monkeypatch.setattr(curve_tracker, "_track_grid", counted)
+    tame_symbol(fig8, loop, valuation(fig8, loop, "l"), valuation(fig8, loop, "m"))
+    assert calls == []
 
 
 def test_recognize_rational_exact_cases():
