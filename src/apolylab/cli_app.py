@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -40,7 +40,6 @@ from .curve_tracker import (
     PathSpec,
     StepControls,
     lift_path,
-    refine,
 )
 from .errors import (
     AmbiguousWinding,
@@ -48,6 +47,7 @@ from .errors import (
     ExtrapolationUnstable,
     NoRational,
     NonConvergence,
+    NotClosed,
     PolySyntaxError,
     RamificationError,
     SeedError,
@@ -68,7 +68,7 @@ from .poly_core import (
     roots_in_l_batch,
 )
 
-FOUR_PI2 = 4.0 * math.pi ** 2
+TWO_PI = 2.0 * math.pi
 
 ETA_TOL = 1e-6
 RATIONAL_TOL = 1e-5
@@ -165,6 +165,13 @@ def _pathspec_from_json(spec: dict) -> PathSpec:
         raise ConfigError("bad path spec: %s" % exc)
 
 
+def _loop_from_json(what: str, name: str, spec: dict) -> PathSpec:
+    loop = _pathspec_from_json(spec)
+    if not loop.closed:
+        raise ConfigError("%s %r must be closed (\"closed\": true)" % (what, name))
+    return loop
+
+
 def _section(cfg: dict, key: str) -> dict:
     section = cfg.get(key, {})
     if not isinstance(section, dict):
@@ -210,7 +217,7 @@ def _punctures_from_json(cfg: dict, knot: KnotRecord):
                      else parse_poly(curve_text))
         except (PolySyntaxError, TypeError) as exc:
             raise ConfigError("puncture %r: bad a_poly: %s" % (name, exc))
-        out[name] = (curve, _pathspec_from_json(entry["loop"]),
+        out[name] = (curve, _loop_from_json("puncture", name, entry["loop"]),
                      bool(entry.get("steinberg")))
     return out
 
@@ -286,7 +293,7 @@ def _read_config(cfg) -> _RunConfig:
         knot=knot,
         ctrl=_controls_from_json(cfg),
         tol=_tolerances_from_json(cfg),
-        loops={name: _pathspec_from_json(spec)
+        loops={name: _loop_from_json("loop", name, spec)
                for name, spec in _section(cfg, "loops").items()},
         paths={name: _pathspec_from_json(spec)
                for name, spec in _section(cfg, "paths").items()},
@@ -346,8 +353,9 @@ def _run_id(cfg: dict) -> str:
 # ---------------------------------------------------------------- stages
 
 def _stage_one_forms(rc, run_id, csv, summary):
-    """eta/xi/vol/cs/U/cs1 per named loop, with rational recognition of
-    xi periods and the symbol-order estimate feeding U."""
+    """eta/xi/vol/cs/U/cs1 per named loop, with -arg r / 2 pi of the
+    regulator r(l, m) on its lift recognized as p/q (stable when residual
+    plus est_error / 2 pi is within tolerance) and the lcm of q feeding U."""
     knot = rc.knot
     eta_tol, q_max = rc.tol["eta"], rc.tol["q_max"]
     rat_tol, target = rc.tol["rational"], rc.tol["quadrature_target"]
@@ -355,39 +363,26 @@ def _stage_one_forms(rc, run_id, csv, summary):
     recognized: List[symbols_k2.RationalRecognition] = []
     per_loop = {}
     for name, spec in rc.loops.items():
-        path, res, used = _track_noted(rc, summary, "loop " + name, spec, ("eta", "xi"),
-                                       target)
+        path, res = _track_noted(rc, summary, "loop " + name, spec, ("eta", "xi"), target)
         eta, xi = res["eta"], res["xi"]
         csv.add(run_id, "eta:" + name, eta.value, 0.0, eta.est_error, eta.n_samples)
         csv.add(run_id, "xi:" + name, xi.value, 0.0, xi.est_error, xi.n_samples)
         summary.add("[eta] loop %s: |integral| = %.3g (est %.2g, n=%d)"
                     % (name, abs(eta.value), eta.est_error, eta.n_samples),
                     ok=abs(eta.value) < max(eta_tol, 10.0 * eta.est_error))
-        ratio = xi.value / FOUR_PI2
+        exponent = one_forms.regulator_exponent(path)
+        ratio = -exponent.value.imag / TWO_PI
         try:
             rec = symbols_k2.recognize_rational(ratio, q_max, rat_tol)
+            rec = replace(rec, stable=rec.residual + exponent.est_error / TWO_PI < rat_tol)
+            caveat = "" if rec.stable else " (unstable)"
         except NoRational as exc:
-            best = exc.best
-            csv.add(run_id, "xi/4pi2_rational:" + name, best.p, best.q,
-                    best.residual, 0)
-            summary.add("[xi] loop %s: /4pi^2 = %.12g has no q<=%d rational "
-                        "within %g (best %d/%d)"
-                        % (name, ratio, q_max, rat_tol, best.p, best.q))
-        else:
-            halved = lift_path(knot.a_poly, spec, refine(used))
-            try:
-                rec_h = symbols_k2.recognize_rational(
-                    one_forms.integrate_xi(halved).value / FOUR_PI2, q_max, rat_tol)
-                rec = symbols_k2.mark_stable(rec, rec_h)
-            except NoRational:
-                pass  # no rational on the halved mesh: rec stays unstable
-            recognized.append(rec)
-            csv.add(run_id, "xi/4pi2_rational:" + name, rec.p, rec.q,
-                    rec.residual, int(rec.stable))
-            summary.add("[xi] loop %s: /4pi^2 = %.12g -> %d/%d residual %.2g%s"
-                        % (name, ratio, rec.p, rec.q, rec.residual,
-                           "" if rec.stable else " (unstable)"),
-                        ok=rec.stable and rec.residual < rat_tol)
+            rec, caveat = exc.best, " (no q<=%d rational within %g)" % (q_max, rat_tol)
+        recognized.append(rec)
+        csv.add(run_id, "xi/4pi2_rational:" + name, rec.p, rec.q, rec.residual,
+                int(rec.stable))
+        summary.add("[regulator] loop %s: -arg r/2pi = %.12g -> %d/%d residual %.2g%s"
+                    % (name, ratio, rec.p, rec.q, rec.residual, caveat), ok=rec.stable)
         per_loop[name] = (path, res)
 
     try:
@@ -411,15 +406,15 @@ def _track_noted(rc, summary, route, spec, forms, target, max_halvings=6):
     closest sample distance to it, and a line when the refinement stopped
     short of its quadrature target (its values are then unverified).  No
     line for an ungraded route that meets its target."""
-    path, res, used = one_forms.track_refined(rc.knot.a_poly, spec, rc.ctrl, forms=forms,
-                                              target=target, max_halvings=max_halvings)
+    path, res, _ = one_forms.track_refined(rc.knot.a_poly, spec, rc.ctrl, forms=forms,
+                                           target=target, max_halvings=max_halvings)
     for m_b in path.graded_toward:
         summary.note("[quadrature] %s: graded toward m = %.9g%+.3gj (distance %.3g)"
                      % (route, m_b.real, m_b.imag, float(np.min(np.abs(path.m - m_b)))))
     shortfall = one_forms.quadrature_shortfall(path, res, target)
     if shortfall:
         summary.note("[quadrature] %s: %s (unverified)" % (route, shortfall))
-    return path, res, used
+    return path, res
 
 
 def _add_along_rows(csv, run_id, label, knot, q_order, eta, xi):
@@ -460,8 +455,8 @@ def _stage_kirk_klassen(rc, run_id, csv, summary):
     tol = rc.tol["kirk_klassen"]
     for name, spec in rc.paths.items():
         # refine until the exponent's quadrature estimate supports tol
-        path, res, _ = _track_noted(rc, summary, "path " + name, spec, ("kk",), tol,
-                                    max_halvings=8)
+        path, res = _track_noted(rc, summary, "path " + name, spec, ("kk",), tol,
+                                 max_halvings=8)
         est = res["kk"].est_error
         kk = one_forms.kirk_klassen(path)
         csv.add(run_id, "kk:" + name, kk.value.real, kk.value.imag,
@@ -514,8 +509,8 @@ def _stage_conjecture(rc, run_id, csv, jones_csv, summary, q_order, timings):
     for a in rc.a_values:
         spec, ang = _conjecture_path(knot, a)
         label = "a=%g" % a
-        path, res, _ = _track_noted(rc, summary, "conjecture " + label, spec, ("eta", "xi"),
-                                    target)
+        path, res = _track_noted(rc, summary, "conjecture " + label, spec, ("eta", "xi"),
+                                 target)
         vol, cs, u = _add_along_rows(csv, run_id, label, knot, q_order,
                                      res["eta"], res["xi"])
         t0 = time.perf_counter()
@@ -584,7 +579,7 @@ def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
                 _stage_conjecture(rc, run_id, forms_csv, jones_csv, summary,
                                   q_order, timings)
         except (RamificationError, NonConvergence, SeedError, DegenerateError,
-                DomainError, AmbiguousWinding, ExtrapolationUnstable,
+                DomainError, NotClosed, AmbiguousWinding, ExtrapolationUnstable,
                 ArithmeticError) as exc:
             hard_error = (stage, exc)
             summary.add("[%s] stage failed: %s" % (stage, exc), ok=False)

@@ -15,6 +15,9 @@ arrays log_l and log_m, each log|z| + i arg z with arg continuously
 unwrapped (between consecutive samples |delta arg| < pi), so winding
 numbers and branch-sensitive integrals are well defined downstream.
 
+A closed path closes on the curve: lift_path and concat judge "the same
+l" by one rule, _same_l, relative to |l|.
+
 A segment is a LineSeg or an ArcSeg, each with its parameter inverse
 param(m), or a GradedSeg: a segment traversed on a sinh substitution
 crowded toward a nearby branch point.  grade_toward_branch_points finds
@@ -42,6 +45,7 @@ from .errors import (
     DomainError,
     MismatchError,
     NonConvergence,
+    NotClosed,
     RamificationError,
     SeedError,
 )
@@ -59,8 +63,8 @@ from .poly_core import (
 )
 
 JOINT_TOL = 1e-12        # segment endpoints must chain within this
-CONCAT_TOL = 1e-9        # concat endpoint agreement in (l, m)
-MONODROMY_TOL = 1e-8     # closed-loop l return test
+CONCAT_TOL = 1e-9        # concat endpoint agreement in m
+MONODROMY_REL = 1e-8     # l-sameness (closed-loop return, concat joint), relative to |l|
 DEFAULT_SEED_TOL = 1e-6  # seed residual, relative to the term scale
 RESID_REL = 1e-12        # Newton tolerance, relative to the running term scale
 RAM_REL = 1e-8           # |dA/dl| guard, relative to the running term scale
@@ -226,7 +230,6 @@ class TrackedPath:
     residual_max: float
     closed: bool
     base_convention: dict = field(compare=False)
-    l_return_gap: Optional[float] = None
     # sample intervals of each segment, in route order (empty: not known),
     # and whether every segment kept its equal-step grid (no step halved)
     segment_intervals: Tuple[int, ...] = ()
@@ -240,11 +243,10 @@ class TrackedPath:
     def n_samples(self) -> int:
         return len(self.t)
 
-    @property
-    def l_monodromy_trivial(self) -> Optional[bool]:
-        if self.l_return_gap is None:
-            return None
-        return self.l_return_gap <= MONODROMY_TOL
+
+def _same_l(a: complex, b: complex) -> bool:
+    """a is the same l as b: |a - b| <= MONODROMY_REL |b|."""
+    return bool(abs(a - b) <= MONODROMY_REL * abs(b))
 
 
 def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex, budget: int):
@@ -387,7 +389,9 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     accepted point falls below RAM_REL * scale, and NonConvergence when
     the step size underflows.  The path's diagnostics record the halvings,
     the smallest accepted step, the most Newton steps to a hit and the
-    smallest |dA/dl| / scale over every segment.
+    smallest |dA/dl| / scale over every segment.  Raises DomainError at a
+    sample with m = 0 or l = 0, and NotClosed when a closed spec's lift
+    does not return to its first l.
     """
     Am = partial(A, "m")
 
@@ -416,15 +420,19 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     t = np.concatenate(t_parts)
     l = np.array(l_all, dtype=complex)
     m = np.array(m_all, dtype=complex)
+    for name, z in (("m", m), ("l", l)):
+        if not z.all():
+            raise DomainError("route meets %s = 0 at m = %s" % (name, m[np.argmin(np.abs(z))]))
+    if spec.closed and not _same_l(l[-1], l[0]):
+        raise NotClosed("closed route's lift does not return: l gap %.3g at |l| = %.3g"
+                        % (abs(l[-1] - l[0]), abs(l[0])))
     arg_m_zeroed = bool(abs(m[0] - 1.0) <= BASE_EPS)
-    gap = float(abs(l[-1] - l[0])) if spec.closed else None
     return TrackedPath(
         t=t, l=l, m=m,
         log_l=_unwrapped_log(l), log_m=_unwrapped_log(m, arg_m_zeroed),
         residual_max=resid_max,
         closed=spec.closed,
         base_convention={"arg_m_zeroed": arg_m_zeroed},
-        l_return_gap=gap,
         segment_intervals=tuple(intervals),
         uniform=all(k == n for k in intervals),
         diagnostics=diagnostics,
@@ -542,8 +550,9 @@ def reverse(path: TrackedPath) -> TrackedPath:
 
 
 def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
-    """Join two tracked paths; b's args are re-based to continue a's unwrap."""
-    if abs(a.l[-1] - b.l[0]) > CONCAT_TOL or abs(a.m[-1] - b.m[0]) > CONCAT_TOL:
+    """Join two tracked paths; b's args are re-based to continue a's unwrap.
+    Ends meet, and the join is closed, when l is _same_l and m within CONCAT_TOL."""
+    if not _same_l(b.l[0], a.l[-1]) or abs(a.m[-1] - b.m[0]) > CONCAT_TOL:
         raise MismatchError("paths do not share an endpoint")
 
     def joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -554,14 +563,13 @@ def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
     t = np.concatenate((a.t * w, w + (1 - w) * b.t[1:]))
     l = np.concatenate((a.l, b.l[1:]))
     m = np.concatenate((a.m, b.m[1:]))
-    closed = bool(abs(l[-1] - l[0]) <= MONODROMY_TOL and abs(m[-1] - m[0]) <= JOINT_TOL * 1e3)
+    closed = _same_l(l[-1], l[0]) and abs(m[-1] - m[0]) <= CONCAT_TOL
     return TrackedPath(
         t=t, l=l, m=m,
         log_l=joined(a.log_l, b.log_l), log_m=joined(a.log_m, b.log_m),
         residual_max=max(a.residual_max, b.residual_max),
         closed=closed,
         base_convention=dict(a.base_convention),
-        l_return_gap=float(abs(l[-1] - l[0])) if closed else None,
         segment_intervals=(a.segment_intervals + b.segment_intervals
                            if a.segment_intervals and b.segment_intervals else ()),
         uniform=a.uniform and b.uniform,

@@ -225,7 +225,8 @@ def regulator_exponent(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
     A role is 'l', 'm' or an (a, b) pair naming the monomial l^a m^b,
     whose log is a log_l + b log_m.  int df/f is 2 pi i times the integer
     winding of f, read off the unwrapped args; log g(t0) is the base
-    sample's unwrapped value.
+    sample's unwrapped value.  For (l, m), -Im / 2 pi of the exponent,
+    -arg r / 2 pi, is (xi + 2 pi w_l arg m(t0)) / 4 pi^2.
     """
     if not loop.closed:
         raise NotClosed("regulator needs a closed loop")

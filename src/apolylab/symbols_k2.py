@@ -17,16 +17,17 @@ on any loop that encloses no other puncture, whatever its shape.  The
 integral runs through one_forms' table and Romberg step, the quadrature
 of every other form, and lifts no further path.
 
-Loop periods of xi are recognized as rationals: the quantization result
-for the curve says (1/4 pi^2) times the closed xi-period is p/q, with q
-the order of the symbol {l, m}; the lcm of recognized denominators is
+The quantization condition says the regulator r(l, m) of every closed
+loop on the curve is a root of unity.  -arg r / 2 pi, read off
+one_forms.regulator_exponent, is recognized as p/q, with q dividing the
+order of the symbol {l, m}; the lcm of recognized denominators is
 reported as a lower bound for that order, never as a certified value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List
 
@@ -44,7 +45,6 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class Valuation:
     v: int
-    witness_radius: float
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,10 @@ class RationalRecognition:
 
 
 def _loop_geometry(loop: TrackedPath):
-    """Center and mean radius of the loop's m samples, and log(m - center)
-    along it, its arg unwrapped sample to sample."""
-    m = loop.m[:-1] if loop.closed else loop.m
-    center = complex(np.mean(m))
-    radius = float(np.mean(np.abs(m - center)))
-    return center, radius, _unwrapped_log(loop.m - center)
+    """Center of the loop's m samples, and log(m - center) along it, its
+    arg unwrapped sample to sample."""
+    center = complex(np.mean(loop.m[:-1] if loop.closed else loop.m))
+    return center, _unwrapped_log(loop.m - center)
 
 
 def valuation(A: LaurentBiPoly, x_loop: TrackedPath, f_role: str) -> Valuation:
@@ -73,8 +71,7 @@ def valuation(A: LaurentBiPoly, x_loop: TrackedPath, f_role: str) -> Valuation:
     v = round(d)
     if abs(d - v) > WINDING_SLACK:
         raise AmbiguousWinding("winding %.6f is not near an integer" % d)
-    _, radius, _ = _loop_geometry(x_loop)
-    return Valuation(v=v, witness_radius=radius)
+    return Valuation(v=v)
 
 
 def tame_symbol(A: LaurentBiPoly, x_loop: TrackedPath, v_l: Valuation,
@@ -90,7 +87,7 @@ def tame_symbol(A: LaurentBiPoly, x_loop: TrackedPath, v_l: Valuation,
     of max(1, |T|), or ExtrapolationUnstable is raised.  A loop with no
     turn about x raises AmbiguousWinding.  A is not read.
     """
-    center, _, log_rel = _loop_geometry(x_loop)
+    center, log_rel = _loop_geometry(x_loop)
     winding = float((log_rel[-1] - log_rel[0]).imag) / TWO_PI
     turns = round(winding) if math.isfinite(winding) else 0
     if turns == 0:
@@ -111,8 +108,9 @@ def recognize_rational(value: float, q_max: int = 48, tol: float = 1e-5
                        ) -> RationalRecognition:
     """Best continued-fraction convergent p/q with q <= q_max.
 
-    The stable flag is left False; callers set it after re-running the
-    quadrature on a halved mesh.  Raises NoRational (carrying the best
+    The stable flag is left False: only the caller knows the value's
+    error estimate, and the recognition is stable when residual plus that
+    estimate stays within tol.  Raises NoRational (carrying the best
     candidate) when nothing lands within tol.
     """
     if q_max < 1:
@@ -125,12 +123,6 @@ def recognize_rational(value: float, q_max: int = 48, tol: float = 1e-5
         raise NoRational("no p/q with q <= %d within %g of %.12g"
                          % (q_max, tol, value), best=rec)
     return rec
-
-
-def mark_stable(rec: RationalRecognition, other: RationalRecognition
-                ) -> RationalRecognition:
-    """Set the stable flag when a halved-mesh recognition agrees."""
-    return replace(rec, stable=(rec.p == other.p and rec.q == other.q))
 
 
 def estimate_symbol_order(recognitions: Iterable[RationalRecognition]) -> int:

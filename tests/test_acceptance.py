@@ -3,7 +3,8 @@
 Each test prints a single PASS/FAIL line (visible under pytest -s) and
 then asserts, so a plain pytest run is still authoritative.  The nine
 checks cover: closed-loop exactness of the volume form, lattice
-rationality of the Chern-Simons form, regulator vs tame symbol, the
+rationality of the regulator's argument (the Chern-Simons period on
+loops started on the positive real axis), regulator vs tame symbol, the
 Steinberg relation, the holonomy (its two expressions differ by |ratio|
 est_error / 3, which restates the refinement target of
 one_forms.track_refined, so check 5 also requires the value within 1e-12
@@ -30,7 +31,6 @@ from apolylab.curve_tracker import (
     PathSpec,
     StepControls,
     lift_path,
-    refine,
     reverse,
 )
 from apolylab.jones_kashaev import (
@@ -40,7 +40,7 @@ from apolylab.jones_kashaev import (
 )
 from apolylab.poly_core import parse_poly, roots_in_l
 
-FOUR_PI2 = 4.0 * math.pi ** 2
+TWO_PI = 2.0 * math.pi
 
 
 def verdict(num, name, ok, detail):
@@ -80,7 +80,8 @@ LOOPS = {
     "contractible_b": (0.25 + 0.25j, 0.12, "small"),
 }
 
-# periods of the Chern-Simons form over those loops, in units of 4 pi^2
+# -arg r / 2 pi of the regulator over those loops, each started on the
+# positive real axis, where it is the Chern-Simons period in units of 4 pi^2
 XI_LATTICE = {
     "puncture_small": (-2, 1),
     "puncture_big": (2, 1),
@@ -114,16 +115,12 @@ def test_2_xi_periods_rational(fig8, loop_data):
     details = []
     ok = True
     for name, (spec, path, res, used) in data.items():
-        ratio = res["xi"].value / FOUR_PI2
-        halved = lift_path(fig8, spec, refine(used))
-        ratio_h = one_forms.integrate_xi(halved).value / FOUR_PI2
-        rec = symbols_k2.mark_stable(
-            symbols_k2.recognize_rational(ratio, 48, 1e-5),
-            symbols_k2.recognize_rational(ratio_h, 48, 1e-5))
+        exponent = one_forms.regulator_exponent(path)
+        rec = symbols_k2.recognize_rational(-exponent.value.imag / TWO_PI, 48, 1e-5)
         details.append("%s=%d/%d" % (name, rec.p, rec.q))
-        ok &= (rec.stable and rec.q <= 48 and rec.residual < 1e-5
+        ok &= (rec.residual + exponent.est_error / TWO_PI < 1e-5
                and (rec.p, rec.q) == XI_LATTICE[name])
-    verdict(2, "xi periods land on 4pi^2 Z", ok, " ".join(details))
+    verdict(2, "-arg r / 2pi lands on Z", ok, " ".join(details))
 
 
 def test_3_regulator_matches_tame_symbol(fig8):

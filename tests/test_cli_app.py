@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import subprocess
 from pathlib import Path
 
@@ -130,10 +131,17 @@ class TestRunVerb:
         # ... and m0^4 overflows to a non-finite coefficient
         ("jones", "knot", {"name": "k", "a_poly": "l*m^4 - 1", "vol": 1.0, "cs": 0.0,
                            "seed": {"m0": [1e100, 0], "l_near": [1, 0]}}),
+        # loops and witness loops must be closed routes
+        ("one_forms", "loops", {"open": dict(circle_json(0j, 0.3, 0.0090699074 + 0j),
+                                              closed=False)}),
+        ("symbols", "punctures", {"p": {"a_poly": "m + l - 1",
+                                        "loop": dict(circle_json(1.0, 0.1, -0.1 + 0j),
+                                                     closed=False)}}),
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
             "newton_budget_negative", "min_step_zero", "q_max_zero",
-            "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite"])
+            "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite",
+            "loop_open", "puncture_open"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
                                       target, section, entry):
@@ -220,26 +228,82 @@ class TestRunVerb:
 
     def test_xi_row_keeps_the_full_mesh_rational(self, tmp_path, monkeypatch,
                                                   minimal_cfg):
-        # the full-mesh xi/4pi^2 is -2; a halved-mesh value with no rational
-        # only leaves the recognition unstable
-        def halved_xi(path):
-            return one_forms.IntegralResult(value=4.0 * math.pi ** 2 / 97.0, est_error=0.0,
-                                            n_samples=path.n_samples, certified=False)
+        # the rational row and its verdict come from the regulator exponent
+        # of the loop's own lift: -arg r / 2 pi = 1/97 has no rational and
+        # writes stable 0; -2 with est_error / 2 pi = 1e-4 above the 1e-5
+        # tolerance is recognized but unstable
+        def run_with(value, est_error):
+            def exponent(path, *roles):
+                return one_forms.IntegralResult(value=value, est_error=est_error,
+                                                n_samples=path.n_samples, certified=False)
 
-        monkeypatch.setattr(one_forms, "integrate_xi", halved_xi)
-        assert cli_app.main(["run", str(write_cfg(tmp_path, minimal_cfg))]) == 1
-        rows = {r.split(",")[1]: r.split(",")
-                for r in (tmp_path / "results" / "one_forms.csv").read_text().splitlines()}
-        p, q, residual, stable = rows["xi/4pi2_rational:m0_small"][2:6]
+            monkeypatch.setattr(one_forms, "regulator_exponent", exponent)
+            d = tmp_path / ("%g" % est_error)
+            d.mkdir()
+            assert cli_app.main(["run", str(write_cfg(d, minimal_cfg))]) == 1
+            rows = {r.split(",")[1]: r.split(",")
+                    for r in (d / "results" / "one_forms.csv").read_text().splitlines()}
+            lines = (d / "results" / "summary.txt").read_text().splitlines()
+            line, = [line for line in lines if line.startswith("[regulator]")]
+            return rows["xi/4pi2_rational:m0_small"][2:6], line
+
+        (p, q, residual, stable), line = run_with(-2j * math.pi / 97.0, 0.0)
+        assert stable == "0" and int(q) <= 48 and float(residual) > 1e-5
+        assert line.endswith(" (no q<=48 rational within 1e-05)  FAIL")
+        (p, q, residual, stable), line = run_with(4j * math.pi, 2.0 * math.pi * 1e-4)
         assert (p, q, stable) == ("-2", "1", "0") and float(residual) < 1e-12
+        assert " -> -2/1 residual " in line
+        assert line.endswith(" (unstable)  FAIL")
+
+    def test_loop_around_a_branch_point_exits_1_with_one_line(self, tmp_path, capsys,
+                                                               minimal_cfg, fig8_record):
+        # once around 1/phi the sheets swap: the closed loop does not close
+        center = (math.sqrt(5.0) - 1.0) / 2.0
+        seed = min(roots_in_l(fig8_record.a_poly, center + 0.1), key=abs)
+        cfg = dict(minimal_cfg, loops={"phi": circle_json(center, 0.1, seed)})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("stage one_forms failed: closed route's lift does not "
+                                 "return: l gap 1.9")
+
+    def test_route_through_m_zero_exits_1_with_one_line(self, tmp_path, capsys):
+        # a bowtie witness loop on l = 2 - m meeting m = 0 at a grid point
+        corners = [[0.5, 0.5], [-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]]
+        loop = {"segments": [{"kind": "line", "m_start": a, "m_end": b}
+                             for a, b in zip(corners, corners[1:])],
+                "l_seed": [1.5, -0.5], "closed": True}
+        cfg = {"knot": "fig8", "targets": ["symbols"],
+               "punctures": {"bowtie": {"a_poly": "m + l - 2", "loop": loop}}}
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["stage symbols failed: route meets m = 0 at m = 0j"]
+
+    @pytest.mark.parametrize("angle", [1.0, 2.5])
+    def test_regulator_verdicts_do_not_depend_on_the_start(self, tmp_path, fig8_record,
+                                                           angle):
+        # the demo's four loops started off the real axis: xi / 4 pi^2 is no
+        # longer an integer on the loops about m = 0, but r(l, m) is still 1
+        cfg = cli_app.build_demo_config()
+        loops = {}
+        for name, loop in cfg["loops"].items():
+            seg = loop["segments"][0]
+            center, radius = complex(*seg["center"]), seg["radius"]
+            start = center + radius * complex(math.cos(angle), math.sin(angle))
+            roots = sorted(roots_in_l(fig8_record.a_poly, start), key=abs)
+            seed = roots[-1] if name == "m0_big" else roots[0]
+            loops[name] = circle_json(center, radius, seed, angle, angle + 2.0 * math.pi)
+        cfg = {"knot": "fig8", "targets": ["one_forms"], "loops": loops, "out_dir": "results"}
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
         lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
-        xi_line, = [line for line in lines if line.startswith("[xi]")]
-        assert " -> -2/1 residual " in xi_line
-        assert xi_line.endswith(" (unstable)  FAIL")
+        verdicts = [line for line in lines if line.startswith("[regulator]")]
+        assert len(verdicts) == 4
+        assert all(re.search(r" -> -?\d+/1 residual \S+  PASS$", line) for line in verdicts)
+        assert "[order] estimated order of {l,m} (lower bound): 1" in lines
 
     def test_stage_failure_exits_1(self, tmp_path, capsys):
-        # valuation on a loop through the square-root branching is
-        # half-integer, which the symbols stage reports as a failure
+        # a loop once around the square-root branching does not close on
+        # the curve, which the symbols stage reports as a failure
         cfg = {
             "knot": {"name": "sqrt", "a_poly": "l^2 - m", "vol": 0.0,
                      "cs": 0.0,
@@ -289,11 +353,11 @@ class TestDemoVerb:
             tag, rest = line.split("]", 1)
             words = rest.strip().split()
             # "[eta] loop NAME:" vs "[tame] NAME:" style lines
-            name = (words[1] if tag in ("[eta", "[xi", "[kk")
+            name = (words[1] if tag in ("[eta", "[regulator", "[kk")
                     else words[0]).rstrip(":")
             if tag == "[eta":
                 assert ",eta:%s," % name in forms
-            elif tag == "[xi":
+            elif tag == "[regulator":
                 assert ",xi/4pi2_rational:%s," % name in forms
             elif tag in ("[tame", "[steinberg"):
                 assert "\n%s," % name in symbols

@@ -14,6 +14,7 @@ from apolylab import (
     LineSeg,
     MismatchError,
     NonConvergence,
+    NotClosed,
     PathSpec,
     RamificationError,
     SeedError,
@@ -76,19 +77,20 @@ def test_identity_curve_lift(ctrl):
     assert path.n_samples == 101
     assert path.t[0] == 0.0 and path.t[-1] == 1.0
     assert np.all(np.diff(path.t) > 0)
-    assert not path.closed and path.l_return_gap is None
-    assert path.l_monodromy_trivial is None
+    assert not path.closed
     assert _reconstructs(path)
 
 
 def test_sqrt_curve_monodromy(ctrl):
-    # l^2 = m: one turn around the origin swaps the sheets
+    # l^2 = m: one turn around the origin swaps the sheets, so the circle
+    # lifts as an open route and its closed spec is refused
     p = parse_poly("l^2 - m")
-    path = lift_path(p, loop_around_m(p, 0j, 1.0, 1.0, turns=1), ctrl)
-    assert path.closed
+    spec = loop_around_m(p, 0j, 1.0, 1.0, turns=1)
+    with pytest.raises(NotClosed, match=r"l gap 2 at \|l\| = 1"):
+        lift_path(p, spec, ctrl)
+    path = lift_path(p, replace(spec, closed=False), ctrl)
+    assert not path.closed
     assert path.l[-1] == pytest.approx(-1.0, abs=1e-9)
-    assert path.l_monodromy_trivial is False
-    assert path.l_return_gap == pytest.approx(2.0, abs=1e-9)
     assert path.log_l.imag[-1] - path.log_l.imag[0] == pytest.approx(math.pi, abs=1e-9)
     assert path.log_m.imag[-1] - path.log_m.imag[0] == pytest.approx(TWO_PI, abs=1e-12)
 
@@ -96,14 +98,17 @@ def test_sqrt_curve_monodromy(ctrl):
 def test_sqrt_curve_two_turns_restore(ctrl):
     p = parse_poly("l^2 - m")
     path = lift_path(p, loop_around_m(p, 0j, 1.0, 1.0, turns=2), ctrl)
-    assert path.l_monodromy_trivial is True
+    assert path.closed
     assert path.l[-1] == pytest.approx(1.0, abs=1e-9)
     assert path.log_l.imag[-1] == pytest.approx(TWO_PI, abs=1e-9)
 
 
 def test_sqrt_curve_clockwise(ctrl):
     p = parse_poly("l^2 - m")
-    path = lift_path(p, loop_around_m(p, 0j, 1.0, 1.0, turns=-1), ctrl)
+    spec = loop_around_m(p, 0j, 1.0, 1.0, turns=-1)
+    with pytest.raises(NotClosed):
+        lift_path(p, spec, ctrl)
+    path = lift_path(p, replace(spec, closed=False), ctrl)
     assert path.log_m.imag[-1] == pytest.approx(-TWO_PI, abs=1e-12)
     assert path.log_l.imag[-1] == pytest.approx(-math.pi, abs=1e-9)
     assert path.l[-1] == pytest.approx(-1.0, abs=1e-9)
@@ -208,6 +213,37 @@ def test_concat_rejects_disjoint(fig8, ctrl):
                                   l_seed=small_root(fig8, 0.3 * unit(1.5))), ctrl)
     with pytest.raises(MismatchError):
         concat(pa, pb)
+
+
+def test_big_sheet_circle_closes_and_concats(fig8, ctrl):
+    # on the big sheet at |m| = 0.015, |l| is about 2e7: the lift returns
+    # within 1e-15 of |l| (an l gap near 2e-8), so the circle is closed and
+    # joins itself into a closed double turn whose regulator is 1
+    loop = lift_path(fig8, loop_around_m(fig8, 0j, 0.015, big_root(fig8, 0.015)), ctrl)
+    assert abs(loop.l[0]) > 1e7 and loop.closed
+    twice = concat(loop, loop)
+    assert twice.closed
+    assert abs(one_forms.regulator(twice).value - 1.0) < 1e-12
+
+
+def test_closed_loop_around_a_branch_point_is_refused(fig8, ctrl):
+    # once around 1/phi the two sheets of the figure-eight swap
+    center = (math.sqrt(5.0) - 1.0) / 2.0
+    spec = loop_around_m(fig8, center, 0.1, small_root(fig8, center + 0.1))
+    with pytest.raises(NotClosed, match="lift does not return"):
+        lift_path(fig8, spec, ctrl)
+
+
+def test_route_through_m_zero_is_refused(ctrl):
+    # a bowtie on l = 2 - m whose first line meets m = 0 at its grid
+    # midpoint: refused before any log is taken (RuntimeWarnings are
+    # errors under the test configuration)
+    lin2 = parse_poly("m + l - 2")
+    corners = [0.5 + 0.5j, -0.5 - 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, 0.5 + 0.5j]
+    spec = PathSpec(segments=tuple(LineSeg(a, b) for a, b in zip(corners, corners[1:])),
+                    l_seed=2.0 - corners[0], closed=True)
+    with pytest.raises(DomainError, match="route meets m = 0"):
+        lift_path(lin2, spec, ctrl)
 
 
 def test_reverse_involution(fig8, ctrl):
@@ -345,7 +381,7 @@ def test_closed_loop_gap_small_on_unbranched_sheet(fig8, ctrl):
     spec = loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3), turns=1)
     path = lift_path(fig8, spec, ctrl)
     assert path.closed
-    assert path.l_monodromy_trivial is True
+    assert path.l[-1] == pytest.approx(path.l[0], rel=curve_tracker.MONODROMY_REL)
     assert path.log_m.imag[-1] == pytest.approx(TWO_PI, abs=1e-12)
     # winding of l on this sheet is 4 (l ~ m^4 near the puncture)
     assert path.log_l.imag[-1] - path.log_l.imag[0] == pytest.approx(4 * TWO_PI, abs=1e-8)

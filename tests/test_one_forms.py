@@ -270,7 +270,6 @@ def _fabricated_constant_m_path(n=41):
         log_l=np.log(np.abs(l)) + 0.9j * t, log_m=np.zeros(n, dtype=complex),
         residual_max=0.0, closed=False,
         base_convention={"arg_m_zeroed": True},
-        l_return_gap=None,
     )
 
 

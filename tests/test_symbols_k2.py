@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from apolylab import (
     ExtrapolationUnstable,
     LineSeg,
     NoRational,
+    NotClosed,
     PathSpec,
     concat,
     estimate_symbol_order,
@@ -19,7 +21,7 @@ from apolylab import (
     valuation,
 )
 from apolylab import curve_tracker
-from apolylab.symbols_k2 import RationalRecognition, Valuation, mark_stable
+from apolylab.symbols_k2 import RationalRecognition, Valuation
 from conftest import big_root, small_root
 
 
@@ -35,7 +37,6 @@ def test_valuation_fig8_small_sheet(fig8, ctrl):
     v_l = valuation(fig8, loop, "l")
     v_m = valuation(fig8, loop, "m")
     assert (v_l.v, v_m.v) == (4, 1)
-    assert v_l.witness_radius == pytest.approx(0.3, rel=1e-6)
 
 
 def test_valuation_fig8_big_sheet(fig8, ctrl):
@@ -66,9 +67,13 @@ def test_valuation_role_validation(fig8, ctrl):
 
 
 def test_valuation_ambiguous_on_ramified_witness(ctrl):
-    # around the branch point of l^2 = m the lift winds half a turn
+    # around the branch point of l^2 = m the lift winds half a turn: it
+    # does not close, so it is lifted as an open route
     p = parse_poly("l^2 - m")
-    loop = lift_path(p, loop_around_m(p, 0j, 1.0, 1.0), ctrl)
+    spec = loop_around_m(p, 0j, 1.0, 1.0)
+    with pytest.raises(NotClosed):
+        lift_path(p, spec, ctrl)
+    loop = lift_path(p, replace(spec, closed=False), ctrl)
     with pytest.raises(AmbiguousWinding):
         valuation(p, loop, "l")
 
@@ -192,14 +197,6 @@ def test_recognize_rational_failure_carries_best():
         recognize_rational(0.5, q_max=0)
 
 
-def test_mark_stable():
-    a = recognize_rational(0.5)
-    b = recognize_rational(0.5 + 1e-7)
-    assert mark_stable(a, b).stable is True
-    c = recognize_rational(1.0 / 3.0)
-    assert mark_stable(a, c).stable is False
-
-
 def test_estimate_symbol_order():
     recs = [
         RationalRecognition(1, 2, 0.0, stable=True),
@@ -215,5 +212,5 @@ def test_estimate_symbol_order():
 
 
 def test_valuation_dataclass_shape():
-    v = Valuation(v=4, witness_radius=0.3)
-    assert v.v == 4 and v.witness_radius == 0.3
+    v = Valuation(v=4)
+    assert v.v == 4
