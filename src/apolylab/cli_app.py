@@ -463,8 +463,9 @@ def _stage_kirk_klassen(rc, run_id, csv, summary):
                 est, path.n_samples)
         csv.add(run_id, "kk_expr_diff:" + name, kk.expr_diff, 0.0, est,
                 path.n_samples)
-        summary.add("[kk] path %s: two expressions differ by %.3g"
-                    % (name, kk.expr_diff), ok=kk.expr_diff < tol)
+        # expr_diff is |kk| est_error / 3: it restates the stopping rule
+        summary.note("[kk] path %s: two expressions differ by %.3g (unverified)"
+                     % (name, kk.expr_diff))
 
 
 def _stage_jones(rc, csv, summary, timings):
@@ -522,12 +523,14 @@ def _stage_conjecture(rc, run_id, csv, jones_csv, summary, q_order, timings):
                 jones_csv.add(N, k, a, value.log_abs, value.arg,
                               elapsed_ms / len(seq) if timings else 0.0)
         gap, report = conjecture_gap(fit, vol, cs, u.value)
-        finite = all(map(math.isfinite, (vol, cs, u.value, fit.slope)))
         endpoint = complex(path.m[-1])
-        summary.add("[conjecture] %s: m_end=%.6g%+.6gj Vol=%.12g CS=%.12g "
-                    "U=%.12g" % (label, endpoint.real, endpoint.imag, vol, cs,
-                                 u.value),
-                    ok=finite)
+        line = ("[conjecture] %s: m_end=%.6g%+.6gj Vol=%.12g CS=%.12g U=%.12g"
+                % (label, endpoint.real, endpoint.imag, vol, cs, u.value))
+        # finite values are not checked against anything: no verdict
+        if all(map(math.isfinite, (vol, cs, u.value, fit.slope))):
+            summary.note(line + " (unverified)")
+        else:
+            summary.add(line, ok=False)
         if ang == 0.0:
             summary.note("[conjecture]   a=1 targets the singular geometric "
                          "point; integrals stop at the offset base point "

@@ -1,19 +1,25 @@
 """Lift routes in the m-plane onto the curve A(l, m) = 0.
 
 A PathSpec is a chain of line and arc segments in the m-plane plus a
-branch seed for l at the first point.  lift_path follows the route by
-tangent prediction and Newton correction in l.  At each grid m, A and
-dA/dm are polynomials in l: their coefficient rows are built for a
-segment's whole grid at once (poly_core.laurent_rows, one numpy pass),
-and Newton runs scalar Horner on the current row (poly_core.horner_row),
-which gives A and dA/dl together.  One Newton loop (_newton) serves the
-seed polish and every step and returns dA/dl at its last iterate, so the
-ramification guard and the next predictor read dA/dl and dA/dm's row
-once per accepted point.  Each lift reports what it did in a
-LiftDiagnostics record.  The result carries one log state: the complex
-arrays log_l and log_m, each log|z| + i arg z with arg continuously
-unwrapped (between consecutive samples |delta arg| < pi), so winding
-numbers and branch-sensitive integrals are well defined downstream.
+branch seed for l at the first point.  lift_path follows the route one
+segment at a time on an equal-step grid.  At each grid m, A and dA/dm
+are polynomials in l whose coefficient rows are built in numpy
+(poly_core.laurent_rows).  The batch solves a segment's grid BATCH_CHUNK
+intervals at a time: every root at every m from one stacked eigvals
+call (poly_core.companion_roots), a tangent prediction from each root,
+and the seeded sheet followed through the nearest-root matches.  It
+refuses a segment at the first chunk where a match is ambiguous (the
+nearest root not below BATCH_RATIO of the second-nearest) or a point
+fails the march's residual or ramification check; the march then lifts
+the whole segment by tangent prediction and Newton correction in l,
+halving steps where Newton struggles.  One Newton loop (_newton) runs
+scalar Horner on a row (poly_core.horner_row), serves the seed polish
+and every step of the march, and returns dA/dl at its last iterate.
+Each lift reports what it did in a LiftDiagnostics record.  The result
+carries one log state: the complex arrays log_l and log_m, each
+log|z| + i arg z with arg continuously unwrapped (between consecutive
+samples |delta arg| < pi), so winding numbers and branch-sensitive
+integrals are well defined downstream.
 
 A closed path closes on the curve: lift_path and concat judge "the same
 l" by one rule, _same_l, relative to |l|.
@@ -52,10 +58,13 @@ from .errors import (
 from .poly_core import (
     REAL_SNAP_REL,
     LaurentBiPoly,
+    companion_roots,
     eval_poly,
     horner_row,
+    horner_rows,
     l_range,
     laurent_rows,
+    mark_unsolvable,
     max_term,
     partial,
     row_max_term,
@@ -73,6 +82,8 @@ BASE_EPS = 1e-4          # |m - 1| radius in which arg m(t0) is zeroed
 BRANCH_BUDGET = 30       # Newton steps of the branch-point locator
 BRANCH_STEP_REL = 1e-13  # its last step, relative to |l| and |m|
 SINGULAR_REL = 1e-6      # |m dA/dm| floor of a branch point, relative to the term scale
+BATCH_CHUNK = 256        # grid intervals per root solve of a batched lift
+BATCH_RATIO = 0.25       # a batched step's nearest root, below this share of the second-nearest
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,9 @@ class LineSeg:
     m_end: complex
 
     def point(self, s: float) -> complex:
+        return complex(self.points(s))
+
+    def points(self, s):
         return self.m_start + s * (self.m_end - self.m_start)
 
     def param(self, m: complex) -> complex:
@@ -104,8 +118,11 @@ class ArcSeg:
     angle_end: float
 
     def point(self, s: float) -> complex:
+        return complex(self.points(s))
+
+    def points(self, s):
         a = self.angle_start + s * (self.angle_end - self.angle_start)
-        return self.center + self.radius * complex(np.cos(a), np.sin(a))
+        return self.center + self.radius * (np.cos(a) + 1j * np.sin(a))
 
     def param(self, m: complex) -> complex:
         """The complex s with point(s) = m, its real part taken within half
@@ -149,9 +166,14 @@ class GradedSeg:
         object.__setattr__(self, "b", math.asinh((1.0 - self.s0) / self.w))
 
     def point(self, u: float) -> complex:
-        if u == 0.0 or u == 1.0:
-            return self.seg.point(u)
-        return self.seg.point(self.s0 + self.w * math.sinh(self.a + u * (self.b - self.a)))
+        return complex(self.points(u))
+
+    def points(self, u):
+        u = np.asarray(u, dtype=float)
+        x = (self.a + u * (self.b - self.a)).ravel().tolist()
+        # math.sinh: np.sinh differs from it in the last bit
+        s = self.s0 + self.w * np.array([math.sinh(v) for v in x]).reshape(u.shape)
+        return self.seg.points(np.where((u == 0.0) | (u == 1.0), u, s))
 
     @property
     def first(self) -> complex:
@@ -201,19 +223,24 @@ class StepControls:
 class LiftDiagnostics(NamedTuple):
     """What a lift did, deterministic: the step halvings, the smallest
     accepted step (in segment parameter), the most Newton steps an
-    accepted step took to the tolerance, and the smallest |dA/dl| / scale
-    at an accepted point, the margin that RAM_REL guards."""
+    accepted step of the march took to the tolerance, the smallest
+    |dA/dl| / scale at an accepted point, the margin that RAM_REL guards,
+    and the worst nearest / second-nearest root distance of a batched
+    step, the ratio that BATCH_RATIO bounds (0 when no segment was
+    batched)."""
 
     halvings: int = 0
     min_step: float = math.inf
     max_newton: int = 0
     min_margin: float = math.inf
+    max_ratio: float = 0.0
 
     def join(self, other: "LiftDiagnostics") -> "LiftDiagnostics":
         return LiftDiagnostics(self.halvings + other.halvings,
                                min(self.min_step, other.min_step),
                                max(self.max_newton, other.max_newton),
-                               min(self.min_margin, other.min_margin))
+                               min(self.min_margin, other.min_margin),
+                               max(self.max_ratio, other.max_ratio))
 
 
 @dataclass(frozen=True)
@@ -306,22 +333,139 @@ def _newton(row: List[complex], lo: int, l: complex, tol: float, budget: int):
 
 def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
                 l: complex, scale: float, ctrl: StepControls):
-    """March l along n equal steps of seg keeping A(l, m) = 0.
+    """Lift l along n equal steps of seg keeping A(l, m) = 0.
+
+    The grid's m come from one seg.points call.  The batch (_batch_grid)
+    solves the grid BATCH_CHUNK intervals at a time, in order, by root
+    solves and follows the seeded sheet from root to root.  It refuses
+    the segment at the first chunk where a step's nearest root is not
+    below BATCH_RATIO of the second-nearest, an accepted point fails the
+    march's residual or ramification check, a row cannot be solved, or
+    a step does not move m; the march (_march) then lifts the whole
+    segment again from l, with its step halvings and errors unchanged.
+    Returns (s, m, l, resid_max, scale, diagnostics): the accepted
+    segment parameters with their m and l samples, the largest residual,
+    the running term scale and the segment's LiftDiagnostics (a batched
+    segment reports no halvings and no Newton steps, and the worst match
+    ratio of its steps).
+    """
+    s = np.linspace(0.0, 1.0, n + 1)
+    ms = np.asarray(seg.points(s), dtype=complex)
+    batch = _batch_grid(A, Am, ms, l, scale)
+    if batch is None:
+        return _march(A, Am, seg, s.tolist(), ms.tolist(), l, scale, ctrl)
+    ls, resid_max, scale, min_margin, max_ratio = batch
+    return (s, ms, ls, resid_max, scale,
+            LiftDiagnostics(min_step=float(np.diff(s).min()), min_margin=min_margin,
+                            max_ratio=max_ratio))
+
+
+def _batch_grid(A: LaurentBiPoly, Am: LaurentBiPoly, ms: np.ndarray, l: complex,
+                scale: float):
+    """The lift of l along the grid ms by root solves, or None (refused).
+
+    Chunk by chunk, in order, BATCH_CHUNK intervals at a time from the
+    last accepted l: the l-coefficient rows of A and dA/dm at the chunk's
+    m (poly_core.laurent_rows, with term_maxima) give every root at every
+    m in one stacked eigvals call (poly_core.companion_roots).  Each root
+    at sample k predicts sample k + 1 by the tangent, l - (A_m / A_l) dm,
+    and is matched to the nearest root there; the seeded sheet is the
+    chain of matches from the root nearest l.  Each accepted point is
+    checked as the march checks it: |A| <= RESID_REL * scale and
+    |dA/dl| >= RAM_REL * scale, with scale the running maximum term.
+    Refused, at the first chunk where it happens, when a step's nearest
+    distance is not below BATCH_RATIO of its second-nearest, a check
+    fails, a row is not finite or its leading coefficient vanishes, a
+    step does not move m, or the sheet meets l = 0.  Returns (l,
+    resid_max, scale, min_margin, max_ratio): l at every grid m (l itself
+    first), the largest residual, the running scale, the smallest
+    |dA/dl| / scale and the worst ratio.
+    """
+    lo, hi = l_range(A)
+    if hi == lo or l == 0:
+        return None
+    ls = [np.array([l])]
+    resid_max, min_margin, max_ratio = 0.0, math.inf, 0.0
+    for first in range(0, len(ms) - 1, BATCH_CHUNK):
+        m = ms[first:first + BATCH_CHUNK + 1]
+        # non-finite values refuse the chunk; the march reports them
+        with np.errstate(all="ignore"):
+            rows, drows = laurent_rows(A, m, lo, hi), laurent_rows(Am, m, lo, hi)
+            maxima = term_maxima(A, m, lo, hi)
+        # a step that does not move m keeps l exactly on the march (Newton
+        # from a root stays there); a root solve would move it by rounding
+        if (mark_unsolvable(rows, np.zeros(len(m), dtype=int)).any()
+                or not (np.isfinite(drows).all() and np.isfinite(maxima).all())
+                or (m[1:] == m[:-1]).any()):
+            return None
+        if first == 0:
+            resid_max = abs(horner_row(rows[0].tolist(), lo, l)[0])
+        z = companion_roots(rows)
+        # row k of pred holds the predictions for sample k: l itself at the
+        # chunk's first m, then the tangent step from every root at k - 1.
+        # At a root A_m / A_l is the ratio of dA/dm's row to the l-derivative
+        # row of l^-lo A.
+        dz = rows[:, 1:] * np.arange(1, hi - lo + 1)
+        with np.errstate(all="ignore"):
+            slope = horner_rows(drows[:-1], z[:-1]) / horner_rows(dz[:-1], z[:-1])
+            pred = np.concatenate((np.full((1, z.shape[1]), l),
+                                   z[:-1] - slope * np.diff(m)[:, None]))
+            # nearest and second-nearest root to each prediction, by
+            # elementwise passes over the roots (a NaN distance ends up in
+            # the ratio and refuses)
+            match = np.zeros(pred.shape, dtype=int)
+            near, second = np.abs(pred - z[:, :1]), np.full(pred.shape, np.inf)
+            for j in range(1, z.shape[1]):
+                dist = np.abs(pred - z[:, j:j + 1])
+                closer = dist < near
+                second = np.where(closer, near, np.minimum(second, dist))
+                match[closer] = j
+                near = np.where(closer, dist, near)
+            ratio = near / second
+        # the seeded sheet's root index at each sample
+        sheet = [0]
+        for row in match.tolist():
+            sheet.append(row[sheet[-1]])
+        k = np.arange(len(m))
+        ratio = ratio[k, sheet[:-1]]
+        lc = z[k, sheet[1:]][1:]
+        if not (ratio < BATCH_RATIO).all() or not lc.all():
+            return None
+        # the march's checks at each accepted point
+        with np.errstate(all="ignore"):
+            v = horner_rows(rows[1:], lc[:, None])[:, 0]
+            dv = horner_rows(dz[1:], lc[:, None])[:, 0]
+            w = lc ** lo
+            r, dal = np.abs(w * v), np.abs(w * (dv + lo * v / lc))
+            term = (maxima[1:] * np.abs(lc)[:, None] ** np.arange(lo, hi + 1)).max(axis=1)
+        scales = np.maximum.accumulate(np.append(scale, term))
+        if not ((r <= RESID_REL * scales[:-1]).all() and (dal >= RAM_REL * scales[1:]).all()):
+            return None
+        resid_max = max(resid_max, float(r.max()))
+        min_margin = min(min_margin, float((dal / scales[1:]).min()))
+        max_ratio = max(max_ratio, float(ratio.max()))
+        scale = float(scales[-1])
+        ls.append(lc)
+        l = lc[-1]
+    return np.concatenate(ls), resid_max, scale, min_margin, max_ratio
+
+
+def _march(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, s: List[float],
+           ms: List[complex], l: complex, scale: float, ctrl: StepControls):
+    """March l along the grid s of seg (m = ms) keeping A(l, m) = 0, for
+    a segment the batch refused; same return value as _track_grid.
 
     A is read as a polynomial in l whose coefficients are taken once per
     grid m: poly_core.laurent_rows gives, for every grid m, the
     l-coefficient rows of A and of dA/dm, and poly_core.term_maxima the
     per-power term maxima (so the running scale is max_term's value), in
-    numpy arrays; a
-    halving midpoint gets its rows when it is inserted.  Each step is a
-    tangent prediction from the last accepted point and one _newton run
-    on the new m's row.  dA/dl comes with each Newton iterate, and dA/dm's
-    row is read once per accepted point and reused by every retry from
-    it.  A step whose Newton run misses the tolerance or needs more than
-    HALVE_AFTER steps to hit it is halved by inserting the parameter
-    midpoint.  Returns (s, m, l, resid_max, scale, diagnostics): the
-    accepted segment parameters with their m and l samples, the largest
-    residual, the running term scale and the segment's LiftDiagnostics.
+    numpy arrays; a halving midpoint gets its rows when it is inserted.
+    Each step is a tangent prediction from the last accepted point and
+    one _newton run on the new m's row.  dA/dl comes with each Newton
+    iterate, and dA/dm's row is read once per accepted point and reused
+    by every retry from it.  A step whose Newton run misses the tolerance
+    or needs more than HALVE_AFTER steps to hit it is halved by inserting
+    the parameter midpoint.
     """
     lo, hi = l_range(A)
     w = hi - lo + 1
@@ -330,8 +474,6 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
         return (np.concatenate((laurent_rows(A, m, lo, hi), laurent_rows(Am, m, lo, hi)),
                                axis=1), term_maxima(A, m, lo, hi))
 
-    s = np.linspace(0.0, 1.0, n + 1).tolist()
-    ms = [complex(seg.point(x)) for x in s]
     rows, maxima = rows_at(ms)
     row = rows[0].tolist()
     r, dal = horner_row(row[:w], lo, l)
@@ -380,18 +522,21 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
 
     The seed is checked and polished on A's coefficient row at the start
     point, with no root solve (_seed: SeedError when it is off the curve
-    or where |dA/dl| fails the guard below).  Each step then runs the same _newton
-    to |A| <= RESID_REL * scale, with scale the running maximum term
-    magnitude along the path, and polishes on within ctrl.newton_budget
-    steps in total.  A step whose run needs more than HALVE_AFTER steps
-    to the tolerance is halved by inserting the parameter midpoint, down
-    to ctrl.min_step.  Raises RamificationError when |dA/dl| at an
-    accepted point falls below RAM_REL * scale, and NonConvergence when
-    the step size underflows.  The path's diagnostics record the halvings,
-    the smallest accepted step, the most Newton steps to a hit and the
-    smallest |dA/dl| / scale over every segment.  Raises DomainError at a
-    sample with m = 0 or l = 0, and NotClosed when a closed spec's lift
-    does not return to its first l.
+    or where |dA/dl| fails the guard below).  Each segment is lifted on
+    ceil(1 / ctrl.max_step) equal steps by the batch, or, where the batch
+    refuses it, by the march (_track_grid).  Every accepted point has
+    |A| <= RESID_REL * scale, with scale the running maximum term
+    magnitude along the path.  A march step is the same _newton to that
+    tolerance, polishing on within ctrl.newton_budget steps in total; a
+    step whose run needs more than HALVE_AFTER steps to the tolerance is
+    halved by inserting the parameter midpoint, down to ctrl.min_step.
+    Raises RamificationError when |dA/dl| at an accepted point falls
+    below RAM_REL * scale, and NonConvergence when the step size
+    underflows.  The path's diagnostics record the halvings, the smallest
+    accepted step, the most Newton steps to a hit, the smallest
+    |dA/dl| / scale and the worst batched match ratio over every
+    segment.  Raises DomainError at a sample with m = 0 or l = 0, and
+    NotClosed when a closed spec's lift does not return to its first l.
     """
     Am = partial(A, "m")
 
@@ -400,26 +545,27 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
     n_segs = len(spec.segments)
     t_parts: List[np.ndarray] = []
-    m_all: List[complex] = []
-    l_all: List[complex] = [l0]
+    m_parts: List[np.ndarray] = []
+    l_parts: List[np.ndarray] = [np.array([l0])]
+    l_end = l0
     intervals: List[int] = []
     resid_max = 0.0
     diagnostics = LiftDiagnostics()
     for seg_idx, seg in enumerate(spec.segments):
-        s, m_seg, l_seg, resid, scale, diag = _track_grid(A, Am, seg, n, l_all[-1],
-                                                           scale, ctrl)
+        s, m_seg, l_seg, resid, scale, diag = _track_grid(A, Am, seg, n, l_end, scale, ctrl)
         resid_max = max(resid_max, resid)
         diagnostics = diagnostics.join(diag)
         intervals.append(len(s) - 1)
         # each later segment starts on the previous one's last sample
         first = 1 if seg_idx > 0 else 0
         t_parts.append((seg_idx + np.asarray(s[first:])) / n_segs)
-        m_all += m_seg[first:]
-        l_all += l_seg[1:]
+        m_parts.append(np.asarray(m_seg[first:], dtype=complex))
+        l_parts.append(np.asarray(l_seg[1:], dtype=complex))
+        l_end = complex(l_seg[-1])
 
     t = np.concatenate(t_parts)
-    l = np.array(l_all, dtype=complex)
-    m = np.array(m_all, dtype=complex)
+    l = np.concatenate(l_parts)
+    m = np.concatenate(m_parts)
     for name, z in (("m", m), ("l", l)):
         if not z.all():
             raise DomainError("route meets %s = 0 at m = %s" % (name, m[np.argmin(np.abs(z))]))

@@ -31,7 +31,9 @@ the eigenvalues of the companion matrices of every solvable row in one
 stacked LAPACK call (``np.linalg.eigvals``, backward stable), polishes
 them by Newton's method and returns them with a per-row status code
 (:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l` is
-its one-row case and raises the row's error.
+its one-row case and raises the row's error.  :func:`companion_roots`
+is that solve, unsorted, on rows a caller built itself (the batched
+lift), and :func:`mark_unsolvable` the row check that comes before it.
 """
 
 from __future__ import annotations
@@ -401,21 +403,39 @@ def _solve_rows(coeffs: np.ndarray, status: np.ndarray):
     rows that turn out degenerate or not finite get their error code
     (status is updated in place)."""
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    mark_unsolvable(coeffs, status)
+    roots = np.full((n, d), np.nan, dtype=complex)
+    rows = np.flatnonzero(status == 0)
+    if d == 0 or not rows.size:
+        return roots, status
+    roots[rows] = _sort_and_cluster(companion_roots(coeffs[rows]))
+    return roots, status
+
+
+def mark_unsolvable(coeffs: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """status, updated in place: each row whose status is 0 gets the error
+    code of what stops companion_roots on it (a coefficient that is not
+    finite, a negligible leading coefficient, a zero row)."""
+    d = coeffs.shape[1] - 1
     # LAPACK rejects the whole stack if one matrix is not finite
     status[(status == 0) & ~np.isfinite(coeffs).all(axis=1)] = NO_CONVERGENCE
     abs_coeffs = np.abs(coeffs)
     scale = abs_coeffs.max(axis=1)
     status[(status == 0) & (abs_coeffs[:, d] <= 1e-12 * scale)] = LEAD_VANISHES
     status[(status == LEAD_VANISHES) & (scale == 0.0)] = VANISHES
-    roots = np.full((n, d), np.nan, dtype=complex)
-    rows = np.flatnonzero(status == 0)
-    if d == 0 or not rows.size:
-        return roots, status
+    return status
 
+
+def companion_roots(c: np.ndarray) -> np.ndarray:
+    """The d roots of each coefficient row c[b] (ascending powers, degree
+    d >= 1, finite, leading coefficient not negligible), unsorted: the
+    eigenvalues of the stacked companion matrices in one np.linalg.eigvals
+    call, Newton-polished, and on a real row snapped onto the axis within
+    REAL_SNAP_REL."""
+    d = c.shape[1] - 1
     # companion matrix of the monic row: ones on the subdiagonal, the
     # negated coefficients in descending powers along the first row
-    c = coeffs[rows]
-    companion = np.zeros((rows.size, d, d), dtype=complex)
+    companion = np.zeros((len(c), d, d), dtype=complex)
     companion[:, 1:, :-1] = np.eye(d - 1)
     companion[:, 0, :] = -c[:, d - 1::-1] / c[:, d:]
     z = _polish(c, np.linalg.eigvals(companion))
@@ -425,8 +445,7 @@ def _solve_rows(coeffs: np.ndarray, status: np.ndarray):
     # not flip on sub-epsilon imaginary noise
     real_rows = (c.imag == 0.0).all(axis=1)[:, None]
     near_real = real_rows & (np.abs(z.imag) <= REAL_SNAP_REL * (1.0 + np.abs(z)))
-    roots[rows] = _sort_and_cluster(np.where(near_real, z.real + 0j, z))
-    return roots, status
+    return np.where(near_real, z.real + 0j, z)
 
 
 def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -152,20 +152,39 @@ class TestRunVerb:
         assert not (tmp_path / "results").exists()
 
     def test_missed_quadrature_target_is_noted(self, tmp_path, minimal_cfg):
-        # est_error >= 0, so a target of 0 is missed on every route; the kk
-        # check (expr_diff < 0) fails too, hence exit 1
+        # est_error >= 0, so a target of 0 is missed on every route; a
+        # missed target is noted, not failed, and the kk line is no check
         seed = complex(*minimal_cfg["loops"]["m0_small"]["l_seed"])
         arc = dict(circle_json(0j, 0.3, seed, 0.0, 0.5), closed=False)
         cfg = dict(minimal_cfg, targets=["one_forms", "kirk_klassen"],
                    paths={"arc": arc},
                    tolerances={"quadrature_target": 0, "kirk_klassen": 0})
-        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
         lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("[kk]")] == [
+            "[kk] path arc: two expressions differ by 0 (unverified)"]
         noted = [line for line in lines if line.startswith("[quadrature]")]
         assert len(noted) == 2
         assert noted[0].startswith("[quadrature] loop m0_small: est_error eta ")
         assert noted[1].startswith("[quadrature] path arc: est_error kk ")
         assert all(line.endswith("misses target 0 (unverified)") for line in noted)
+
+    def test_non_finite_conjecture_value_fails(self, tmp_path, minimal_cfg, monkeypatch):
+        # a finite conjecture line is a note, checked against nothing; a
+        # non-finite value is still a failure
+        along = cli_app._add_along_rows
+
+        def nan_vol(*args):
+            return (math.nan,) + tuple(along(*args)[1:])
+
+        cfg = dict(minimal_cfg, targets=["conjecture"], jones={"a_values": [0.9, 1.1]})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
+        monkeypatch.setattr(cli_app, "_add_along_rows", nan_vol)
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+        lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
+        verdicts = [line for line in lines if line.startswith("[conjecture] a=")]
+        assert len(verdicts) == 2
+        assert all(" Vol=nan " in line and line.endswith("  FAIL") for line in verdicts)
 
     def test_graded_route_is_noted(self, tmp_path, minimal_cfg, fig8_record):
         # a path passing the branch point 1/phi at 1e-5 is graded toward it;
@@ -353,7 +372,7 @@ class TestDemoVerb:
             tag, rest = line.split("]", 1)
             words = rest.strip().split()
             # "[eta] loop NAME:" vs "[tame] NAME:" style lines
-            name = (words[1] if tag in ("[eta", "[regulator", "[kk")
+            name = (words[1] if tag in ("[eta", "[regulator")
                     else words[0]).rstrip(":")
             if tag == "[eta":
                 assert ",eta:%s," % name in forms
@@ -361,14 +380,21 @@ class TestDemoVerb:
                 assert ",xi/4pi2_rational:%s," % name in forms
             elif tag in ("[tame", "[steinberg"):
                 assert "\n%s," % name in symbols
-            elif tag == "[kk":
-                assert ",kk_expr_diff:%s," % name in forms
             elif tag == "[jones":
                 assert len(jones.splitlines()) > 1
-            elif tag == "[conjecture":
-                assert ",vol:%s," % name in forms
             else:
                 raise AssertionError("unrecognized verdict line: %s" % line)
+        # the kk and conjecture lines check nothing: notes, still backed by rows
+        unverified = [line for line in lines
+                      if line.startswith(("[kk] path ", "[conjecture] a="))]
+        assert len(unverified) == 4
+        for line in unverified:
+            assert line.endswith(" (unverified)")
+            words = line.split()
+            if words[0] == "[kk]":
+                assert ",kk_expr_diff:%s," % words[2].rstrip(":") in forms
+            else:
+                assert ",vol:%s," % words[1].rstrip(":") in forms
 
     def test_numpy_verdicts_are_counted(self):
         summary = cli_app._Summary()

@@ -32,7 +32,8 @@ from apolylab import (
 )
 from apolylab import cli_app, curve_tracker, one_forms
 from apolylab.curve_tracker import _track_grid
-from apolylab.poly_core import horner_row, l_range, laurent_rows, max_term, partial
+from apolylab.poly_core import (companion_roots, horner_row, l_range, laurent_rows, max_term,
+                                partial)
 from conftest import big_root, small_root, unit
 
 TWO_PI = 2.0 * math.pi
@@ -534,9 +535,13 @@ def test_negative_exponent_at_zero_is_a_domain_error(curve, spec):
 
 @pytest.mark.parametrize("name", ["two_segments", "near_branch"])
 def test_dadm_evaluated_once_per_accepted_point(fig8, monkeypatch, name):
-    # dA/dm's row is read once per accepted point: once per accepted
-    # step, once per segment start; retries reuse it
+    # on segments the march lifts (the near-branch line is refused by the
+    # batch, and BATCH_RATIO 0 refuses every segment), dA/dm's row is read
+    # once per accepted point: once per accepted step, once per segment
+    # start; retries reuse it
     curve, spec = _kernel_routes(fig8)[name]
+    if name == "two_segments":
+        monkeypatch.setattr(curve_tracker, "BATCH_RATIO", 0.0)
     rows = []
 
     def recording_horner(row, lo, l):
@@ -547,15 +552,18 @@ def test_dadm_evaluated_once_per_accepted_point(fig8, monkeypatch, name):
     path = lift_path(curve, spec, StepControls())
     dadm_rows = {tuple(r) for r in laurent_rows(partial(curve, "m"), path.m,
                                                 *l_range(curve)).tolist()}
+    assert path.diagnostics.max_ratio == 0.0
     assert sum(row in dadm_rows for row in rows) == path.n_samples - 1 + len(spec.segments)
 
 
 def test_diagnostics_report_the_lift(fig8):
+    # the near-branch line is marched (no batched step), the arc batched
     near = lift_path(fig8, _near_branch_line(fig8), StepControls())
     diag = near.diagnostics
     assert diag.halvings == near.n_samples - 101 > 0
     assert diag.min_step == pytest.approx(0.01 / 2 ** 5)
     assert 1 <= diag.max_newton <= curve_tracker.HALVE_AFTER
+    assert diag.max_ratio == 0.0
     # the margin shrinks like the square root of the closest approach:
     # 5.7e-3 at 1e-5 from 1/phi, below 1e-3 at 1e-7
     assert curve_tracker.RAM_REL < diag.min_margin < 1e-2
@@ -566,17 +574,124 @@ def test_diagnostics_report_the_lift(fig8):
                        StepControls())
     assert smooth.diagnostics.halvings == 0
     assert smooth.diagnostics.min_step == pytest.approx(0.01)
+    assert smooth.diagnostics.max_newton == 0
     assert smooth.diagnostics.min_margin > 1.0
+    assert 0.0 < smooth.diagnostics.max_ratio < 1e-3
     # reverse keeps the record and concat joins two
     assert reverse(near).diagnostics == diag
+    assert reverse(smooth).diagnostics == smooth.diagnostics
     end = complex(near.m[-1])
     tail = lift_path(fig8, PathSpec(segments=(LineSeg(end, end + 0.1),),
                                     l_seed=complex(near.l[-1])), StepControls())
+    assert tail.diagnostics.max_ratio > 0.0
     assert concat(near, tail).diagnostics == (
         diag.halvings + tail.diagnostics.halvings,
         min(diag.min_step, tail.diagnostics.min_step),
         max(diag.max_newton, tail.diagnostics.max_newton),
-        min(diag.min_margin, tail.diagnostics.min_margin))
+        min(diag.min_margin, tail.diagnostics.min_margin),
+        tail.diagnostics.max_ratio)
+
+
+# ---------------------------------------------------------------- batch
+# routes the batch lifts whole (the march is made to fail), against the
+# reference kernel: same t and m grids, l within L_REL
+
+K52_A = ("1 + l*(2*m^2 + 2*m^4 - m^8 + m^10 - 1)"
+         " + l^2*(m^4 - m^6 + 2*m^10 + 2*m^12 - m^14) + l^3*m^14")
+
+
+def _batched_routes(fig8):
+    arc = ArcSeg(0j, 0.42, 0.6, 1.8)
+    line = _near_branch_line(fig8)
+    s_b = line.segments[0].param((math.sqrt(5.0) - 1.0) / 2.0)
+    degree_one = parse_poly("m + l - 2")
+    k52 = parse_poly(K52_A)
+    routes = {
+        "arc_small": (fig8, PathSpec(segments=(arc,), l_seed=small_root(fig8, arc.first)),
+                      StepControls()),
+        "arc_big": (fig8, PathSpec(segments=(arc,), l_seed=big_root(fig8, arc.first)),
+                    StepControls()),
+        "circle": (fig8, loop_around_m(fig8, 0j, 0.35, big_root(fig8, 0.35)), StepControls()),
+        "graded": (fig8, PathSpec(segments=(curve_tracker.GradedSeg(
+            line.segments[0], s_b.real, abs(s_b.imag)),), l_seed=line.l_seed), StepControls()),
+        "chunks": (fig8, PathSpec(segments=(arc,), l_seed=small_root(fig8, arc.first)),
+                   StepControls(max_step=1e-3)),
+        "degree_one": (degree_one, PathSpec(segments=(LineSeg(0.5 + 0.5j, 1.5 - 0.2j),),
+                                            l_seed=1.5 - 0.5j), StepControls()),
+    }
+    for k, root in enumerate(roots_in_l(k52, 0.2)):
+        routes["k52_sheet%d" % k] = (k52, loop_around_m(k52, 0j, 0.2, root), StepControls())
+    return routes
+
+
+BATCHED_ROUTES = ["arc_small", "arc_big", "circle", "graded", "chunks", "degree_one",
+                  "k52_sheet0", "k52_sheet1", "k52_sheet2"]
+
+
+def _no_march(*args):
+    raise AssertionError("the batch refused a segment")
+
+
+@pytest.mark.parametrize("name", BATCHED_ROUTES)
+def test_batched_lift_matches_reference_kernel(fig8, monkeypatch, name):
+    curve, spec, ctrl = _batched_routes(fig8)[name]
+    monkeypatch.setattr(curve_tracker, "_march", _no_march)
+    path, _ = _matches_reference(curve, spec, ctrl)
+    assert path.diagnostics.halvings == 0
+    assert path.diagnostics.max_ratio < curve_tracker.BATCH_RATIO
+    if name == "chunks":
+        assert path.n_samples > 2 * curve_tracker.BATCH_CHUNK
+
+
+def test_batched_lift_on_a_real_row_stays_real(fig8, monkeypatch):
+    # l is real along these stretches of the real axis: fig8's two sheets
+    # below 1/phi, and 5_2's one real sheet beside a conjugate pair, where
+    # the eigenvalues carry imaginary noise that the batch snaps off (the
+    # march's Newton on a real row never creates it)
+    monkeypatch.setattr(curve_tracker, "_march", _no_march)
+    k52 = parse_poly(K52_A)
+    routes = [(fig8, 0.3, 0.5, root(fig8, 0.3)) for root in (small_root, big_root)]
+    routes.append((k52, 0.75, 0.95, next(x for x in roots_in_l(k52, 0.75) if x.imag == 0.0)))
+    for curve, a, b, seed in routes:
+        path = lift_path(curve, PathSpec(segments=(LineSeg(a, b),), l_seed=seed),
+                         StepControls())
+        assert np.all(path.l.imag == 0.0)
+        assert np.all(path.log_l.imag == path.log_l.imag[0])
+
+
+def test_route_that_does_not_move_keeps_l(fig8):
+    # the demo's a = 1 conjecture route stays at its start m, near the
+    # node m = 1: every sample keeps the polished seed bit for bit, so the
+    # integrals along it are exactly 0
+    spec, _ = cli_app._conjecture_path(cli_app.load_knots()["fig8"], 1.0)
+    path = lift_path(fig8, spec, StepControls())
+    assert path.l[0].imag != 0.0 and np.all(path.l == path.l[0])
+    assert integrate_eta(path).value == 0.0 and integrate_xi(path).value == 0.0
+
+
+def test_batch_refuses_at_the_first_ambiguous_chunk(fig8, monkeypatch):
+    # the near-branch line on 1000 intervals: its steps become ambiguous
+    # in the second chunk, where the batch stops and the march takes over
+    solved = []
+
+    def recording(c):
+        solved.append(len(c))
+        return companion_roots(c)
+
+    monkeypatch.setattr(curve_tracker, "companion_roots", recording)
+    path = lift_path(fig8, _near_branch_line(fig8), StepControls(max_step=1e-3))
+    assert solved == [curve_tracker.BATCH_CHUNK + 1] * 2
+    assert path.diagnostics.halvings > 0 and path.diagnostics.max_ratio == 0.0
+
+
+@pytest.mark.parametrize("seg", [
+    LineSeg(0.5 - 0.1j, 0.7 + 0.3j),
+    ArcSeg(0.1 + 0.2j, 0.4, 0.3, 1.5),
+    curve_tracker.GradedSeg(ArcSeg(0j, 0.6, 0.3, 1.5), 0.4, 1e-5),
+], ids=["line", "arc", "graded"])
+def test_segment_points_are_its_point_values(seg):
+    s = np.linspace(0.0, 1.0, 257)
+    assert np.array_equal(seg.points(s), [seg.point(x) for x in s.tolist()])
 
 
 # ---------------------------------------------------------------- grading
