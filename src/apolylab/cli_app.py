@@ -463,7 +463,9 @@ def _stage_kirk_klassen(rc, run_id, csv, summary):
                 est, path.n_samples)
         csv.add(run_id, "kk_expr_diff:" + name, kk.expr_diff, 0.0, est,
                 path.n_samples)
-        # expr_diff is |kk| est_error / 3: it restates the stopping rule
+        # expr_diff is at most |kk| est_error / 63 under R2's spread
+        # (|kk| est_error / 3 under one Richardson step): it restates the
+        # stopping rule
         summary.note("[kk] path %s: two expressions differ by %.3g (unverified)"
                      % (name, kk.expr_diff))
 

@@ -28,13 +28,17 @@ table, so expr_diff restates est_error rather than checking anything.
 
 One quadrature serves every form.  _table gives the trapezoid sums
 sum (u_k + u_{k+1})/2 (v_{k+1} - v_k) of int u dv on the full mesh and on
-meshes keeping every 2nd, 4th and 8th sample of each segment (joints
-kept, so no coarse interval spans one).  _romberg is cautious Romberg
-(de Boor's CADRE) on a real or complex table: on a uniform lift with a
-multiple of 8 intervals per segment whose trapezoid differences shrink
-by 4 (the h^2 regime) it returns the Romberg diagonal; otherwise, as on
-closed loops, where the trapezoid rule on a periodic integrand beats
-every Romberg column, one Richardson step.  eta and xi are Im and Re of
+meshes keeping every 2nd, 4th, 8th and 16th sample of each segment
+(joints kept, so no coarse interval spans one).  _romberg is cautious
+Romberg (de Boor's CADRE) on a real or complex table: on a uniform lift
+with a multiple of 8 intervals per segment whose trapezoid differences
+shrink by 4 (the h^2 regime) it returns the Romberg diagonal R3; its
+certified est_error is |R2(h) - R2(2h)|, a bound on R3's error, wherever
+16 divides every segment's intervals and the stride-16 sum passes a
+third ratio gate, and |R1(h) - R1(2h)|, a bound only on R1's, otherwise.
+Off the h^2 regime, as on closed loops, where the trapezoid rule on a
+periodic integrand beats every Romberg column, it takes one Richardson
+step.  eta and xi are Im and Re of
 one table but keep their own real ratio gates: a pre-asymptotic arc can
 be in the h^2 regime for one and not the other.  track_refined builds
 the table once per lift and halves the step until the forms meet a
@@ -113,13 +117,17 @@ def _coarse_indices(path: TrackedPath, stride: int) -> np.ndarray:
 
 
 def _table(path: TrackedPath, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Trapezoid sums of int u dv: T0 on all samples and T1, T2, T3 on the
-    meshes _coarse_indices keeps at strides 2, 4, 8; T2 and T3 only on a
-    uniform lift whose segments all have a multiple of 8 intervals, the
-    one mesh where _romberg can use them."""
-    romberg = path.uniform and all(k % 8 == 0 for k in path.segment_intervals)
+    """Trapezoid sums of int u dv: T0 on all samples and T1, T2, T3, T4 on
+    the meshes _coarse_indices keeps at strides 2, 4, 8, 16.  T2 and T3
+    only on a uniform lift whose segments all have a multiple of 8
+    intervals, the one mesh where _romberg can use them; T4 only where
+    every segment has a multiple of 16, for _romberg's third ratio gate."""
+    intervals = path.segment_intervals
+    strides = [2]
+    if path.uniform and all(k % 8 == 0 for k in intervals):
+        strides += [4, 8] + ([16] if all(k % 16 == 0 for k in intervals) else [])
     sums = [trapezoid(u, v)]
-    for stride in (2, 4, 8) if romberg else (2,):
+    for stride in strides:
         idx = _coarse_indices(path, stride)
         sums.append(trapezoid(u[idx], v[idx]))
     return np.array(sums)
@@ -133,20 +141,25 @@ def _romberg(path: TrackedPath, t: np.ndarray):
     Cautious Romberg (de Boor's CADRE): given T0..T3, the ratios
     rho = (T1 - T2)/(T0 - T1) and rho' = (T2 - T3)/(T1 - T2) test for the
     h^2 error regime.  When both are close to 4 the value is the Romberg
-    diagonal R3 (lower R2) and est_error is |R1(h) - R1(2h)|, floored at
-    the rounding level (n - 1) eps |T0|.  Otherwise the value is one
+    diagonal R3 (lower R2).  est_error is |R2(h) - R2(2h)|, a bound on
+    R3's error, when T4 is there and rho'' = (T3 - T4)/(T2 - T3) also
+    reads 4 (within RHO_COARSE_TOL), and |R1(h) - R1(2h)|, a bound only on
+    R1's, otherwise; either is floored at the rounding level
+    (n - 1) eps |T0|.  When rho or rho' misses 4 the value is one
     Richardson step R1 = T0 + (T0 - T1)/3 (lower T0) and est_error is
     |T0 - T1|.
     """
     full, half = t[0], t[1]
-    if len(t) == 4:
-        d = (t[0] - t[1], t[1] - t[2], t[2] - t[3])
+    if len(t) >= 4:
+        d = [t[k] - t[k + 1] for k in range(len(t) - 1)]
         if d[0] != 0 and d[1] != 0 and (abs(d[1] / d[0] - 4.0) < RHO_TOL
                                         and abs(d[2] / d[1] - 4.0) < RHO_COARSE_TOL):
             r1 = [ti + di / 3.0 for ti, di in zip(t, d)]
             r2 = [r1[k] + (r1[k] - r1[k + 1]) / 15.0 for k in (0, 1)]
             r3 = r2[0] + (r2[0] - r2[1]) / 63.0
-            est = max(abs(r1[0] - r1[1]), (path.n_samples - 1) * ROUNDING * abs(full))
+            sharp = len(d) == 4 and abs(d[3] / d[2] - 4.0) < RHO_COARSE_TOL
+            spread = abs(r2[0] - r2[1]) if sharp else abs(r1[0] - r1[1])
+            est = max(spread, (path.n_samples - 1) * ROUNDING * abs(full))
             return r3.item(), r2[0].item(), float(est), True
     value = full + (full - half) / 3.0
     return value.item(), full.item(), float(abs(full - half)), False
@@ -255,8 +268,9 @@ def kirk_klassen(path: TrackedPath) -> KirkKlassen:
 
     The value uses kk_exponent; expr_diff is its distance to the
     next-lower entry of the same table (R2 under R3, T0 under one
-    Richardson step), so it stays below |value| est_error (a third of it
-    in the Richardson case, to first order).
+    Richardson step), so it stays below |value| est_error: at most 1/63
+    of it when est_error is R2's spread, a third of it in the Richardson
+    case, to first order.
     """
     e1, e2, _, _ = _romberg(path, _FORMS["kk"](path, _table(path, path.log_l, path.log_m)))
     v1 = complex(np.exp(e1))
@@ -302,9 +316,9 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     toward it, lifted again at the same controls and refined as above.
     On the equal-step grid in the new parameter the square-root
     behaviour of l is smooth, so the lift keeps its grid and Romberg
-    certifies it (a line 1e-5 from 1/phi: 1,601 or 3,201 samples, errors
-    below 1e-13; on the line's own parameter six halvings, 6,401
-    samples, leave it uncertified and 1e-7 off).  A route
+    certifies it (a line 1e-5 from 1/phi: 801 samples, where R2's spread
+    meets the target, errors below 1e-13; on the line's own parameter six
+    halvings, 6,401 samples, leave it uncertified and 1e-7 off).  A route
     whose first lift is uniform, and every closed loop, keeps its own
     parameter.
 

@@ -590,7 +590,10 @@ FORM_RULES = {"eta": eta_rule, "xi": xi_rule, "kk": kk_rule}
 def romberg_reference(path, rule):
     """(value, lower, est_error, certified) of rule by the cautious Romberg
     driver that called it on each mesh; same gates and constants as
-    one_forms._romberg."""
+    one_forms._romberg.  The stride-16 sum, there only when 16 divides
+    every segment's intervals, gates the sharp estimate |R2(h) - R2(2h)|;
+    without it, or when its ratio misses 4, the estimate is
+    |R1(h) - R1(2h)|."""
     full = rule(path.log_l, path.log_m)
 
     def coarse(stride):
@@ -606,8 +609,12 @@ def romberg_reference(path, rule):
             r1 = [ti + di / 3.0 for ti, di in zip(t, d)]
             r2 = [r1[k] + (r1[k] - r1[k + 1]) / 15.0 for k in (0, 1)]
             r3 = r2[0] + (r2[0] - r2[1]) / 63.0
-            est = max(abs(r1[0] - r1[1]),
-                      (path.n_samples - 1) * one_forms.ROUNDING * abs(full))
+            spread = abs(r1[0] - r1[1])
+            if all(k % 16 == 0 for k in path.segment_intervals):
+                d4 = t[3] - coarse(16)
+                if abs(d4 / d[2] - 4.0) < one_forms.RHO_COARSE_TOL:
+                    spread = abs(r2[0] - r2[1])
+            est = max(spread, (path.n_samples - 1) * one_forms.ROUNDING * abs(full))
             return r3.item(), r2[0].item(), float(est), True
     value = full + (full - half) / 3.0
     return value.item(), full.item(), float(abs(full - half)), False

@@ -5,8 +5,8 @@ then asserts, so a plain pytest run is still authoritative.  The nine
 checks cover: closed-loop exactness of the volume form, lattice
 rationality of the regulator's argument (the Chern-Simons period on
 loops started on the positive real axis), regulator vs tame symbol, the
-Steinberg relation, the holonomy (its two expressions differ by |ratio|
-est_error / 3, which restates the refinement target of
+Steinberg relation, the holonomy (its two expressions differ by at most
+|ratio| est_error, which restates the refinement target of
 one_forms.track_refined, so check 5 also requires the value within 1e-12
 of the closed-form figure-eight lift and within its own est_error), the
 N=2 Jones oracle,

@@ -117,23 +117,94 @@ def test_concat_adds_form_integrals(fig8, ctrl):
 def test_quadrature_convergence_order(fig8):
     # the default mesh (100 intervals, not a multiple of 8) takes one
     # Richardson step; from 200 intervals on the ratio test certifies the
-    # Romberg diagonal, which is at rounding level already, while its
-    # est_error keeps contracting like R1's h^4 error
+    # Romberg diagonal, which is at rounding level already.  On 200
+    # intervals (8 divides them, 16 does not) est_error is R1's spread
+    # |R1(h) - R1(2h)|; from 400 on the stride-16 sum passes the third
+    # ratio gate and est_error is R2's spread |R2(h) - R2(2h)|, which
+    # bounds R3's error, floored at the rounding level
     seed = small_root(fig8, 0.3 * unit(0.3))
     want = oracles.fig8_arc_integrals(0j, 0.3, 0.3, 1.4, seed)["eta"]
     ctrl = StepControls()
     results = []
     for _ in range(4):
-        res = integrate_eta(_arc_path(fig8, 0.3, 1.4, ctrl=ctrl))
+        path = _arc_path(fig8, 0.3, 1.4, ctrl=ctrl)
+        res = integrate_eta(path)
         assert abs(res.value - want) <= res.est_error
-        results.append(res)
+        results.append((path, res))
         ctrl = refine(ctrl)
-    assert [r.certified for r in results] == [False, True, True, True]
-    assert 1e-11 < abs(results[0].value - want) < 1e-9
-    for res in results[1:]:
+    assert [r.certified for _, r in results] == [False, True, True, True]
+    assert 1e-11 < abs(results[0][1].value - want) < 1e-9
+    for _, res in results[1:]:
         assert abs(res.value - want) < 1e-13
-    for fine, coarse in zip(results[2:], results[1:]):
-        assert fine.est_error < coarse.est_error / 12.0
+    path, res = results[1]
+    r1, _ = _romberg_columns(_form_sums(path, "eta", (1, 2, 4, 8)))
+    assert res.est_error == pytest.approx(abs(r1[0] - r1[1]), rel=1e-12)
+    for path, res in results[2:]:
+        t = _form_sums(path, "eta", (1, 2, 4, 8))
+        _, r2 = _romberg_columns(t)
+        floor = (path.n_samples - 1) * one_forms.ROUNDING * abs(t[0])
+        assert res.est_error == pytest.approx(max(abs(r2[0] - r2[1]), floor), rel=1e-12)
+        assert res.est_error < abs(r1[0] - r1[1]) / 50.0
+
+
+def _eta_table(path):
+    return one_forms._FORMS["eta"](path, one_forms._table(path, path.log_l, path.log_m))
+
+
+def _two_gate_romberg(n_samples, t):
+    """_romberg's certified branch without the third gate: R3, R2 and R1's
+    spread floored at the rounding level, from T0..T3."""
+    r1, r2 = _romberg_columns(list(t[:4]))
+    r3 = r2[0] + (r2[0] - r2[1]) / 63.0
+    est = max(abs(r1[0] - r1[1]), (n_samples - 1) * one_forms.ROUNDING * abs(t[0]))
+    return r3.item(), r2[0].item(), float(est), True
+
+
+def test_eight_but_not_sixteen_intervals_keeps_r1_spread(fig8):
+    # 200 intervals: the table stops at T3 and the result is the
+    # two-gate rule's, bit for bit; 400 intervals add T4
+    path = _arc_path(fig8, 0.3, 1.4, ctrl=StepControls(max_step=1.0 / 200))
+    t = _eta_table(path)
+    assert len(t) == 4
+    assert one_forms._romberg(path, t) == _two_gate_romberg(path.n_samples, t)
+    finer = _arc_path(fig8, 0.3, 1.4, ctrl=StepControls(max_step=1.0 / 400))
+    assert len(_eta_table(finer)) == 5
+
+
+@pytest.mark.parametrize("miss, sharp", [(1.5, False), (-1.5, False), (0.5, True)])
+def test_third_ratio_gate_on_a_perturbed_t4(fig8, miss, sharp):
+    # move T4 so that (T3 - T4)/(T2 - T3) reads 4 + miss RHO_COARSE_TOL:
+    # past the gate the estimate falls back to R1's spread, the value and
+    # lower entry never move
+    path = _arc_path(fig8, 0.3, 1.4, ctrl=StepControls(max_step=1.0 / 400))
+    t = _eta_table(path)
+    t[4] = t[3] - (4.0 + miss * one_forms.RHO_COARSE_TOL) * (t[2] - t[3])
+    value, lower, est, certified = one_forms._romberg(path, t)
+    fallback = _two_gate_romberg(path.n_samples, t)
+    assert (value, lower, certified) == fallback[:2] + (True,)
+    _, r2 = _romberg_columns(list(t))
+    floor = (path.n_samples - 1) * one_forms.ROUNDING * abs(t[0])
+    assert est == (max(abs(r2[0] - r2[1]), floor) if sharp else fallback[2])
+    assert sharp == (est < fallback[2])
+
+
+def test_sharp_estimate_never_drops_below_rounding():
+    # T_k = 1 + c 4^k + e 16^k: R2 removes both terms, so its spread is
+    # rounding noise, while R1's spread is 60 e; the estimate is the
+    # floor (n - 1) eps |T0| on the five-entry table and R1's spread on
+    # the four-entry one
+    n_samples, c, e = 401, 1e-9, 1e-14
+    t = np.array([1.0 + c * 4.0 ** k + e * 16.0 ** k for k in range(5)])
+    floor = (n_samples - 1) * one_forms.ROUNDING * abs(t[0])
+    path = curve_tracker.TrackedPath(
+        t=np.zeros(n_samples), l=np.ones(n_samples, complex), m=np.ones(n_samples, complex),
+        log_l=np.zeros(n_samples, complex), log_m=np.zeros(n_samples, complex),
+        residual_max=0.0, closed=False, base_convention={})
+    _, r2 = _romberg_columns(list(t))
+    assert abs(r2[0] - r2[1]) < floor
+    assert one_forms._romberg(path, t)[2:] == (floor, True)
+    est = one_forms._romberg(path, t[:4])[2]
+    assert est == pytest.approx(60.0 * e, rel=1e-2) and est > floor
 
 
 def test_est_error_contracts(fig8):
@@ -308,9 +379,10 @@ def test_kk_expr_diff_restates_est_error(fig8):
     # the second expression is the next-lower entry of the first's
     # quadrature table: the trapezoid sum under one Richardson step
     # (expr_diff = |kk| est_error / 3), the Romberg R2 under R3 (expr_diff
-    # below |kk| est_error).  Either way it measures the quadrature, not an
-    # independent evaluation, and the value is within est_error of the
-    # closed-form lift (the demo's route arc_a at halvings 0-4)
+    # below |kk| est_error, and below 1/63 of it under R2's spread).
+    # Either way it measures the quadrature, not an independent
+    # evaluation, and the value is within est_error of the closed-form
+    # lift (the demo's route arc_a at halvings 0-4)
     seed = small_root(fig8, 0.3 * unit(0.3))
     want = cmath.exp(oracles.fig8_arc_integrals(0j, 0.3, 0.3, 1.0, seed)["kk"])
     ctrl = StepControls()
@@ -322,25 +394,42 @@ def test_kk_expr_diff_restates_est_error(fig8):
         bound = abs(kk.value) * exponent.est_error
         if level == 0:
             assert abs(kk.expr_diff / bound - 1.0 / 3.0) < 1e-5
-        else:
+        elif level == 1:
             assert kk.expr_diff <= bound
+        else:  # 16 divides the intervals: est_error is R2's spread
+            assert kk.expr_diff <= 1.01 * bound / 63.0
         assert abs(kk.value - want) <= bound
         ctrl = refine(ctrl)
 
 
-def _richardson(path, form):
-    """The one-step rule on its own, on the table of t = int log l dlog m:
-    T0 on every sample and T1 on every other one, the last one kept, mapped
-    to eta = Im t - [log|m| arg l] or xi = Re t - [log|m| log|l|]; returns
-    T0 + (T0 - T1)/3 and |T0 - T1|."""
+def _form_sums(path, form, strides=(1, 2)):
+    """Trapezoid sums of eta = Im t - [log|m| arg l] or xi = Re t -
+    [log|m| log|l|], t = int log l dlog m, on every stride-th sample of a
+    one-segment path, the last one kept."""
     n = path.n_samples
-    half = np.unique(np.append(np.arange(0, n, 2), n - 1))
     ll, lm = path.log_l, path.log_m
-    t = np.array([trapezoid(ll, lm), trapezoid(ll[half], lm[half])])
     part = ll.imag if form == "eta" else ll.real
-    full, coarse = (t.imag if form == "eta" else t.real) - (lm[-1].real * part[-1]
-                                                            - lm[0].real * part[0])
+    jump = lm[-1].real * part[-1] - lm[0].real * part[0]
+    sums = []
+    for stride in strides:
+        idx = np.unique(np.append(np.arange(0, n, stride), n - 1))
+        t = trapezoid(ll[idx], lm[idx])
+        sums.append((t.imag if form == "eta" else t.real) - jump)
+    return sums
+
+
+def _richardson(path, form):
+    """The one-step rule on its own: T0 on every sample and T1 on every
+    other one; returns T0 + (T0 - T1)/3 and |T0 - T1|."""
+    full, coarse = _form_sums(path, form)
     return (full + (full - coarse) / 3.0).item(), float(abs(full - coarse))
+
+
+def _romberg_columns(t):
+    """The R1 and R2 columns of a table of trapezoid sums at doubling
+    strides: R1 = T + (T - T')/3, R2 = R1 + (R1 - R1')/15."""
+    r1 = [a + (a - b) / 3.0 for a, b in zip(t, t[1:])]
+    return r1, [a + (a - b) / 15.0 for a, b in zip(r1, r1[1:])]
 
 
 def _annulus_arc(fig8, radius, start, which, span=1.2):
@@ -487,7 +576,7 @@ def _near_branch_line(fig8, direction, gap=1e-5, length=0.4):
 def _assert_graded_and_accurate(fig8, spec, want):
     path, res, used = track_refined(fig8, spec, forms=("eta", "xi", "kk"), target=1e-9)
     assert len(path.graded_toward) == 1 and abs(path.graded_toward[0] - INV_PHI) < 1e-12
-    assert path.uniform and path.n_samples <= 3201
+    assert path.uniform and path.n_samples <= 801
     for name in ("eta", "xi", "kk"):
         err = abs(res[name].value - want[name])
         assert res[name].certified, name
@@ -505,6 +594,59 @@ def test_near_branch_line_certifies_on_a_graded_mesh(fig8):
         assert not lift_path(fig8, spec, StepControls()).uniform  # steps halve
         _assert_graded_and_accurate(
             fig8, spec, oracles.fig8_route_integrals(spec.segments, spec.l_seed))
+
+
+def test_near_branch_line_stops_at_801_samples(fig8):
+    # the benchmark's line: R2's spread certifies it at 801 samples, where
+    # R1's (1.6e-8 against an error of 1.5e-14) kept it lifting to 1,601
+    # or 3,201
+    spec = _near_branch_line(fig8, 1.0)
+    want = oracles.fig8_route_integrals(spec.segments, spec.l_seed)
+    path, res, _ = track_refined(fig8, spec, target=1e-9)
+    assert path.n_samples == 801
+    for name in ("eta", "xi"):
+        err = abs(res[name].value - want[name])
+        assert res[name].certified, name
+        assert err < 1e-13, name
+        assert err <= res[name].est_error, name
+
+
+@pytest.mark.parametrize("start, which, n_samples, eta, xi", [
+    (0.6, "small", 201, -0.32277293573540056, -5.936266119658793),
+    (2.0, "big", 401, -0.16564578164719476, -3.1065384416927695),
+])
+def test_annulus_arcs_keep_their_stop(fig8, start, which, n_samples, eta, xi):
+    # the arcs stop where they did under R1's spread: at 201 samples 16
+    # does not divide the intervals, at 401 R1's spread was already below
+    # the target
+    spec, want = _annulus_arc(fig8, 0.42, start, which)
+    path, res, _ = track_refined(fig8, spec, target=1e-9)
+    assert path.n_samples == n_samples
+    assert res["eta"].value == pytest.approx(eta, abs=1e-14)
+    assert res["xi"].value == pytest.approx(xi, abs=1e-14)
+    for name in ("eta", "xi"):
+        assert abs(res[name].value - want[name]) <= res[name].est_error, name
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
+def test_benchmark_routes_stay_within_est_error(fig8, seed):
+    # the benchmark's arcs round at a 1e-9 target: an arc on each sheet in
+    # the annulus |m| ~ 0.42 and a line passing 1/phi at about 1e-5; every
+    # value is within its est_error plus 1e-10 of the closed-form lift
+    rng = np.random.default_rng(seed)
+    routes = [_annulus_arc(fig8, 0.42 + rng.uniform(-0.01, 0.01),
+                           centre + rng.uniform(-0.1, 0.1), which)
+              for which, centre in (("small", 0.6), ("big", 2.0))]
+    line = _near_branch_line(fig8, 1.0 + rng.uniform(-0.15, 0.15),
+                             gap=1e-5 * rng.uniform(0.8, 1.25))
+    routes.append((line, oracles.fig8_route_integrals(line.segments, line.l_seed)))
+    for spec, want in routes:
+        path, res, _ = track_refined(fig8, spec, target=1e-9)
+        kk = kk_exponent(path)
+        for name, got in (("eta", res["eta"]), ("xi", res["xi"]), ("kk", kk)):
+            err = abs(got.value - want[name])
+            assert err <= got.est_error + 1e-10, (name, path.n_samples)
+            assert err < 1e-12, (name, path.n_samples)
 
 
 @pytest.mark.parametrize("which", ["small", "big"])
