@@ -667,30 +667,40 @@ def build_demo_config() -> dict:
 
 # ---------------------------------------------------------------- probe
 
+# points per roots_in_l_batch call, and the largest grid density (one row)
+PROBE_BLOCK = 1000
+
+
 def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
                         threshold: float):
     """Scan of min over sheets of |dA/dl| on the density x density grid.
 
     Returns (hits, closest): the grid points m (real part outer, as in the
     CSV) where the minimum is below threshold, each as (m, value), and
-    (m, value) at the smallest minimum on the grid, or None when no grid
-    point has l-roots.  Points with m = 0, a degenerate leading
-    coefficient, no convergence or no l-roots are skipped.  Each grid row
-    (fixed Re m) is one roots_in_l_batch call; dA/dl is evaluated on the
-    batch's coefficient rows, with its denominator shift divided out.
+    (m, value) at the first smallest minimum on the grid, or None when no
+    grid point has l-roots.  Points with m = 0, a degenerate leading
+    coefficient, no convergence or no l-roots are skipped.  Each
+    roots_in_l_batch call takes a block of whole grid rows (fixed Re m),
+    at most PROBE_BLOCK points; dA/dl is evaluated on the block's
+    coefficient rows, with its denominator shift divided out.
     """
     if density < 1:
         raise ConfigError("grid density must be at least 1")
-    if density * density > 10 ** 6:
-        raise ConfigError("grid density above 10^6 points")
+    if density > PROBE_BLOCK:
+        raise ConfigError("grid density above %d" % PROBE_BLOCK)
     a_l = partial(knot.a_poly, "l")
     _, (l_shift, m_shift) = clear_denominators(a_l)
     hits: List[Tuple[complex, float]] = []
     closest = None
-    m = np.empty(density, dtype=complex)
-    m.imag = np.linspace(im_range[0], im_range[1], density)
-    for re in np.linspace(re_range[0], re_range[1], density):
-        m.real = re
+    res = np.linspace(re_range[0], re_range[1], density)
+    ims = np.linspace(im_range[0], im_range[1], density)
+    rows = max(1, PROBE_BLOCK // density)
+    for start in range(0, density, rows):
+        block = res[start:start + rows]
+        m = np.empty((len(block), density), dtype=complex)
+        m.real = block[:, None]
+        m.imag = ims
+        m = m.ravel()
         roots, status = roots_in_l_batch(knot.a_poly, m)
         solved = status == 0
         if roots.shape[1] == 0 or not solved.any():

@@ -10,10 +10,11 @@ from its discriminant rather than from root solves, and the figure-eight
 lift in closed form with Gauss-Legendre line integrals rather than
 Newton tracking with the trapezoid rule.  Tests compare package output
 to these.  The scalar root loop, the per-term Jones loop, the lift
-kernel with two Newton loops and the four quadrature integrands (one
+kernel with two Newton loops, the four quadrature integrands (one
 trapezoid rule per form, before every form was read off the one table of
-int log l dlog m) are the package's own earlier code, kept so that the
-faster or smaller replacements can be checked against them.
+int log l dlog m) and the probe's row-by-row root solve are the
+package's own earlier code, kept so that the faster or smaller
+replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,16 @@ import numpy as np
 
 from apolylab import curve_tracker, one_forms
 from apolylab.errors import DegenerateError, NonConvergence, RamificationError, SeedError
-from apolylab.poly_core import eval_poly, max_term, partial, roots_in_l
+from apolylab.poly_core import (
+    clear_denominators,
+    eval_poly,
+    horner_rows,
+    l_coefficients,
+    max_term,
+    partial,
+    roots_in_l,
+    roots_in_l_batch,
+)
 
 # Planar diagram of the figure-eight knot, 4 crossings, writhe 0.
 # Each crossing lists its four edge labels counterclockwise starting
@@ -211,6 +221,35 @@ def fig8_min_abs_dadl(m: complex) -> float:
     both sheets."""
     b = m ** 8 - m ** 6 - 2 * m ** 4 - m ** 2 + 1
     return math.sqrt(abs(b * b - 4 * m ** 8))
+
+
+def probe_by_rows(knot, re_range, im_range, density: int, threshold: float):
+    """cli_app.probe_branch_points as it was before it solved blocks of
+    rows: one roots_in_l_batch call per grid row (fixed Re m)."""
+    a_l = partial(knot.a_poly, "l")
+    _, (l_shift, m_shift) = clear_denominators(a_l)
+    hits: List[Tuple[complex, float]] = []
+    closest = None
+    m = np.empty(density, dtype=complex)
+    m.imag = np.linspace(im_range[0], im_range[1], density)
+    for re in np.linspace(re_range[0], re_range[1], density):
+        m.real = re
+        roots, status = roots_in_l_batch(knot.a_poly, m)
+        solved = status == 0
+        if roots.shape[1] == 0 or not solved.any():
+            continue
+        ms, roots = m[solved], roots[solved]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dadl = np.abs(horner_rows(l_coefficients(a_l, ms), roots)
+                          / (roots ** l_shift * ms[:, None] ** m_shift))
+        # l = 0 is off the curve when A has negative powers of l: never a hit
+        vals = np.where(np.isnan(dadl), np.inf, dadl).min(axis=1)
+        below = vals < threshold
+        hits.extend(zip(ms[below].tolist(), vals[below].tolist()))
+        k = int(np.argmin(vals))
+        if closest is None or vals[k] < closest[1]:
+            closest = (complex(ms[k]), float(vals[k]))
+    return hits, closest
 
 
 def roots_scalar_loop(coeffs: np.ndarray, max_iter: int = 512) -> List[complex]:

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from apolylab import cli_app, one_forms, parse_poly, print_poly, vol_fig8
-from apolylab.poly_core import eval_poly, roots_in_l
+from apolylab.poly_core import NO_CONVERGENCE, eval_poly, roots_in_l, roots_in_l_batch
 
 
 def circle_json(center, radius, l_seed, a0=0.0, a1=2.0 * math.pi):
@@ -420,6 +420,9 @@ class TestDemoVerb:
         assert strip == strip2
 
 
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # the branch point 1/phi of fig8
+
+
 class TestProbeVerb:
 
     def test_finds_the_branch_point(self, tmp_path, capsys):
@@ -458,6 +461,11 @@ class TestProbeVerb:
             rec, (-2.0, 2.0), (-2.0, 2.0), 12, threshold=1e-2)
         assert hits == []
         assert closest[1] == 1.0
+        # a tie keeps the first grid point in CSV order, also across blocks
+        assert closest[0] == complex(-2.0, -2.0)
+        _, closest = cli_app.probe_branch_points(
+            rec, (-2.0, 2.0), (-2.0, 2.0), 34, threshold=1e-2)
+        assert closest == (complex(-2.0, -2.0), 1.0)
 
     def test_laurent_curve_root_at_l_zero(self):
         # A = l + (m - 1)/l: |dA/dl| = 2 on the curve, but at m = 1 the
@@ -524,6 +532,53 @@ class TestProbeVerb:
         with pytest.raises(ConfigError):
             cli_app.probe_branch_points(fig8_record, (0, 1), (0, 1),
                                         1001, threshold=0.1)
+
+    @pytest.mark.parametrize("curve, re_range, im_range, density, threshold", [
+        # the benchmark's window around the branch point 1/phi
+        ("fig8", (INV_PHI - 0.5, INV_PHI + 0.5), (-0.5, 0.5), 100, 0.1),
+        ("fig8", (-2.0, 2.0), (-2.0, 2.0), 1, 1e4),
+        ("fig8", (-2.0, 2.0), (-2.0, 2.0), 7, 1.0),
+        # 29 rows per call: the second block is short
+        ("fig8", (-2.0, 2.0), (-2.0, 2.0), 34, 1.0),
+        # 9 rows per call
+        ("fig8", (0.5, 1.1), (-0.3, 0.3), 101, 0.1),
+        # m = 0 is a grid point, skipped
+        ("fig8", (-0.5, 0.5), (-0.5, 0.5), 11, 5.0),
+        # roots at l = 0, off the curve (test_laurent_curve_root_at_l_zero)
+        ("l + l^-1*m - l^-1", (0.5, 1.5), (-0.5, 0.5), 5, 3.0),
+    ])
+    def test_blocks_match_the_row_loop(self, fig8_record, curve, re_range,
+                                       im_range, density, threshold):
+        rec = fig8_record if curve == "fig8" else cli_app._record_from_dict(
+            {"name": "curve", "a_poly": curve, "vol": 0.0, "cs": 0.0,
+             "seed": {"m0": [2.0, 0.0], "l_seed": [0.0, 1.0]}})
+        got = cli_app.probe_branch_points(rec, re_range, im_range, density, threshold)
+        assert got == oracles.probe_by_rows(rec, re_range, im_range, density, threshold)
+        assert got[0]
+
+    @pytest.mark.parametrize("density, n_calls", [
+        (1, 1), (7, 1), (34, 2), (100, 10), (101, 12), (1000, 1000)])
+    def test_root_solves_take_blocks_of_at_most_1000_points(
+            self, monkeypatch, fig8_record, density, n_calls):
+        calls = []
+
+        def recorder(p, m):
+            calls.append(m.copy())
+            if density < cli_app.PROBE_BLOCK:
+                return roots_in_l_batch(p, m)
+            # leave every row unsolved: the largest grid solves nothing
+            return (np.full((len(m), 2), np.nan, dtype=complex),
+                    np.full(len(m), NO_CONVERGENCE))
+
+        monkeypatch.setattr(cli_app, "roots_in_l_batch", recorder)
+        cli_app.probe_branch_points(fig8_record, (0.5, 1.1), (-0.3, 0.3),
+                                    density, threshold=0.1)
+        assert len(calls) == n_calls
+        assert max(len(m) for m in calls) <= cli_app.PROBE_BLOCK
+        # the calls cover the grid exactly once, in CSV order
+        m = np.concatenate(calls)
+        assert np.array_equal(m.real, np.repeat(np.linspace(0.5, 1.1, density), density))
+        assert np.array_equal(m.imag, np.tile(np.linspace(-0.3, 0.3, density), density))
 
 
 class TestParseVerb:
