@@ -46,7 +46,6 @@ from .one_forms import (
 )
 from .poly_core import (
     LaurentBiPoly,
-    eval_poly,
     parse_poly,
     partial,
     print_poly,
@@ -74,7 +73,7 @@ __all__ = [
     "lobachevsky", "vol_fig8",
     "cs_along", "integrate_eta", "integrate_xi", "kirk_klassen",
     "regulator", "track_refined", "vol_along",
-    "LaurentBiPoly", "eval_poly", "parse_poly", "partial", "print_poly",
+    "LaurentBiPoly", "parse_poly", "partial", "print_poly",
     "roots_in_l", "roots_in_l_batch",
     "estimate_symbol_order", "recognize_rational", "tame_symbol",
     "valuation",

@@ -21,6 +21,7 @@ Exit codes: 0 all requested operations completed, 1 a stage failed
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,8 @@ import time
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,11 +60,10 @@ from .poly_core import (
     DegenerateError,
     DomainError,
     LaurentBiPoly,
-    clear_denominators,
-    horner_rows,
-    l_coefficients,
+    horner_row_batch,
+    l_range,
+    laurent_rows,
     parse_poly,
-    partial,
     print_poly,
     roots_in_l,
     roots_in_l_batch,
@@ -128,7 +129,10 @@ def _record_from_dict(rec: dict) -> KnotRecord:
     )
 
 
-def load_knots() -> Dict[str, KnotRecord]:
+@functools.cache
+def load_knots() -> Mapping[str, KnotRecord]:
+    """The knot table by name, read once per process; read-only, as every
+    caller shares it."""
     text = resources.files("apolylab").joinpath("data/knots.txt").read_text()
     out: Dict[str, KnotRecord] = {}
     for line in text.splitlines():
@@ -137,7 +141,7 @@ def load_knots() -> Dict[str, KnotRecord]:
             continue
         rec = _record_from_dict(json.loads(line))
         out[rec.name] = rec
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------- config
@@ -681,15 +685,14 @@ def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
     grid point has l-roots.  Points with m = 0, a degenerate leading
     coefficient, no convergence or no l-roots are skipped.  Each
     roots_in_l_batch call takes a block of whole grid rows (fixed Re m),
-    at most PROBE_BLOCK points; dA/dl is evaluated on the block's
-    coefficient rows, with its denominator shift divided out.
+    at most PROBE_BLOCK points; dA/dl at the roots is read off A's own
+    coefficient rows (poly_core.horner_row_batch).
     """
     if density < 1:
         raise ConfigError("grid density must be at least 1")
     if density > PROBE_BLOCK:
         raise ConfigError("grid density above %d" % PROBE_BLOCK)
-    a_l = partial(knot.a_poly, "l")
-    _, (l_shift, m_shift) = clear_denominators(a_l)
+    lo, hi = l_range(knot.a_poly)
     hits: List[Tuple[complex, float]] = []
     closest = None
     res = np.linspace(re_range[0], re_range[1], density)
@@ -707,8 +710,7 @@ def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
             continue
         ms, roots = m[solved], roots[solved]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dadl = np.abs(horner_rows(l_coefficients(a_l, ms), roots)
-                          / (roots ** l_shift * ms[:, None] ** m_shift))
+            dadl = np.abs(horner_row_batch(laurent_rows(knot.a_poly, ms, lo, hi), lo, roots)[1])
         # l = 0 is off the curve when A has negative powers of l: never a hit
         vals = np.where(np.isnan(dadl), np.inf, dadl).min(axis=1)
         below = vals < threshold

@@ -59,15 +59,14 @@ from .poly_core import (
     REAL_SNAP_REL,
     LaurentBiPoly,
     companion_roots,
-    eval_poly,
     horner_row,
-    horner_rows,
+    horner_row_batch,
     l_range,
     laurent_rows,
     mark_unsolvable,
-    max_term,
     partial,
     row_max_term,
+    row_max_term_batch,
     term_maxima,
 )
 
@@ -300,7 +299,7 @@ def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex, budget: int):
     l0 = complex(l0)
     if all(c.imag == 0.0 for c in row) and abs(l0.imag) <= REAL_SNAP_REL * (1.0 + abs(l0)):
         l0 = complex(l0.real)
-    scale = max_term(A, l0, m0)
+    scale = row_max_term(maxima, lo, l0)
     if not abs(dal) >= RAM_REL * scale:
         raise SeedError("seed is not separated from the other sheets; "
                         "start at an offset point instead")
@@ -402,12 +401,10 @@ def _batch_grid(A: LaurentBiPoly, Am: LaurentBiPoly, ms: np.ndarray, l: complex,
             resid_max = abs(horner_row(rows[0].tolist(), lo, l)[0])
         z = companion_roots(rows)
         # row k of pred holds the predictions for sample k: l itself at the
-        # chunk's first m, then the tangent step from every root at k - 1.
-        # At a root A_m / A_l is the ratio of dA/dm's row to the l-derivative
-        # row of l^-lo A.
-        dz = rows[:, 1:] * np.arange(1, hi - lo + 1)
+        # chunk's first m, then the tangent step from every root at k - 1
         with np.errstate(all="ignore"):
-            slope = horner_rows(drows[:-1], z[:-1]) / horner_rows(dz[:-1], z[:-1])
+            slope = (horner_row_batch(drows[:-1], lo, z[:-1])[0]
+                     / horner_row_batch(rows[:-1], lo, z[:-1])[1])
             pred = np.concatenate((np.full((1, z.shape[1]), l),
                                    z[:-1] - slope * np.diff(m)[:, None]))
             # nearest and second-nearest root to each prediction, by
@@ -433,11 +430,9 @@ def _batch_grid(A: LaurentBiPoly, Am: LaurentBiPoly, ms: np.ndarray, l: complex,
             return None
         # the march's checks at each accepted point
         with np.errstate(all="ignore"):
-            v = horner_rows(rows[1:], lc[:, None])[:, 0]
-            dv = horner_rows(dz[1:], lc[:, None])[:, 0]
-            w = lc ** lo
-            r, dal = np.abs(w * v), np.abs(w * (dv + lo * v / lc))
-            term = (maxima[1:] * np.abs(lc)[:, None] ** np.arange(lo, hi + 1)).max(axis=1)
+            v, dv = horner_row_batch(rows[1:], lo, lc[:, None])
+            r, dal = np.abs(v[:, 0]), np.abs(dv[:, 0])
+            term = row_max_term_batch(maxima[1:], lo, lc)
         scales = np.maximum.accumulate(np.append(scale, term))
         if not ((r <= RESID_REL * scales[:-1]).all() and (dal >= RAM_REL * scales[1:]).all()):
             return None
@@ -458,7 +453,7 @@ def _march(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, s: List[float],
     A is read as a polynomial in l whose coefficients are taken once per
     grid m: poly_core.laurent_rows gives, for every grid m, the
     l-coefficient rows of A and of dA/dm, and poly_core.term_maxima the
-    per-power term maxima (so the running scale is max_term's value), in
+    per-power term maxima (so the running scale is row_max_term's value), in
     numpy arrays; a halving midpoint gets its rows when it is inserted.
     Each step is a tangent prediction from the last accepted point and
     one _newton run on the new m's row.  dA/dl comes with each Newton
@@ -606,12 +601,17 @@ def locate_branch_point(A: LaurentBiPoly, l: complex, m: complex
     on the figure-eight the iteration stalls at |m dA/dm| about 1e-8 of the
     scale (against 3 to 5 at its branch points).
     """
-    Al, Am = partial(A, "l"), partial(A, "m")
-    All, Alm = partial(Al, "l"), partial(Al, "m")
+    polys = (A, partial(A, "l"), partial(A, "m"))
+    ranges = [l_range(p) for p in polys]
+
+    def row_values(l, m):
+        # (A, A_l), (A_l, A_ll) and (A_m, A_lm) at (l, m)
+        return [horner_row(laurent_rows(p, [m], lo, hi)[0].tolist(), lo, l)
+                for p, (lo, hi) in zip(polys, ranges)]
+
     try:
         for _ in range(BRANCH_BUDGET):
-            f, g = eval_poly(A, l, m), eval_poly(Al, l, m)
-            fm, gl, gm = eval_poly(Am, l, m), eval_poly(All, l, m), eval_poly(Alm, l, m)
+            (f, g), (_, gl), (fm, gm) = row_values(l, m)
             det = g * gm - fm * gl
             if det == 0 or not np.isfinite(det):
                 return None
@@ -621,7 +621,9 @@ def locate_branch_point(A: LaurentBiPoly, l: complex, m: complex
                 break
         else:
             return None
-        if abs(eval_poly(Am, l, m) * m) < SINGULAR_REL * max_term(A, l, m):
+        lo, hi = ranges[0]
+        scale = row_max_term(term_maxima(A, [m], lo, hi)[0].tolist(), lo, l)
+        if abs(row_values(l, m)[2][0] * m) < SINGULAR_REL * scale:
             return None
     except DomainError:
         return None
@@ -641,16 +643,19 @@ def grade_toward_branch_points(A: LaurentBiPoly, spec: PathSpec, path: TrackedPa
     the square-root behaviour of l.  The route's points, and so its
     integrals, are unchanged.
     """
-    Al = partial(A, "l")
+    lo, hi = l_range(A)
     bounds = np.cumsum((0,) + path.segment_intervals)
     segs: List[Segment] = []
     toward: List[complex] = []
-    for seg, lo, hi in zip(spec.segments, bounds[:-1], bounds[1:]):
+    for seg, first, last in zip(spec.segments, bounds[:-1], bounds[1:]):
         if isinstance(seg, GradedSeg):
             segs.append(seg)
             continue
-        k = min(range(lo, hi + 1), key=lambda k: abs(eval_poly(Al, path.l[k], path.m[k]))
-                / max_term(A, path.l[k], path.m[k]))
+        m, l = path.m[first:last + 1], path.l[first:last + 1]
+        _, dal = horner_row_batch(laurent_rows(A, m, lo, hi), lo, l[:, None])
+        scale = row_max_term_batch(term_maxima(A, m, lo, hi), lo, l)
+        # argmin keeps the first of equal minima
+        k = first + int(np.argmin(np.abs(dal[:, 0]) / scale))
         found = locate_branch_point(A, complex(path.l[k]), complex(path.m[k]))
         if found is not None:
             s_b = seg.param(found[1])

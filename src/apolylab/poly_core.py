@@ -4,7 +4,7 @@ A polynomial in the variables l and m is stored as a map from exponent
 pairs ``(i, j)`` to nonzero coefficients, where ``i`` is the l-exponent
 and ``j`` the m-exponent.  Exponents may be negative.  Coefficients are
 exact integers (or :class:`fractions.Fraction`); nothing is rounded
-until :func:`eval_poly` converts to floating point.  The zero polynomial
+until :func:`laurent_rows` converts to floating point.  The zero polynomial
 is the empty map.
 
 Text input follows the grammar
@@ -19,19 +19,21 @@ with whitespace ignored and no implicit multiplication.  There is no
 unary minus, so the canonical printer emits a leading negative term as
 ``0 - ...``.
 
-Roots in l at fixed m come from one solver that works on a batch of m
-at once.  :func:`l_coefficients` takes a scalar m (one coefficient
-vector) or a 1-D array of m (one row per m); :func:`horner_rows`
-evaluates such rows at per-row points.  :func:`laurent_rows` builds the
-same rows with the denominators kept and :func:`term_maxima` each
-l-power's largest term magnitude; :func:`horner_row` and
-:func:`row_max_term` read one such row at a scalar l, which is how the
-lift runs Newton in l at a fixed m.  :func:`roots_in_l_batch` takes
-the eigenvalues of the companion matrices of every solvable row in one
-stacked LAPACK call (``np.linalg.eigvals``, backward stable), polishes
-them by Newton's method and returns them with a per-row status code
-(:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l` is
-its one-row case and raises the row's error.  :func:`companion_roots`
+A is turned into numbers through one layout only.  :func:`laurent_rows`
+takes a 1-D array of m to one coefficient row per m, index k holding the
+coefficient of l^(lo + k), denominators kept, with (lo, hi) =
+:func:`l_range`; :func:`term_maxima` holds each l-power's largest term
+magnitude in the same layout.  :func:`horner_row` and
+:func:`row_max_term` read one such row at a scalar l (the value, dA/dl
+and the term scale at which tolerances are set), which is how the lift
+runs Newton in l at a fixed m; :func:`horner_row_batch` and
+:func:`row_max_term_batch` are their batched forms at arrays of l.  The
+l^lo shift is applied by these readers alone.  :func:`roots_in_l_batch`
+takes the eigenvalues of the companion matrices of every solvable row in
+one stacked LAPACK call (``np.linalg.eigvals``, backward stable),
+polishes them by Newton's method and returns them with a per-row status
+code (:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l`
+is its one-row case and raises the row's error.  :func:`companion_roots`
 is that solve, unsorted, on rows a caller built itself (the batched
 lift), and :func:`mark_unsolvable` the row check that comes before it.
 """
@@ -220,28 +222,6 @@ def print_poly(p: LaurentBiPoly) -> str:
     return "".join(pieces)
 
 
-def eval_poly(p: LaurentBiPoly, l: complex, m: complex) -> complex:
-    """Value of p at (l, m); exact coefficients are converted last."""
-    value = 0j
-    for (i, j), c in p.terms.items():
-        if (i < 0 and l == 0) or (j < 0 and m == 0):
-            raise DomainError("negative exponent at zero argument")
-        value += float(c) * l ** i * m ** j
-    return value
-
-
-def max_term(p: LaurentBiPoly, l: complex, m: complex) -> float:
-    """Largest term magnitude |c| |l|^i |m|^j at the point; the natural scale
-    for residual tolerances."""
-    best = 0.0
-    al, am = abs(l), abs(m)
-    for (i, j), c in p.terms.items():
-        if (i < 0 and al == 0) or (j < 0 and am == 0):
-            raise DomainError("negative exponent at zero argument")
-        best = max(best, abs(float(c)) * al ** i * am ** j)
-    return best
-
-
 def partial(p: LaurentBiPoly, var: str) -> LaurentBiPoly:
     """Formal partial derivative with respect to 'l' or 'm'."""
     if var not in ("l", "m"):
@@ -257,41 +237,19 @@ def partial(p: LaurentBiPoly, var: str) -> LaurentBiPoly:
     return LaurentBiPoly(out)
 
 
-def clear_denominators(p: LaurentBiPoly) -> Tuple[LaurentBiPoly, Tuple[int, int]]:
-    """Multiply by l^a m^b with minimal a, b >= 0 so all exponents are >= 0.
-
-    Returns the shifted polynomial and (a, b) so valuations can be adjusted.
-    """
-    if not p:
-        return p, (0, 0)
-    a = max(0, -min(i for i, _ in p.terms))
-    b = max(0, -min(j for _, j in p.terms))
-    if a == 0 and b == 0:
-        return p, (0, 0)
-    return LaurentBiPoly({(i + a, j + b): c for (i, j), c in p.terms.items()}), (a, b)
-
-
-def l_coefficients(p: LaurentBiPoly, m) -> np.ndarray:
-    """Coefficients of the denominator-cleared polynomial in l at fixed m,
-    index = l-power: a vector c[i] for a scalar m, one row c[b, i] per
-    entry of a 1-D array of m."""
-    q, _ = clear_denominators(p)
-    coeffs = laurent_rows(q, np.atleast_1d(m), *l_range(q))
-    return coeffs if np.ndim(m) else coeffs[0]
-
-
 def l_range(p: LaurentBiPoly) -> Tuple[int, int]:
-    """(lo, hi): the lowest and highest l-power of p, widened to hold 0."""
-    powers = [i for i, _ in p.terms] + [0]
-    return min(powers), max(powers)
+    """(lo, hi): the lowest l-power of p, widened to hold 0 (so lo <= 0),
+    and the highest; the span of p's rows in laurent_rows' layout."""
+    powers = [i for i, _ in p.terms] or [0]
+    return min(min(powers), 0), max(powers)
 
 
 def laurent_rows(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
     """p as a Laurent polynomial in l at each entry of a 1-D array of m,
     denominators kept: coeffs[b, k] = sum_j c_ij m_b^j for the l-power
     i = lo + k.  p's l-powers must lie in lo..hi.  On one row, horner_row
-    gives p and dp/dl at any l.  Raises DomainError, as eval_poly does,
-    when p has a negative m-power and an m is 0."""
+    gives p and dp/dl at any l.  Raises DomainError when p has a negative
+    m-power and an m is 0."""
     ms = _checked_m(p, m)
     coeffs = np.zeros((len(ms), hi - lo + 1), dtype=complex)
     for (i, j), c in p.terms.items():
@@ -301,7 +259,8 @@ def laurent_rows(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
 
 def term_maxima(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
     """max_j |c_ij| |m_b|^j in laurent_rows' layout: on one row,
-    row_max_term gives max_term at any l."""
+    row_max_term gives the largest term magnitude |c_ij| |l|^i |m_b|^j of
+    p at any l, the scale of residual tolerances."""
     am = np.abs(_checked_m(p, m))
     maxima = np.zeros((len(am), hi - lo + 1))
     for (i, j), c in p.terms.items():
@@ -310,8 +269,8 @@ def term_maxima(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
 
 
 def _checked_m(p: LaurentBiPoly, m) -> np.ndarray:
-    """m as a complex array; DomainError, as eval_poly raises it, when p
-    has a negative m-power and an m is 0."""
+    """m as a complex array; DomainError when p has a negative m-power
+    and an m is 0."""
     ms = np.asarray(m, dtype=complex)
     if any(j < 0 for _, j in p.terms) and (ms == 0).any():
         raise DomainError("negative exponent at zero argument")
@@ -321,7 +280,7 @@ def _checked_m(p: LaurentBiPoly, m) -> np.ndarray:
 def horner_row(row: List[complex], lo: int, l: complex) -> Tuple[complex, complex]:
     """Value and l-derivative at l of sum_k row[k] l^(lo + k), lo <= 0, by
     Horner's rule on one row of laurent_rows' coefficients (as a list).
-    A negative lo at l = 0 raises DomainError, as eval_poly does."""
+    A negative lo at l = 0 raises DomainError."""
     v, dv = row[-1], 0j
     for c in row[-2::-1]:
         dv = dv * l + v
@@ -335,12 +294,32 @@ def horner_row(row: List[complex], lo: int, l: complex) -> Tuple[complex, comple
 
 
 def row_max_term(maxima: List[float], lo: int, l: complex) -> float:
-    """max_term at l on one row of term_maxima (as a list):
-    max_k maxima[k] |l|^(lo + k)."""
+    """The largest term magnitude at l on one row of term_maxima (as a
+    list): max_k maxima[k] |l|^(lo + k)."""
     al = abs(l)
     if lo and al == 0:
         raise DomainError("negative exponent at zero argument")
     return max([x * al ** i for i, x in enumerate(maxima, lo)])
+
+
+def horner_row_batch(rows: np.ndarray, lo: int, z: np.ndarray):
+    """horner_row at every z[b, k] on row b of laurent_rows' coefficients:
+    (value, l-derivative), each shaped like z.  The derivative is Horner's
+    rule on the derivative rows rows[:, 1:] * (1, 2, ...), and the l^lo
+    shift is applied only when lo != 0.  Raises nothing: a negative lo
+    at z = 0 gives values that are not finite."""
+    d = rows.shape[1] - 1
+    v = horner_rows(rows, z)
+    dv = horner_rows(rows[:, 1:] * np.arange(1, d + 1), z) if d else np.zeros(z.shape, complex)
+    if lo:
+        w = z ** lo
+        return w * v, w * (dv + lo * v / z)
+    return v, dv
+
+
+def row_max_term_batch(maxima: np.ndarray, lo: int, l: np.ndarray) -> np.ndarray:
+    """row_max_term on row b of term_maxima at l[b], for a 1-D array l."""
+    return (maxima * np.abs(l)[:, None] ** np.arange(lo, lo + maxima.shape[1])).max(axis=1)
 
 
 def horner_rows(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -365,7 +344,8 @@ ROW_ERRORS = {
 
 
 def roots_in_l(p: LaurentBiPoly, m: complex) -> List[complex]:
-    """All roots in l of the cleared polynomial at fixed m, with multiplicity.
+    """All roots in l of l^-lo p(l, m) at fixed m, lo = l_range(p)[0],
+    with multiplicity.
 
     Eigenvalues of the companion matrix (LAPACK), Newton-polished, then
     clustered: roots closer than CLUSTER_RADIUS are replaced by their
@@ -385,16 +365,18 @@ def roots_in_l_batch(p: LaurentBiPoly, m):
     Returns (roots, status): roots[b] holds the roots at m[b] as
     roots_in_l returns them and status[b] is 0, or status[b] is the
     ROW_ERRORS code of the error roots_in_l raises at m[b] and roots[b]
-    is nan.  The companion matrices of all solvable rows go to one
-    stacked np.linalg.eigvals call.
+    is nan.  The rows are laurent_rows' and their companion matrices, for
+    all solvable rows, go to one stacked np.linalg.eigvals call.
     """
     if not p:
         raise DegenerateError("zero polynomial")
     m = np.asarray(m, dtype=complex)
     status = np.where(m == 0, M_ZERO, 0)
-    # coefficients that overflow are reported as NO_CONVERGENCE rows
+    # coefficients that overflow are reported as NO_CONVERGENCE rows; an
+    # m = 0 row is M_ZERO whatever it holds, and 1 in its place keeps a
+    # negative m-power from raising
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = l_coefficients(p, m)
+        coeffs = laurent_rows(p, np.where(m == 0, 1, m), *l_range(p))
     return _solve_rows(coeffs, status)
 
 

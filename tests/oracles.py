@@ -6,15 +6,17 @@ state sum over a planar diagram, the Lobachevsky value from composite
 Simpson rather than the package's Gauss-Legendre rule, the colored Jones
 from direct complex product accumulation (or mpmath at roots of unity)
 rather than the signed log-sum evaluator, |dA/dl| of the figure-eight
-from its discriminant rather than from root solves, and the figure-eight
+from its discriminant rather than from root solves, the figure-eight
 lift in closed form with Gauss-Legendre line integrals rather than
-Newton tracking with the trapezoid rule.  Tests compare package output
-to these.  The scalar root loop, the per-term Jones loop, the lift
-kernel with two Newton loops, the four quadrature integrands (one
-trapezoid rule per form, before every form was read off the one table of
-int log l dlog m) and the probe's row-by-row root solve are the
-package's own earlier code, kept so that the faster or smaller
-replacements can be checked against them.
+Newton tracking with the trapezoid rule, and A itself term by term from
+its term map (eval_poly, max_term) rather than by Horner's rule on
+coefficient rows.  Tests compare package output to these.  The scalar
+root loop, the per-term Jones loop, the lift kernel with two Newton
+loops, the four quadrature integrands (one trapezoid rule per form,
+before every form was read off the one table of int log l dlog m) and
+the probe's row-by-row root solve are the package's own earlier code,
+kept so that the faster or smaller replacements can be checked against
+them.
 """
 
 from __future__ import annotations
@@ -26,13 +28,18 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from apolylab import curve_tracker, one_forms
-from apolylab.errors import DegenerateError, NonConvergence, RamificationError, SeedError
+from apolylab.errors import (
+    DegenerateError,
+    DomainError,
+    NonConvergence,
+    RamificationError,
+    SeedError,
+)
 from apolylab.poly_core import (
-    clear_denominators,
-    eval_poly,
-    horner_rows,
-    l_coefficients,
-    max_term,
+    LaurentBiPoly,
+    horner_row_batch,
+    l_range,
+    laurent_rows,
     partial,
     roots_in_l,
     roots_in_l_batch,
@@ -223,11 +230,35 @@ def fig8_min_abs_dadl(m: complex) -> float:
     return math.sqrt(abs(b * b - 4 * m ** 8))
 
 
+def eval_poly(p: LaurentBiPoly, l: complex, m: complex) -> complex:
+    """Value of p at (l, m) term by term from the term map, exact
+    coefficients converted last: the reference for the package's row
+    evaluators."""
+    value = 0j
+    for (i, j), c in p.terms.items():
+        if (i < 0 and l == 0) or (j < 0 and m == 0):
+            raise DomainError("negative exponent at zero argument")
+        value += float(c) * l ** i * m ** j
+    return value
+
+
+def max_term(p: LaurentBiPoly, l: complex, m: complex) -> float:
+    """Largest term magnitude |c| |l|^i |m|^j at the point, term by term:
+    the reference for poly_core.row_max_term."""
+    best = 0.0
+    al, am = abs(l), abs(m)
+    for (i, j), c in p.terms.items():
+        if (i < 0 and al == 0) or (j < 0 and am == 0):
+            raise DomainError("negative exponent at zero argument")
+        best = max(best, abs(float(c)) * al ** i * am ** j)
+    return best
+
+
 def probe_by_rows(knot, re_range, im_range, density: int, threshold: float):
     """cli_app.probe_branch_points as it was before it solved blocks of
-    rows: one roots_in_l_batch call per grid row (fixed Re m)."""
-    a_l = partial(knot.a_poly, "l")
-    _, (l_shift, m_shift) = clear_denominators(a_l)
+    rows: one roots_in_l_batch call per grid row (fixed Re m), |dA/dl|
+    read off A's coefficient rows as the package reads it."""
+    lo, hi = l_range(knot.a_poly)
     hits: List[Tuple[complex, float]] = []
     closest = None
     m = np.empty(density, dtype=complex)
@@ -240,8 +271,7 @@ def probe_by_rows(knot, re_range, im_range, density: int, threshold: float):
             continue
         ms, roots = m[solved], roots[solved]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dadl = np.abs(horner_rows(l_coefficients(a_l, ms), roots)
-                          / (roots ** l_shift * ms[:, None] ** m_shift))
+            dadl = np.abs(horner_row_batch(laurent_rows(knot.a_poly, ms, lo, hi), lo, roots)[1])
         # l = 0 is off the curve when A has negative powers of l: never a hit
         vals = np.where(np.isnan(dadl), np.inf, dadl).min(axis=1)
         below = vals < threshold

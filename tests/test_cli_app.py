@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import oracles
-from apolylab import cli_app, one_forms, parse_poly, print_poly, vol_fig8
-from apolylab.poly_core import NO_CONVERGENCE, eval_poly, roots_in_l, roots_in_l_batch
+from apolylab import cli_app, one_forms, parse_poly, partial, print_poly, vol_fig8
+from apolylab.poly_core import NO_CONVERGENCE, roots_in_l, roots_in_l_batch
+from oracles import eval_poly
 
 
 def circle_json(center, radius, l_seed, a0=0.0, a1=2.0 * math.pi):
@@ -45,6 +46,13 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 
 
 class TestKnotTable:
+
+    def test_table_is_loaded_once_and_read_only(self, fig8_record):
+        table = cli_app.load_knots()
+        assert cli_app.load_knots() is table
+        assert table["fig8"] is fig8_record
+        with pytest.raises(TypeError):
+            table["fig8"] = None
 
     def test_fig8_record(self, fig8_record):
         rec = fig8_record
@@ -478,6 +486,11 @@ class TestProbeVerb:
         assert len(hits) == 24 and 1.0 + 0j not in [m for m, _ in hits]
         assert all(v == pytest.approx(2.0, rel=1e-12) for _, v in hits)
         assert closest[1] == pytest.approx(2.0, rel=1e-12)
+        # each hit against |dA/dl| term by term at the l-roots
+        a_l = partial(rec.a_poly, "l")
+        for m, v in hits:
+            want = min(abs(eval_poly(a_l, l, m)) for l in roots_in_l(rec.a_poly, m))
+            assert v == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_zero_threshold_is_empty(self, fig8_record):
         hits, _ = cli_app.probe_branch_points(fig8_record, (0.9, 1.1),

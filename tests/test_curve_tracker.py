@@ -20,7 +20,6 @@ from apolylab import (
     SeedError,
     StepControls,
     concat,
-    eval_poly,
     integrate_eta,
     integrate_xi,
     lift_path,
@@ -32,9 +31,9 @@ from apolylab import (
 )
 from apolylab import cli_app, curve_tracker, one_forms
 from apolylab.curve_tracker import _track_grid
-from apolylab.poly_core import (companion_roots, horner_row, l_range, laurent_rows, max_term,
-                                partial)
+from apolylab.poly_core import companion_roots, horner_row, l_range, laurent_rows, partial
 from conftest import big_root, small_root, unit
+from oracles import eval_poly, max_term
 
 TWO_PI = 2.0 * math.pi
 

@@ -16,7 +16,6 @@ from apolylab import (
     LaurentBiPoly,
     NonConvergence,
     PolySyntaxError,
-    eval_poly,
     parse_poly,
     partial,
     print_poly,
@@ -24,19 +23,20 @@ from apolylab import (
 )
 from apolylab.poly_core import (
     CLUSTER_RADIUS,
+    M_ZERO,
     NO_CONVERGENCE,
     ROW_ERRORS,
-    clear_denominators,
     horner_row,
+    horner_row_batch,
     horner_rows,
-    l_coefficients,
     l_range,
     laurent_rows,
-    max_term,
     roots_in_l_batch,
     row_max_term,
+    row_max_term_batch,
     term_maxima,
 )
+from oracles import eval_poly, max_term
 
 ROUND_TRIP_CASES = [
     "0",
@@ -190,15 +190,6 @@ def test_partial_matches_finite_differences(fig8):
         assert abs(eval_poly(a_m, l, m) - fd_m) < 1e-5 * max(1.0, abs(fd_m))
 
 
-def test_clear_denominators_shifts():
-    p = parse_poly("l^-1*m + l*m^-2")
-    q, (a, b) = clear_denominators(p)
-    assert (a, b) == (1, 2)
-    assert q.terms == {(0, 3): 1, (2, 0): 1}
-    r, (a2, b2) = clear_denominators(parse_poly("l + m"))
-    assert (a2, b2) == (0, 0) and r.terms == parse_poly("l + m").terms
-
-
 def test_roots_double_at_m_one(fig8):
     roots = roots_in_l(fig8, 1.0)
     assert len(roots) == 2
@@ -243,7 +234,7 @@ def test_roots_re_expansion(fig8):
         m = complex(*rng.uniform(-1.5, 1.5, 2))
         if abs(m) < 0.05:
             continue
-        coeffs = l_coefficients(fig8, m)
+        coeffs = laurent_rows(fig8, [m], *l_range(fig8))[0]
         roots = roots_in_l(fig8, m)
         rebuilt = oracles.poly_from_roots(coeffs[-1], roots)
         scale = np.max(np.abs(coeffs))
@@ -276,6 +267,8 @@ SOLVER_POLYS = [
     "l*m - l + m - 1",          # vanishes identically at m = 1
     "l^-1*m + l*m^-2 - 3",      # Laurent in both variables
     "(l - m)*(l - m)*(l + 1)",  # a double root on every row
+    "l^-1*m + l - 3",           # a negative l-power only
+    "l^-2 - l^-1*m",            # negative l-powers only: l^-2 (1 - m l)
 ]
 
 
@@ -299,7 +292,7 @@ class TestBatchRoots:
 
     # the double root of the last polynomial moves by the square root of a
     # change in the coefficients
-    @pytest.mark.parametrize("text, tol", zip(SOLVER_POLYS, [1e-12] * 4 + [1e-7]))
+    @pytest.mark.parametrize("text, tol", zip(SOLVER_POLYS, [1e-12] * 4 + [1e-7] + [1e-12] * 2))
     def test_matches_one_row_calls(self, text, tol):
         p = parse_poly(text)
         ms = _probe_points()
@@ -322,7 +315,8 @@ class TestBatchRoots:
         # for the others (False), next to the replaced iteration's
         p = parse_poly(text)
         ms = _probe_points()
-        rows = l_coefficients(p, ms)
+        # the rows roots_in_l_batch solves; m = 0 is skipped below
+        rows = laurent_rows(p, np.where(ms == 0, 1, ms), *l_range(p))
         roots, status = roots_in_l_batch(p, ms)
         worst = {True: [0.0, 0.0], False: [0.0, 0.0]}
         for b, m in enumerate(ms):
@@ -361,6 +355,17 @@ class TestBatchRoots:
         assert np.allclose(sorted(roots[0], key=abs), [0.0, -1.0])
         assert np.allclose(sorted(roots[3], key=abs), [0.0, 0.5])
 
+    def test_negative_powers_keep_their_rows(self):
+        # a negative m-power with m = 0 in the batch: that row is M_ZERO, the
+        # others are solved; (l - 2)(l - 1/m) has the roots 2 and 1/m
+        p = parse_poly("l^2 - 2*l - m^-1*l + 2*m^-1")
+        roots, status = roots_in_l_batch(p, np.array([0.25, 0.0, -2.0 + 1.0j]))
+        assert list(status) == [0, M_ZERO, 0]
+        assert np.all(np.isnan(roots[1]))
+        assert np.allclose(roots[[0, 2]], [[2.0, 4.0], [-0.4 - 0.2j, 2.0]], rtol=1e-14, atol=0)
+        # only negative l-powers: l^-2 (1 - m l) has the one root 1/m
+        assert roots_in_l(parse_poly("l^-2 - l^-1*m"), 4.0) == pytest.approx([0.25], rel=1e-15)
+
     def test_against_companion_eigenvalues(self, fig8):
         # np.roots solves one companion matrix per call, with no stacking,
         # Newton polish, real snap or clustering
@@ -369,16 +374,17 @@ class TestBatchRoots:
         roots, status = roots_in_l_batch(fig8, ms)
         assert np.all(status == 0)
         for b, m in enumerate(ms):
-            want = np.sort_complex(np.roots(l_coefficients(fig8, m)[::-1]))
+            want = np.sort_complex(np.roots(laurent_rows(fig8, [m], *l_range(fig8))[0][::-1]))
             got = np.sort_complex(roots[b])
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_coefficient_rows_and_horner(self, fig8):
         ms = _probe_points()
-        rows = l_coefficients(fig8, ms)
-        assert rows.shape == (len(ms), 3)
+        lo, hi = l_range(fig8)
+        rows = laurent_rows(fig8, ms, lo, hi)
+        assert (lo, hi) == (0, 2) and rows.shape == (len(ms), 3)
         for b, m in enumerate(ms):
-            assert np.allclose(rows[b], l_coefficients(fig8, complex(m)),
+            assert np.allclose(rows[b], laurent_rows(fig8, [complex(m)], lo, hi)[0],
                                rtol=1e-15, atol=0.0)
         z = np.stack([ms, 1.0 / (ms + 2.0)], axis=1)
         got = horner_rows(rows, z)
@@ -437,6 +443,14 @@ def test_laurent_rows_match_the_term_map(terms, l, m):
                                                        + (hi - lo) * scale / abs(l))
     maxima = term_maxima(p, [m], lo, hi)[0].tolist()
     assert row_max_term(maxima, lo, l) == pytest.approx(scale, rel=1e-14)
+    # the batched readers on the same row and l: numpy's complex products
+    # and |l| round differently from Python's, so they agree to rounding,
+    # a tenth of the bounds above
+    v, d = horner_row_batch(laurent_rows(p, [m], lo, hi), lo, np.array([[l]]))
+    assert abs(v[0, 0] - value) <= 1e-14 * scale
+    assert abs(d[0, 0] - deriv) <= 1e-14 * (max_term(dl, l, m) + (hi - lo) * scale / abs(l))
+    batch_scale = row_max_term_batch(term_maxima(p, [m], lo, hi), lo, np.array([l]))[0]
+    assert batch_scale == pytest.approx(row_max_term(maxima, lo, l), rel=1e-14)
 
 
 def test_laurent_rows_raise_at_zero_like_eval_poly():
