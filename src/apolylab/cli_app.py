@@ -185,11 +185,13 @@ def _section(cfg: dict, key: str) -> dict:
 
 def _controls_from_json(cfg: dict) -> StepControls:
     ctrl = _section(cfg, "controls")
+    unknown = sorted(set(ctrl) - {"max_step", "min_step"})
+    if unknown:
+        raise ConfigError("unknown controls key %s" % ", ".join(map(repr, unknown)))
     try:
         return StepControls(
             max_step=float(ctrl.get("max_step", 0.01)),
             min_step=float(ctrl.get("min_step", 1e-12)),
-            newton_budget=int(ctrl.get("newton_budget", 20)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad controls: %s" % exc)

@@ -2,24 +2,22 @@
 
 A PathSpec is a chain of line and arc segments in the m-plane plus a
 branch seed for l at the first point.  lift_path follows the route one
-segment at a time on an equal-step grid.  At each grid m, A and dA/dm
-are polynomials in l whose coefficient rows are built in numpy
-(poly_core.laurent_rows).  The batch solves a segment's grid BATCH_CHUNK
-intervals at a time: every root at every m from one stacked eigvals
-call (poly_core.companion_roots), a tangent prediction from each root,
-and the seeded sheet followed through the nearest-root matches.  It
-refuses a segment at the first chunk where a match is ambiguous (the
-nearest root not below BATCH_RATIO of the second-nearest) or a point
-fails the march's residual or ramification check; the march then lifts
-the whole segment by tangent prediction and Newton correction in l,
-halving steps where Newton struggles.  One Newton loop (_newton) runs
-scalar Horner on a row (poly_core.horner_row), serves the seed polish
-and every step of the march, and returns dA/dl at its last iterate.
-Each lift reports what it did in a LiftDiagnostics record.  The result
-carries one log state: the complex arrays log_l and log_m, each
-log|z| + i arg z with arg continuously unwrapped (between consecutive
-samples |delta arg| < pi), so winding numbers and branch-sensitive
-integrals are well defined downstream.
+segment at a time on an equal-step grid, by one kernel (_track_grid).
+At each grid m, A and dA/dm are polynomials in l whose coefficient rows
+are built in numpy (poly_core.laurent_rows).  The kernel solves a
+segment's grid BATCH_CHUNK intervals at a time: every root at every m
+from one stacked eigvals call (poly_core.companion_roots), a tangent
+prediction from each root, and the seeded sheet followed through the
+nearest-root matches.  A step is refused when its match is ambiguous
+(the nearest root not below BATCH_RATIO of the second-nearest) or its
+point fails the residual check; the kernel then splits that step into
+SPLIT equal sub-steps, solves their points the same way and goes on from
+the last accepted l.  A matched root that fails the |dA/dl| guard is a
+branch point (RamificationError).  Each lift reports what it did in a
+LiftDiagnostics record.  The result carries one log state: the complex
+arrays log_l and log_m, each log|z| + i arg z with arg continuously
+unwrapped (between consecutive samples |delta arg| < pi), so winding
+numbers and branch-sensitive integrals are well defined downstream.
 
 A closed path closes on the curve: lift_path and concat judge "the same
 l" by one rule, _same_l, relative to |l|.
@@ -56,7 +54,9 @@ from .errors import (
     SeedError,
 )
 from .poly_core import (
+    NO_CONVERGENCE,
     REAL_SNAP_REL,
+    ROW_ERRORS,
     LaurentBiPoly,
     companion_roots,
     horner_row,
@@ -76,13 +76,14 @@ MONODROMY_REL = 1e-8     # l-sameness (closed-loop return, concat joint), relati
 DEFAULT_SEED_TOL = 1e-6  # seed residual, relative to the term scale
 RESID_REL = 1e-12        # Newton tolerance, relative to the running term scale
 RAM_REL = 1e-8           # |dA/dl| guard, relative to the running term scale
-HALVE_AFTER = 5          # Newton iterations to tolerance before a step is halved
+POLISH_BUDGET = 20       # Newton steps of the seed polish
 BASE_EPS = 1e-4          # |m - 1| radius in which arg m(t0) is zeroed
 BRANCH_BUDGET = 30       # Newton steps of the branch-point locator
 BRANCH_STEP_REL = 1e-13  # its last step, relative to |l| and |m|
 SINGULAR_REL = 1e-6      # |m dA/dm| floor of a branch point, relative to the term scale
 BATCH_CHUNK = 256        # grid intervals per root solve of a batched lift
 BATCH_RATIO = 0.25       # a batched step's nearest root, below this share of the second-nearest
+SPLIT = 8                # equal sub-steps a refused step is split into
 
 
 @dataclass(frozen=True)
@@ -208,36 +209,30 @@ class PathSpec:
 class StepControls:
     max_step: float = 0.01   # in segment parameter
     min_step: float = 1e-12
-    newton_budget: int = 20
 
     def __post_init__(self):
         for name in ("max_step", "min_step"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError("%s must be finite and positive" % name)
-        if not self.newton_budget >= 1:
-            raise ValueError("newton_budget must be at least 1")
 
 
 class LiftDiagnostics(NamedTuple):
-    """What a lift did, deterministic: the step halvings, the smallest
-    accepted step (in segment parameter), the most Newton steps an
-    accepted step of the march took to the tolerance, the smallest
-    |dA/dl| / scale at an accepted point, the margin that RAM_REL guards,
-    and the worst nearest / second-nearest root distance of a batched
-    step, the ratio that BATCH_RATIO bounds (0 when no segment was
-    batched)."""
+    """What a lift did, deterministic: the samples inserted by splitting
+    refused steps (halvings), the smallest accepted step (in segment
+    parameter), the smallest |dA/dl| / scale at an accepted point, the
+    margin that RAM_REL guards, and the worst nearest / second-nearest
+    root distance of an accepted match, the ratio that BATCH_RATIO
+    bounds."""
 
     halvings: int = 0
     min_step: float = math.inf
-    max_newton: int = 0
     min_margin: float = math.inf
     max_ratio: float = 0.0
 
     def join(self, other: "LiftDiagnostics") -> "LiftDiagnostics":
         return LiftDiagnostics(self.halvings + other.halvings,
                                min(self.min_step, other.min_step),
-                               max(self.max_newton, other.max_newton),
                                min(self.min_margin, other.min_margin),
                                max(self.max_ratio, other.max_ratio))
 
@@ -257,7 +252,7 @@ class TrackedPath:
     closed: bool
     base_convention: dict = field(compare=False)
     # sample intervals of each segment, in route order (empty: not known),
-    # and whether every segment kept its equal-step grid (no step halved)
+    # and whether every segment kept its equal-step grid (no step split)
     segment_intervals: Tuple[int, ...] = ()
     uniform: bool = False
     # the branch points m_b the route's segments were graded toward
@@ -275,13 +270,13 @@ def _same_l(a: complex, b: complex) -> bool:
     return bool(abs(a - b) <= MONODROMY_REL * abs(b))
 
 
-def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex, budget: int):
+def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex):
     """The branch seed polished onto the curve at m0, and the term scale
     there.
 
     The seed must be finite and satisfy A within DEFAULT_SEED_TOL of the
-    term scale on A's coefficient row at m0.  One _newton run polishes it
-    (steps only while the residual drops); on a real row a root within
+    term scale on A's coefficient row at m0.  _polish polishes it (steps
+    only while the residual drops); on a real row a root within
     REAL_SNAP_REL of the axis is put on it, so the [0, 2pi) arg convention
     does not flip on sub-epsilon imaginary noise.  |dA/dl| there must pass
     the lift's ramification guard: at a branch or singular point the
@@ -295,7 +290,7 @@ def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex, budget: int):
     residual = horner_row(row, lo, l_seed)[0]
     if abs(residual) > DEFAULT_SEED_TOL * row_max_term(maxima, lo, l_seed):
         raise SeedError("seed does not satisfy A within tolerance at the start point")
-    l0, _, dal, _ = _newton(row, lo, l_seed, np.inf, budget)
+    l0, dal = _polish(row, lo, l_seed)
     l0 = complex(l0)
     if all(c.imag == 0.0 for c in row) and abs(l0.imag) <= REAL_SNAP_REL * (1.0 + abs(l0)):
         l0 = complex(l0.real)
@@ -306,209 +301,175 @@ def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex, budget: int):
     return l0, scale
 
 
-def _newton(row: List[complex], lo: int, l: complex, tol: float, budget: int):
-    """Newton in l on one coefficient row of A (poly_core.horner_row).
-
-    Steps unconditionally until |A| <= tol, then only while the residual
-    strictly drops, within budget steps in total.  Returns (l, A, dA/dl,
-    hit) at the last iterate: hit is the step count at the first
-    |A| <= tol, or None when the budget or a zero derivative comes first.
-    A NaN residual never counts as a hit.
-    """
+def _polish(row: List[complex], lo: int, l: complex):
+    """Newton in l on one coefficient row of A (poly_core.horner_row)
+    while the residual strictly drops, within POLISH_BUDGET steps.
+    Returns (l, dA/dl) at the last iterate."""
     r, d = horner_row(row, lo, l)
-    hit = 0 if abs(r) <= tol else None
-    for k in range(budget):
+    for _ in range(POLISH_BUDGET):
         if d == 0:
             break
         l_try = l - r / d
         r_try, d_try = horner_row(row, lo, l_try)
-        if hit is not None and not abs(r_try) < abs(r):
+        if not abs(r_try) < abs(r):
             break
         l, r, d = l_try, r_try, d_try
-        if hit is None and abs(r) <= tol:
-            hit = k + 1
-    return l, r, d, hit
+    return l, d
 
 
 def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
                 l: complex, scale: float, ctrl: StepControls):
     """Lift l along n equal steps of seg keeping A(l, m) = 0.
 
-    The grid's m come from one seg.points call.  The batch (_batch_grid)
-    solves the grid BATCH_CHUNK intervals at a time, in order, by root
-    solves and follows the seeded sheet from root to root.  It refuses
-    the segment at the first chunk where a step's nearest root is not
-    below BATCH_RATIO of the second-nearest, an accepted point fails the
-    march's residual or ramification check, a row cannot be solved, or
-    a step does not move m; the march (_march) then lifts the whole
-    segment again from l, with its step halvings and errors unchanged.
-    Returns (s, m, l, resid_max, scale, diagnostics): the accepted
-    segment parameters with their m and l samples, the largest residual,
-    the running term scale and the segment's LiftDiagnostics (a batched
-    segment reports no halvings and no Newton steps, and the worst match
-    ratio of its steps).
-    """
-    s = np.linspace(0.0, 1.0, n + 1)
-    ms = np.asarray(seg.points(s), dtype=complex)
-    batch = _batch_grid(A, Am, ms, l, scale)
-    if batch is None:
-        return _march(A, Am, seg, s.tolist(), ms.tolist(), l, scale, ctrl)
-    ls, resid_max, scale, min_margin, max_ratio = batch
-    return (s, ms, ls, resid_max, scale,
-            LiftDiagnostics(min_step=float(np.diff(s).min()), min_margin=min_margin,
-                            max_ratio=max_ratio))
+    Chunk by chunk, in order, BATCH_CHUNK grid intervals at a time from
+    the last accepted l: the l-coefficient rows of A and dA/dm at the
+    chunk's m (_rows) give every root at every m in one stacked eigvals
+    call (poly_core.companion_roots), and _follow matches the seeded
+    sheet along them.  At the first refused step the steps before it are
+    kept.  The refused step is split into SPLIT equal sub-steps, whose
+    SPLIT - 1 new points are solved in one companion_roots call and
+    spliced into the chunk, and matching resumes from the last accepted
+    l; a sub-step refused again is split again.  A root at a given m
+    does not depend on the batch it was solved in, so a route no step
+    of which is refused keeps its equal-step grid and its values.
 
-
-def _batch_grid(A: LaurentBiPoly, Am: LaurentBiPoly, ms: np.ndarray, l: complex,
-                scale: float):
-    """The lift of l along the grid ms by root solves, or None (refused).
-
-    Chunk by chunk, in order, BATCH_CHUNK intervals at a time from the
-    last accepted l: the l-coefficient rows of A and dA/dm at the chunk's
-    m (poly_core.laurent_rows, with term_maxima) give every root at every
-    m in one stacked eigvals call (poly_core.companion_roots).  Each root
-    at sample k predicts sample k + 1 by the tangent, l - (A_m / A_l) dm,
-    and is matched to the nearest root there; the seeded sheet is the
-    chain of matches from the root nearest l.  Each accepted point is
-    checked as the march checks it: |A| <= RESID_REL * scale and
-    |dA/dl| >= RAM_REL * scale, with scale the running maximum term.
-    Refused, at the first chunk where it happens, when a step's nearest
-    distance is not below BATCH_RATIO of its second-nearest, a check
-    fails, a row is not finite or its leading coefficient vanishes, a
-    step does not move m, or the sheet meets l = 0.  Returns (l,
-    resid_max, scale, min_margin, max_ratio): l at every grid m (l itself
-    first), the largest residual, the running scale, the smallest
-    |dA/dl| / scale and the worst ratio.
+    Raises RamificationError where the matched root fails the |dA/dl|
+    guard (no split separates the sheets at a fixed m), NonConvergence
+    when a sub-step would fall below ctrl.min_step, and DomainError
+    where, with a negative l-power, the matched root is l = 0.  Returns
+    (s, m, l, resid_max, scale, diagnostics): the segment parameters with
+    their m and l samples, the largest residual, the running term scale
+    and the segment's LiftDiagnostics (halvings counts the inserted
+    samples).
     """
     lo, hi = l_range(A)
-    if hi == lo or l == 0:
-        return None
-    ls = [np.array([l])]
-    resid_max, min_margin, max_ratio = 0.0, math.inf, 0.0
-    for first in range(0, len(ms) - 1, BATCH_CHUNK):
-        m = ms[first:first + BATCH_CHUNK + 1]
-        # non-finite values refuse the chunk; the march reports them
-        with np.errstate(all="ignore"):
-            rows, drows = laurent_rows(A, m, lo, hi), laurent_rows(Am, m, lo, hi)
-            maxima = term_maxima(A, m, lo, hi)
-        # a step that does not move m keeps l exactly on the march (Newton
-        # from a root stays there); a root solve would move it by rounding
-        if (mark_unsolvable(rows, np.zeros(len(m), dtype=int)).any()
-                or not (np.isfinite(drows).all() and np.isfinite(maxima).all())
-                or (m[1:] == m[:-1]).any()):
-            return None
+    grid = np.linspace(0.0, 1.0, n + 1)
+    grid_m = np.asarray(seg.points(grid), dtype=complex)
+    s_parts, m_parts, l_parts = [grid[:1]], [grid_m[:1]], [np.array([l])]
+    resid_max, min_margin, max_ratio, halvings = 0.0, math.inf, 0.0, 0
+    for first in range(0, n, BATCH_CHUNK):
+        s = grid[first:first + BATCH_CHUNK + 1]
+        m = grid_m[first:first + BATCH_CHUNK + 1]
+        rows, drows, maxima = _rows(A, Am, m, lo, hi)
         if first == 0:
             resid_max = abs(horner_row(rows[0].tolist(), lo, l)[0])
         z = companion_roots(rows)
-        # row k of pred holds the predictions for sample k: l itself at the
-        # chunk's first m, then the tangent step from every root at k - 1
-        with np.errstate(all="ignore"):
-            slope = (horner_row_batch(drows[:-1], lo, z[:-1])[0]
-                     / horner_row_batch(rows[:-1], lo, z[:-1])[1])
-            pred = np.concatenate((np.full((1, z.shape[1]), l),
-                                   z[:-1] - slope * np.diff(m)[:, None]))
-            # nearest and second-nearest root to each prediction, by
-            # elementwise passes over the roots (a NaN distance ends up in
-            # the ratio and refuses)
-            match = np.zeros(pred.shape, dtype=int)
-            near, second = np.abs(pred - z[:, :1]), np.full(pred.shape, np.inf)
-            for j in range(1, z.shape[1]):
-                dist = np.abs(pred - z[:, j:j + 1])
-                closer = dist < near
-                second = np.where(closer, near, np.minimum(second, dist))
-                match[closer] = j
-                near = np.where(closer, dist, near)
-            ratio = near / second
-        # the seeded sheet's root index at each sample
-        sheet = [0]
-        for row in match.tolist():
-            sheet.append(row[sheet[-1]])
-        k = np.arange(len(m))
-        ratio = ratio[k, sheet[:-1]]
-        lc = z[k, sheet[1:]][1:]
-        if not (ratio < BATCH_RATIO).all() or not lc.all():
-            return None
-        # the march's checks at each accepted point
-        with np.errstate(all="ignore"):
-            v, dv = horner_row_batch(rows[1:], lo, lc[:, None])
-            r, dal = np.abs(v[:, 0]), np.abs(dv[:, 0])
-            term = row_max_term_batch(maxima[1:], lo, lc)
-        scales = np.maximum.accumulate(np.append(scale, term))
-        if not ((r <= RESID_REL * scales[:-1]).all() and (dal >= RAM_REL * scales[1:]).all()):
-            return None
-        resid_max = max(resid_max, float(r.max()))
-        min_margin = min(min_margin, float((dal / scales[1:]).min()))
-        max_ratio = max(max_ratio, float(ratio.max()))
-        scale = float(scales[-1])
-        ls.append(lc)
-        l = lc[-1]
-    return np.concatenate(ls), resid_max, scale, min_margin, max_ratio
+        k = 0  # the chunk's last accepted sample
+        while k < len(m) - 1:
+            lc, ok, ratio, r, dal, scales = _follow(
+                rows[k:], drows[k:], maxima[k:], z[k:], m[k:], l, scale, lo)
+            j = len(ok) if ok.all() else int(np.argmin(ok))
+            if j:
+                resid_max = max(resid_max, float(r[:j].max()))
+                min_margin = min(min_margin, float((dal[:j] / scales[1:j + 1]).min()))
+                max_ratio = max(max_ratio, float(ratio[:j + 1].max()))
+                scale = float(scales[j])
+                l_parts.append(lc[:j])
+                l = lc[j - 1]
+                k += j
+            if j == len(ok):
+                break
+            # the step from sample k to k + 1 is refused
+            if lo and lc[j] == 0:
+                raise DomainError("negative exponent at zero argument")
+            if not dal[j] >= RAM_REL * scales[j + 1]:
+                m1 = complex(m[k + 1])
+                raise RamificationError("lift ran into a branch point near m = %s" % m1,
+                                        m=m1, l=complex(lc[j]))
+            gap = (s[k + 1] - s[k]) / SPLIT
+            if gap < ctrl.min_step:
+                raise NonConvergence("step underflow near m = %s" % complex(m[k]))
+            new_s = s[k] + gap * np.arange(1, SPLIT)
+            new_m = np.asarray(seg.points(new_s), dtype=complex)
+            new_rows = _rows(A, Am, new_m, lo, hi)
+            new = (new_s, new_m) + new_rows + (companion_roots(new_rows[0]),)
+            # splice the new points in after sample k
+            s, m, rows, drows, maxima, z = (np.concatenate((a[:k + 1], b, a[k + 1:]))
+                                            for a, b in zip((s, m, rows, drows, maxima, z), new))
+            halvings += SPLIT - 1
+        s_parts.append(s[1:])
+        m_parts.append(m[1:])
+    s = np.concatenate(s_parts)
+    return (s, np.concatenate(m_parts), np.concatenate(l_parts), resid_max, scale,
+            LiftDiagnostics(halvings, float(np.diff(s).min()), min_margin, max_ratio))
 
 
-def _march(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, s: List[float],
-           ms: List[complex], l: complex, scale: float, ctrl: StepControls):
-    """March l along the grid s of seg (m = ms) keeping A(l, m) = 0, for
-    a segment the batch refused; same return value as _track_grid.
+def _rows(A: LaurentBiPoly, Am: LaurentBiPoly, m: np.ndarray, lo: int, hi: int):
+    """The l-coefficient rows of A and dA/dm at each m (poly_core.laurent_rows)
+    and A's term maxima.  Raises DomainError when m = 0 (the route meets
+    it), and the row's poly_core.ROW_ERRORS error at the first m where a
+    coefficient is not finite or A's leading coefficient cancels, where
+    companion_roots cannot solve the row."""
+    with np.errstate(all="ignore"):
+        rows, drows = laurent_rows(A, m, lo, hi), laurent_rows(Am, m, lo, hi)
+        maxima = term_maxima(A, m, lo, hi)
+    if not m.all():
+        raise DomainError("route meets m = 0 at m = %s" % complex(m[np.argmin(np.abs(m))]))
+    status = mark_unsolvable(rows, maxima[:, -1], np.zeros(len(m), dtype=int))
+    status[(status == 0) & ~(np.isfinite(drows).all(axis=1) & np.isfinite(maxima).all(axis=1))] \
+        = NO_CONVERGENCE
+    if status.any():
+        b = int(np.argmax(status != 0))
+        error, message = ROW_ERRORS[status[b]]
+        raise error("%s: m = %s" % (message, complex(m[b])))
+    return rows, drows, maxima
 
-    A is read as a polynomial in l whose coefficients are taken once per
-    grid m: poly_core.laurent_rows gives, for every grid m, the
-    l-coefficient rows of A and of dA/dm, and poly_core.term_maxima the
-    per-power term maxima (so the running scale is row_max_term's value), in
-    numpy arrays; a halving midpoint gets its rows when it is inserted.
-    Each step is a tangent prediction from the last accepted point and
-    one _newton run on the new m's row.  dA/dl comes with each Newton
-    iterate, and dA/dm's row is read once per accepted point and reused
-    by every retry from it.  A step whose Newton run misses the tolerance
-    or needs more than HALVE_AFTER steps to hit it is halved by inserting
-    the parameter midpoint.
+
+def _follow(rows: np.ndarray, drows: np.ndarray, maxima: np.ndarray, z: np.ndarray,
+            m: np.ndarray, l: complex, scale: float, lo: int):
+    """The seeded sheet from l at m[0] along m[1:], on the rows, term
+    maxima and roots z of every m, with scale the running term scale.
+
+    Each root at sample k predicts sample k + 1 by the tangent,
+    l - (A_m / A_l) dm, and is matched to the nearest root there; the
+    sheet is the chain of matches from the root nearest l.  A step that
+    does not move m keeps l bit for bit (a root solve would move it by
+    rounding).  Step k is accepted (ok[k]) when its match's nearest
+    distance is below BATCH_RATIO of its second-nearest (for step 0 also
+    the match of l itself), its point has |A| <= RESID_REL * scale and
+    |dA/dl| >= RAM_REL * scale, with scale the running maximum term, and,
+    with a negative l-power, l != 0.  Returns (l, ok, ratio, |A|,
+    |dA/dl|, scales): per step, except ratio (per sample, from the match
+    of l) and scales (the running scale at each sample).
     """
-    lo, hi = l_range(A)
-    w = hi - lo + 1
-
-    def rows_at(m):
-        return (np.concatenate((laurent_rows(A, m, lo, hi), laurent_rows(Am, m, lo, hi)),
-                               axis=1), term_maxima(A, m, lo, hi))
-
-    rows, maxima = rows_at(ms)
-    row = rows[0].tolist()
-    r, dal = horner_row(row[:w], lo, l)
-    resid_max = abs(r)
-    dam = horner_row(row[w:], lo, l)[0]
-    ls = [l]
-    halvings, min_step, max_newton, min_margin = 0, math.inf, 0, math.inf
-    k = 0
-    while k < len(s) - 1:
-        m1 = ms[k + 1]
-        row = rows[k + 1].tolist()
-        hit = None
-        if dal != 0:
-            l1 = l - dam / dal * (m1 - ms[k])
-            l1, r, d, hit = _newton(row[:w], lo, l1, RESID_REL * scale, ctrl.newton_budget)
-        if hit is None or hit > HALVE_AFTER:
-            gap = s[k + 1] - s[k]
-            if gap / 2.0 < ctrl.min_step:
-                raise NonConvergence("step underflow near m = %s" % ms[k])
-            s.insert(k + 1, s[k] + gap / 2.0)
-            ms.insert(k + 1, complex(seg.point(s[k + 1])))
-            mid, mid_maxima = rows_at(ms[k + 1:k + 2])
-            rows = np.insert(rows, k + 1, mid[0], axis=0)
-            maxima = np.insert(maxima, k + 1, mid_maxima[0], axis=0)
-            halvings += 1
-            continue
-        l, dal = l1, d
-        scale = max(scale, row_max_term(maxima[k + 1].tolist(), lo, l))
-        if abs(dal) < RAM_REL * scale:
-            raise RamificationError(
-                "lift ran into a branch point near m = %s" % m1, m=m1, l=l)
-        resid_max = max(resid_max, abs(r))
-        ls.append(l)
-        dam = horner_row(row[w:], lo, l)[0]
-        min_step = min(min_step, s[k + 1] - s[k])
-        max_newton = max(max_newton, hit)
-        min_margin = min(min_margin, abs(dal) / scale)
-        k += 1
-    return (s, ms, ls, resid_max, scale,
-            LiftDiagnostics(halvings, min_step, max_newton, min_margin))
+    # row k of pred holds the predictions for sample k: l itself at the
+    # first m, then the tangent step from every root at k - 1
+    with np.errstate(all="ignore"):
+        slope = (horner_row_batch(drows[:-1], lo, z[:-1])[0]
+                 / horner_row_batch(rows[:-1], lo, z[:-1])[1])
+        pred = np.concatenate((np.full((1, z.shape[1]), l),
+                               z[:-1] - slope * np.diff(m)[:, None]))
+        # nearest and second-nearest root to each prediction, by
+        # elementwise passes over the roots (a NaN distance ends up in
+        # the ratio and refuses)
+        match = np.zeros(pred.shape, dtype=int)
+        near, second = np.abs(pred - z[:, :1]), np.full(pred.shape, np.inf)
+        for j in range(1, z.shape[1]):
+            dist = np.abs(pred - z[:, j:j + 1])
+            closer = dist < near
+            second = np.where(closer, near, np.minimum(second, dist))
+            match[closer] = j
+            near = np.where(closer, dist, near)
+        ratio = near / second
+    # the seeded sheet's root index at each sample
+    sheet = [0]
+    for row in match.tolist():
+        sheet.append(row[sheet[-1]])
+    k = np.arange(len(m))
+    ratio = ratio[k, sheet[:-1]]
+    lc = z[k, sheet[1:]][1:]
+    for i in np.flatnonzero(m[1:] == m[:-1]).tolist():
+        lc[i] = lc[i - 1] if i else l
+    with np.errstate(all="ignore"):
+        v, dv = horner_row_batch(rows[1:], lo, lc[:, None])
+        r, dal = np.abs(v[:, 0]), np.abs(dv[:, 0])
+        term = row_max_term_batch(maxima[1:], lo, lc)
+    scales = np.maximum.accumulate(np.append(scale, term))
+    ok = (ratio[1:] < BATCH_RATIO) & (r <= RESID_REL * scales[:-1]) & (dal >= RAM_REL * scales[1:])
+    ok[0] &= ratio[0] < BATCH_RATIO
+    if lo:
+        ok &= lc != 0
+    return lc, ok, ratio, r, dal, scales
 
 
 def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls()
@@ -518,24 +479,21 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     The seed is checked and polished on A's coefficient row at the start
     point, with no root solve (_seed: SeedError when it is off the curve
     or where |dA/dl| fails the guard below).  Each segment is lifted on
-    ceil(1 / ctrl.max_step) equal steps by the batch, or, where the batch
-    refuses it, by the march (_track_grid).  Every accepted point has
-    |A| <= RESID_REL * scale, with scale the running maximum term
-    magnitude along the path.  A march step is the same _newton to that
-    tolerance, polishing on within ctrl.newton_budget steps in total; a
-    step whose run needs more than HALVE_AFTER steps to the tolerance is
-    halved by inserting the parameter midpoint, down to ctrl.min_step.
-    Raises RamificationError when |dA/dl| at an accepted point falls
-    below RAM_REL * scale, and NonConvergence when the step size
-    underflows.  The path's diagnostics record the halvings, the smallest
-    accepted step, the most Newton steps to a hit, the smallest
-    |dA/dl| / scale and the worst batched match ratio over every
-    segment.  Raises DomainError at a sample with m = 0 or l = 0, and
-    NotClosed when a closed spec's lift does not return to its first l.
+    ceil(1 / ctrl.max_step) equal steps by root solves (_track_grid),
+    which split a step they refuse into SPLIT sub-steps, down to
+    ctrl.min_step.  Every accepted point has |A| <= RESID_REL * scale and
+    |dA/dl| >= RAM_REL * scale, with scale the running maximum term
+    magnitude along the path.  Raises RamificationError where a matched
+    root fails that guard, and NonConvergence when the step size
+    underflows.  The path's diagnostics record the inserted samples, the
+    smallest accepted step, the smallest |dA/dl| / scale and the worst
+    match ratio over every segment.  Raises DomainError at a sample with
+    m = 0 or l = 0, and NotClosed when a closed spec's lift does not
+    return to its first l.
     """
     Am = partial(A, "m")
 
-    l0, scale = _seed(A, spec.l_seed, spec.segments[0].first, ctrl.newton_budget)
+    l0, scale = _seed(A, spec.l_seed, spec.segments[0].first)
 
     n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
     n_segs = len(spec.segments)
@@ -561,9 +519,8 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     t = np.concatenate(t_parts)
     l = np.concatenate(l_parts)
     m = np.concatenate(m_parts)
-    for name, z in (("m", m), ("l", l)):
-        if not z.all():
-            raise DomainError("route meets %s = 0 at m = %s" % (name, m[np.argmin(np.abs(z))]))
+    if not l.all():
+        raise DomainError("route meets l = 0 at m = %s" % m[np.argmin(np.abs(l))])
     if spec.closed and not _same_l(l[-1], l[0]):
         raise NotClosed("closed route's lift does not return: l gap %.3g at |l| = %.3g"
                         % (abs(l[-1] - l[0]), abs(l[0])))

@@ -310,7 +310,7 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     uncertified forms' Richardson values can still be off (a big-sheet
     arc at 401 samples reads eta 8e-13 off with est_error below 1e-9).
 
-    An open route whose first lift halved a step is graded once
+    An open route whose first lift split a step is graded once
     (curve_tracker.grade_toward_branch_points): each segment passing a
     branch point within one grid step is traversed on a sinh mesh crowded
     toward it, lifted again at the same controls and refined as above.

@@ -26,7 +26,7 @@ coefficient of l^(lo + k), denominators kept, with (lo, hi) =
 magnitude in the same layout.  :func:`horner_row` and
 :func:`row_max_term` read one such row at a scalar l (the value, dA/dl
 and the term scale at which tolerances are set), which is how the lift
-runs Newton in l at a fixed m; :func:`horner_row_batch` and
+polishes its seed; :func:`horner_row_batch` and
 :func:`row_max_term_batch` are their batched forms at arrays of l.  The
 l^lo shift is applied by these readers alone.  :func:`roots_in_l_batch`
 takes the eigenvalues of the companion matrices of every solvable row in
@@ -260,11 +260,14 @@ def laurent_rows(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
 def term_maxima(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
     """max_j |c_ij| |m_b|^j in laurent_rows' layout: on one row,
     row_max_term gives the largest term magnitude |c_ij| |l|^i |m_b|^j of
-    p at any l, the scale of residual tolerances."""
+    p at any l, the scale of residual tolerances.  Only the l-powers
+    lo..hi are taken, so term_maxima(p, m, hi, hi) is the leading power's
+    column alone."""
     am = np.abs(_checked_m(p, m))
     maxima = np.zeros((len(am), hi - lo + 1))
     for (i, j), c in p.terms.items():
-        np.maximum(maxima[:, i - lo], abs(float(c)) * am ** j, out=maxima[:, i - lo])
+        if lo <= i <= hi:
+            np.maximum(maxima[:, i - lo], abs(float(c)) * am ** j, out=maxima[:, i - lo])
     return maxima
 
 
@@ -375,17 +378,20 @@ def roots_in_l_batch(p: LaurentBiPoly, m):
     # coefficients that overflow are reported as NO_CONVERGENCE rows; an
     # m = 0 row is M_ZERO whatever it holds, and 1 in its place keeps a
     # negative m-power from raising
+    lo, hi = l_range(p)
+    m = np.where(m == 0, 1, m)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = laurent_rows(p, np.where(m == 0, 1, m), *l_range(p))
-    return _solve_rows(coeffs, status)
+        coeffs = laurent_rows(p, m, lo, hi)
+        lead_maxima = term_maxima(p, m, hi, hi)[:, 0]
+    return _solve_rows(coeffs, lead_maxima, status)
 
 
-def _solve_rows(coeffs: np.ndarray, status: np.ndarray):
+def _solve_rows(coeffs: np.ndarray, lead_maxima: np.ndarray, status: np.ndarray):
     """Roots of the coefficient rows whose status is 0, and the status:
     rows that turn out degenerate or not finite get their error code
     (status is updated in place)."""
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    mark_unsolvable(coeffs, status)
+    mark_unsolvable(coeffs, lead_maxima, status)
     roots = np.full((n, d), np.nan, dtype=complex)
     rows = np.flatnonzero(status == 0)
     if d == 0 or not rows.size:
@@ -394,17 +400,20 @@ def _solve_rows(coeffs: np.ndarray, status: np.ndarray):
     return roots, status
 
 
-def mark_unsolvable(coeffs: np.ndarray, status: np.ndarray) -> np.ndarray:
+def mark_unsolvable(coeffs: np.ndarray, lead_maxima: np.ndarray,
+                    status: np.ndarray) -> np.ndarray:
     """status, updated in place: each row whose status is 0 gets the error
     code of what stops companion_roots on it (a coefficient that is not
-    finite, a negligible leading coefficient, a zero row)."""
+    finite, a leading coefficient that cancels, a zero row).  The leading
+    coefficient cancels when it is below 1e-12 of lead_maxima, the largest
+    of its own terms (term_maxima's last column): a test of cancellation,
+    not of scale, so a monomial leading coefficient never vanishes at
+    m != 0, however small it is beside the other coefficients."""
     d = coeffs.shape[1] - 1
     # LAPACK rejects the whole stack if one matrix is not finite
     status[(status == 0) & ~np.isfinite(coeffs).all(axis=1)] = NO_CONVERGENCE
-    abs_coeffs = np.abs(coeffs)
-    scale = abs_coeffs.max(axis=1)
-    status[(status == 0) & (abs_coeffs[:, d] <= 1e-12 * scale)] = LEAD_VANISHES
-    status[(status == LEAD_VANISHES) & (scale == 0.0)] = VANISHES
+    status[(status == 0) & (np.abs(coeffs[:, d]) <= 1e-12 * lead_maxima)] = LEAD_VANISHES
+    status[(status == LEAD_VANISHES) & ~coeffs.any(axis=1)] = VANISHES
     return status
 
 

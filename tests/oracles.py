@@ -11,12 +11,12 @@ lift in closed form with Gauss-Legendre line integrals rather than
 Newton tracking with the trapezoid rule, and A itself term by term from
 its term map (eval_poly, max_term) rather than by Horner's rule on
 coefficient rows.  Tests compare package output to these.  The scalar
-root loop, the per-term Jones loop, the lift kernel with two Newton
-loops, the four quadrature integrands (one trapezoid rule per form,
-before every form was read off the one table of int log l dlog m) and
-the probe's row-by-row root solve are the package's own earlier code,
-kept so that the faster or smaller replacements can be checked against
-them.
+root loop, the per-term Jones loop, the Newton march the lift used
+before its root solves (run on the grid of the lift under test), the
+four quadrature integrands (one trapezoid rule per form, before every
+form was read off the one table of int log l dlog m) and the probe's
+row-by-row root solve are the package's own earlier code, kept so that
+the faster or smaller replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -524,6 +524,9 @@ def _check_seed_reference(A, l_seed, m0):
     return roots[nearest]
 
 
+NEWTON_BUDGET = 20  # Newton steps of one reference step, polish included
+
+
 def _newton_polish_reference(A, Al, l, m, r, budget):
     """Newton in l at fixed m while the residual strictly drops."""
     for _ in range(budget):
@@ -539,10 +542,10 @@ def _newton_polish_reference(A, Al, l, m, r, budget):
     return l, r
 
 
-def _correct_reference(A, Al, Am, l, m0, m1, tol, ctrl):
+def _correct_reference(A, Al, Am, l, m0, m1, tol):
     """Tangent predictor from (l, m0) to m1, Newton to the tolerance hit
-    (None after more than HALVE_AFTER iterations or no hit), then the
-    polish with the rest of the budget."""
+    (None when NEWTON_BUDGET steps miss it), then the polish with the
+    rest of the budget."""
     dal = eval_poly(Al, l, m0)
     if dal == 0:
         return None
@@ -550,7 +553,7 @@ def _correct_reference(A, Al, Am, l, m0, m1, tol, ctrl):
     r = eval_poly(A, l1, m1)
     iters = 0
     while not abs(r) <= tol:
-        if iters == ctrl.newton_budget:
+        if iters == NEWTON_BUDGET:
             return None
         d = eval_poly(Al, l1, m1)
         if d == 0:
@@ -558,32 +561,25 @@ def _correct_reference(A, Al, Am, l, m0, m1, tol, ctrl):
         l1 = l1 - r / d
         r = eval_poly(A, l1, m1)
         iters += 1
-    if iters > curve_tracker.HALVE_AFTER:
-        return None
-    return _newton_polish_reference(A, Al, l1, m1, r, ctrl.newton_budget - iters)
+    return _newton_polish_reference(A, Al, l1, m1, r, NEWTON_BUDGET - iters)
 
 
-def _track_grid_reference(A, Al, Am, seg, n, l, scale, ctrl):
-    """The lift kernel the package used before its one Newton loop: the
-    corrector and the polish are two loops, and dA/dl and dA/dm are
-    evaluated afresh on every try.  Same arguments and return value as
-    curve_tracker._track_grid."""
-    s = list(np.linspace(0.0, 1.0, n + 1))
-    ms = [complex(seg.point(x)) for x in s]
-    ls = [l]
-    resid_max = abs(eval_poly(A, l, ms[0]))
-    k = 0
-    while k < len(s) - 1:
-        m1 = ms[k + 1]
-        step = _correct_reference(A, Al, Am, l, ms[k], m1,
-                                  curve_tracker.RESID_REL * scale, ctrl)
+def lift_reference(A, l_seed, m):
+    """The lift of l_seed along the samples m (the grid of the lift under
+    test) by the package's earlier Newton march: the seed snapped to the
+    nearest root and polished, then a tangent prediction and Newton to
+    RESID_REL of the running term scale at each sample, on the term map.
+    Returns (l, residual_max); raises NonConvergence where Newton misses
+    the tolerance and RamificationError where |dA/dl| fails RAM_REL."""
+    Al, Am = partial(A, "l"), partial(A, "m")
+    m = [complex(x) for x in m]
+    l = _check_seed_reference(A, l_seed, m[0])
+    l, r = _newton_polish_reference(A, Al, l, m[0], eval_poly(A, l, m[0]), NEWTON_BUDGET)
+    scale, resid_max, ls = max_term(A, l, m[0]), abs(r), [l]
+    for m0, m1 in zip(m, m[1:]):
+        step = _correct_reference(A, Al, Am, l, m0, m1, curve_tracker.RESID_REL * scale)
         if step is None:
-            gap = s[k + 1] - s[k]
-            if gap / 2.0 < ctrl.min_step:
-                raise NonConvergence("step underflow near m = %s" % ms[k])
-            s.insert(k + 1, s[k] + gap / 2.0)
-            ms.insert(k + 1, complex(seg.point(s[k + 1])))
-            continue
+            raise NonConvergence("reference Newton missed the tolerance at m = %s" % m1)
         l, r = step
         scale = max(scale, max_term(A, l, m1))
         if abs(eval_poly(Al, l, m1)) < curve_tracker.RAM_REL * scale:
@@ -591,31 +587,7 @@ def _track_grid_reference(A, Al, Am, seg, n, l, scale, ctrl):
                 "lift ran into a branch point near m = %s" % m1, m=m1, l=l)
         resid_max = max(resid_max, abs(r))
         ls.append(l)
-        k += 1
-    return s, ms, ls, resid_max, scale
-
-
-def lift_reference(A, spec, ctrl):
-    """lift_path's samples by the reference kernel: (t, l, m, residual_max)."""
-    Al, Am = partial(A, "l"), partial(A, "m")
-    m0 = spec.segments[0].first
-    l0 = _check_seed_reference(A, spec.l_seed, m0)
-    l0, _ = _newton_polish_reference(A, Al, l0, m0, eval_poly(A, l0, m0),
-                                     ctrl.newton_budget)
-    scale = max_term(A, l0, m0)
-    n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
-    n_segs = len(spec.segments)
-    t_parts, m_all, l_all, resid_max = [], [], [l0], 0.0
-    for seg_idx, seg in enumerate(spec.segments):
-        s, m_seg, l_seg, resid, scale = _track_grid_reference(
-            A, Al, Am, seg, n, l_all[-1], scale, ctrl)
-        resid_max = max(resid_max, resid)
-        first = 1 if seg_idx > 0 else 0
-        t_parts.append((seg_idx + np.asarray(s[first:])) / n_segs)
-        m_all += m_seg[first:]
-        l_all += l_seg[1:]
-    return (np.concatenate(t_parts), np.array(l_all, dtype=complex),
-            np.array(m_all, dtype=complex), resid_max)
+    return np.array(ls, dtype=complex), resid_max
 
 
 # ---------------------------------------------------------------- quadrature

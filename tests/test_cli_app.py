@@ -130,6 +130,9 @@ class TestRunVerb:
         ("one_forms", "controls", {"max_step": -0.5}),
         ("one_forms", "controls", {"max_step": math.nan}),
         ("one_forms", "controls", {"newton_budget": -1}),
+        # the lift has no Newton budget: a stale key is refused, not ignored
+        ("one_forms", "controls", {"newton_budget": 20}),
+        ("one_forms", "controls", {"max_step": 0.01, "max_stpe": 0.1}),
         ("one_forms", "controls", {"min_step": 0}),
         ("one_forms", "tolerances", {"q_max": 0}),
         ("jones", "out_dir", 5),
@@ -147,7 +150,8 @@ class TestRunVerb:
                                                      closed=False)}}),
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
-            "newton_budget_negative", "min_step_zero", "q_max_zero",
+            "newton_budget_negative", "newton_budget_stale", "controls_unknown_key",
+            "min_step_zero", "q_max_zero",
             "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite",
             "loop_open", "puncture_open"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from apolylab import (
     ArcSeg,
+    DegenerateError,
     DomainError,
     LineSeg,
     MismatchError,
@@ -31,7 +32,7 @@ from apolylab import (
 )
 from apolylab import cli_app, curve_tracker, one_forms
 from apolylab.curve_tracker import _track_grid
-from apolylab.poly_core import companion_roots, horner_row, l_range, laurent_rows, partial
+from apolylab.poly_core import companion_roots, partial
 from conftest import big_root, small_root, unit
 from oracles import eval_poly, max_term
 
@@ -282,8 +283,8 @@ def test_ramification_deterministic():
 
 
 def test_nonconvergence_on_step_underflow():
-    # a half-circle step lands the predictor on dA/dl = 0; with min_step
-    # forced coarse there is no room to halve
+    # a half-circle step predicts l = 0, halfway between the sheets; with
+    # min_step forced coarse there is no room to split it
     p = parse_poly("l^2 - m")
     spec = loop_around_m(p, 0j, 1.0, 1.0, turns=1)
     with pytest.raises(NonConvergence):
@@ -335,7 +336,7 @@ def test_segment_intervals_record_the_grid(fig8, ctrl):
     pb = lift_path(fig8, PathSpec(segments=(b,), l_seed=complex(pa.l[-1])), ctrl)
     joined = concat(pa, pb)
     assert joined.segment_intervals == (24, 100) and joined.uniform
-    # the line past the branch point 1/phi halves steps: not uniform
+    # the line past the branch point 1/phi splits steps: not uniform
     branch = 2.0 / (1.0 + math.sqrt(5.0))
     line = LineSeg(branch - 0.2 + 1e-5j, branch + 0.2 + 1e-5j)
     near = lift_path(fig8, PathSpec(segments=(line,), l_seed=small_root(fig8, line.first)),
@@ -345,7 +346,7 @@ def test_segment_intervals_record_the_grid(fig8, ctrl):
 
 
 def test_track_grid_stays_on_curve(fig8):
-    # one full circle of 64 steps on the small sheet needs no halving
+    # one full circle of 64 steps on the small sheet refuses no step
     n = 64
     seg = ArcSeg(0j, 0.3, 0.0, TWO_PI)
     s, m, l, resid_max, scale, diag = _track_grid(
@@ -396,26 +397,27 @@ def test_big_sheet_winding(fig8, ctrl):
 @pytest.mark.parametrize("kwargs", [
     {"max_step": 0.0}, {"max_step": -0.5}, {"max_step": math.nan},
     {"max_step": math.inf}, {"min_step": 0.0}, {"min_step": math.nan},
-    {"newton_budget": 0}, {"newton_budget": -1},
 ], ids=["max_step_zero", "max_step_negative", "max_step_nan", "max_step_inf",
-        "min_step_zero", "min_step_nan", "newton_budget_zero", "newton_budget_negative"])
+        "min_step_zero", "min_step_nan"])
 def test_step_controls_reject_values_they_cannot_run(kwargs):
     with pytest.raises(ValueError):
         StepControls(**kwargs)
 
 
 # ---------------------------------------------------------------- kernel
-# lift_path against the reference kernel of tests/oracles.py (eval_poly on
-# the term map, two Newton loops).  Horner on the coefficient rows rounds
-# differently, so l agrees within L_REL; the t and m grids, which only the
-# hit decisions shape, agree bit for bit, and so do the halvings.
+# lift_path against the reference kernel of tests/oracles.py (the Newton
+# march on the term map, run on the lift's own samples): l agrees within
+# L_REL.  The grid is checked on its own: each segment's grid is
+# linspace(0, 1, n + 1) with every refused step (a, b) replaced by its
+# SPLIT sub-steps a + j (b - a) / SPLIT, and halvings counts the inserted
+# samples.
 
 L_REL = 1e-12  # relative; the worst seen is 3.7e-14 (arcs seeds 1-10, 0-5 halvings)
 FORM_TOL = 1e-13
 
 
 def _near_branch_line(fig8, gap=1e-5, direction=1.0, length=0.4):
-    # passes the branch point 1/phi at gap, so steps halve there
+    # passes the branch point 1/phi at gap, so steps are refused and split there
     u = cmath.exp(1.0j * direction)
     mid = (math.sqrt(5.0) - 1.0) / 2.0 + gap * 1j * u
     a, b = mid - 0.5 * length * u, mid + 0.5 * length * u
@@ -449,15 +451,43 @@ def _halved(halvings):
     return ctrl
 
 
+def _split_grid(path, spec, ctrl):
+    """The t and m samples a lift of spec under ctrl takes when it refuses
+    the steps path refused: each segment's linspace(0, 1, n + 1), where a
+    step (a, b) whose end path does not take next is replaced by the
+    SPLIT sub-steps a + j (b - a) / SPLIT (no sub-step below
+    ctrl.min_step)."""
+    n, n_segs, split = int(np.ceil(1.0 / ctrl.max_step)), len(spec.segments), curve_tracker.SPLIT
+    t, m = [], []
+    for idx, seg in enumerate(spec.segments):
+        first = 1 if idx else 0
+        s, todo = [0.0], np.linspace(0.0, 1.0, n + 1)[:0:-1].tolist()
+        while todo:
+            b = todo.pop()
+            at = len(t) + len(s) - first
+            if at < path.n_samples and path.t[at] == (idx + b) / n_segs:
+                s.append(b)
+                continue
+            gap = (b - s[-1]) / split
+            assert gap >= ctrl.min_step, "path's grid is no split of the equal-step grid"
+            todo += [b] + [s[-1] + gap * j for j in range(split - 1, 0, -1)]
+        s = np.array(s)
+        t += ((idx + s[first:]) / n_segs).tolist()
+        m += seg.points(s)[first:].tolist()
+    return np.array(t), np.array(m, dtype=complex)
+
+
 def _matches_reference(curve, spec, ctrl):
-    """lift_path against the reference kernel; returns both lifts."""
+    """lift_path's grid against _split_grid and its l against the
+    reference kernel on the same samples; returns the lift and a copy
+    carrying the reference l."""
     path = lift_path(curve, spec, ctrl)
-    t, l, m, _ = oracles.lift_reference(curve, spec, ctrl)
+    t, m = _split_grid(path, spec, ctrl)
     assert np.array_equal(path.t, t)
     assert np.array_equal(path.m, m)
-    assert path.n_samples == len(t)
     grid = len(spec.segments) * int(np.ceil(1.0 / ctrl.max_step)) + 1
-    assert path.diagnostics.halvings == len(t) - grid
+    assert path.diagnostics.halvings == path.n_samples - grid
+    l, _ = oracles.lift_reference(curve, spec.l_seed, path.m)
     assert np.max(np.abs(path.l - l) / np.abs(l)) <= L_REL
     return path, replace(path, l=l, log_l=curve_tracker._unwrapped_log(l))
 
@@ -469,7 +499,13 @@ def test_lift_matches_reference_kernel(fig8, name, halvings):
     ctrl = _halved(halvings)
     path, _ = _matches_reference(curve, spec, ctrl)
     if name == "near_branch":
-        assert path.diagnostics.halvings > 0  # the route does halve
+        # the route does split: SPLIT - 1 new samples a refused step
+        assert path.diagnostics.halvings > 0
+        assert path.diagnostics.halvings % (curve_tracker.SPLIT - 1) == 0
+    else:
+        n = int(np.ceil(1.0 / ctrl.max_step))
+        assert path.diagnostics.halvings == 0
+        assert path.segment_intervals == (n,) * len(spec.segments)
 
 
 def _arcs_routes(fig8, rng):
@@ -501,68 +537,52 @@ def test_kernel_sweep_matches_reference(fig8, draw):
             assert abs(form(path).value - form(ref).value) <= FORM_TOL
 
 
-@pytest.mark.parametrize("curve, spec, ctrl, error", [
+@pytest.mark.parametrize("curve, spec, ctrl, error, message", [
     ("l^2 - m + 1", PathSpec(segments=(LineSeg(2.0, 1.0),), l_seed=1.0),
-     StepControls(), RamificationError),
+     StepControls(), RamificationError, "lift ran into a branch point near m = (1+0j)"),
     ("l^2 - m", PathSpec(segments=(ArcSeg(0j, 1.0, 0.0, TWO_PI),), l_seed=1.0,
                          closed=True),
-     StepControls(max_step=0.5, min_step=0.3), NonConvergence),
+     StepControls(max_step=0.5, min_step=0.3), NonConvergence,
+     "step underflow near m = (1+0j)"),
 ], ids=["ramification", "step_underflow"])
-def test_failures_match_reference_kernel(curve, spec, ctrl, error):
-    # l at a branch point is ill-conditioned, so only m is pinned
-    p = parse_poly(curve)
+def test_failures_match_reference_kernel(curve, spec, ctrl, error, message):
+    # the errors the Newton march of the reference kernel raises on these
+    # routes: the lift meets the double root l = 0 at m = 1, and the
+    # half-circle step from m = 1 predicts l = 0, halfway between the
+    # sheets, with no room to split it.  l at a branch point is
+    # ill-conditioned, so only m is pinned
     with pytest.raises(error) as got:
-        lift_path(p, spec, ctrl)
-    with pytest.raises(error) as ref:
-        oracles.lift_reference(p, spec, ctrl)
-    assert type(got.value) is type(ref.value)
-    assert str(got.value) == str(ref.value)
-    assert getattr(got.value, "m", None) == getattr(ref.value, "m", None)
+        lift_path(parse_poly(curve), spec, ctrl)
+    assert type(got.value) is error and str(got.value) == message
+    if error is RamificationError:
+        assert got.value.m == 1.0
 
 
 @pytest.mark.parametrize("curve, spec", [
     ("l - m^-1", PathSpec(segments=(LineSeg(1.0, 0.0),), l_seed=1.0)),
     ("l^2 - m^-2", PathSpec(segments=(LineSeg(1.0, 0.0),), l_seed=1.0)),
     ("l + l^-1*m - l^-1", PathSpec(segments=(LineSeg(0.5, 0.7),), l_seed=0.0)),
-], ids=["m_inverse", "m_inverse_squared", "l_seed_zero"])
+    ("l + l^-1*m - l^-1", PathSpec(segments=(LineSeg(0.5, 1.0),), l_seed=math.sqrt(0.5))),
+], ids=["m_inverse", "m_inverse_squared", "l_seed_zero", "l_route_to_zero"])
 def test_negative_exponent_at_zero_is_a_domain_error(curve, spec):
     # a route that reaches m = 0 on a curve with a negative m-power, and
-    # a seed at l = 0 on one with a negative l-power
+    # a seed at l = 0 or a route whose sheet l^2 = 1 - m reaches l = 0 on
+    # one with a negative l-power
     with pytest.raises(DomainError, match="negative exponent at zero argument"):
         lift_path(parse_poly(curve), spec, StepControls())
 
 
-@pytest.mark.parametrize("name", ["two_segments", "near_branch"])
-def test_dadm_evaluated_once_per_accepted_point(fig8, monkeypatch, name):
-    # on segments the march lifts (the near-branch line is refused by the
-    # batch, and BATCH_RATIO 0 refuses every segment), dA/dm's row is read
-    # once per accepted point: once per accepted step, once per segment
-    # start; retries reuse it
-    curve, spec = _kernel_routes(fig8)[name]
-    if name == "two_segments":
-        monkeypatch.setattr(curve_tracker, "BATCH_RATIO", 0.0)
-    rows = []
-
-    def recording_horner(row, lo, l):
-        rows.append(tuple(row))
-        return horner_row(row, lo, l)
-
-    monkeypatch.setattr(curve_tracker, "horner_row", recording_horner)
-    path = lift_path(curve, spec, StepControls())
-    dadm_rows = {tuple(r) for r in laurent_rows(partial(curve, "m"), path.m,
-                                                *l_range(curve)).tolist()}
-    assert path.diagnostics.max_ratio == 0.0
-    assert sum(row in dadm_rows for row in rows) == path.n_samples - 1 + len(spec.segments)
-
-
 def test_diagnostics_report_the_lift(fig8):
-    # the near-branch line is marched (no batched step), the arc batched
+    # the near-branch line splits refused steps three levels deep, the
+    # arc refuses none
     near = lift_path(fig8, _near_branch_line(fig8), StepControls())
     diag = near.diagnostics
     assert diag.halvings == near.n_samples - 101 > 0
-    assert diag.min_step == pytest.approx(0.01 / 2 ** 5)
-    assert 1 <= diag.max_newton <= curve_tracker.HALVE_AFTER
-    assert diag.max_ratio == 0.0
+    assert diag.halvings % (curve_tracker.SPLIT - 1) == 0
+    assert diag.min_step == pytest.approx(0.01 / curve_tracker.SPLIT ** 3)
+    assert diag.min_step == np.diff(near.t).min()
+    # the worst accepted match, not the refused ones
+    assert 0.0 < diag.max_ratio < curve_tracker.BATCH_RATIO
     # the margin shrinks like the square root of the closest approach:
     # 5.7e-3 at 1e-5 from 1/phi, below 1e-3 at 1e-7
     assert curve_tracker.RAM_REL < diag.min_margin < 1e-2
@@ -573,7 +593,6 @@ def test_diagnostics_report_the_lift(fig8):
                        StepControls())
     assert smooth.diagnostics.halvings == 0
     assert smooth.diagnostics.min_step == pytest.approx(0.01)
-    assert smooth.diagnostics.max_newton == 0
     assert smooth.diagnostics.min_margin > 1.0
     assert 0.0 < smooth.diagnostics.max_ratio < 1e-3
     # reverse keeps the record and concat joins two
@@ -586,14 +605,13 @@ def test_diagnostics_report_the_lift(fig8):
     assert concat(near, tail).diagnostics == (
         diag.halvings + tail.diagnostics.halvings,
         min(diag.min_step, tail.diagnostics.min_step),
-        max(diag.max_newton, tail.diagnostics.max_newton),
         min(diag.min_margin, tail.diagnostics.min_margin),
-        tail.diagnostics.max_ratio)
+        max(diag.max_ratio, tail.diagnostics.max_ratio))
 
 
 # ---------------------------------------------------------------- batch
-# routes the batch lifts whole (the march is made to fail), against the
-# reference kernel: same t and m grids, l within L_REL
+# routes lifted with no refused step, against the reference kernel: the
+# equal-step grid, l within L_REL
 
 K52_A = ("1 + l*(2*m^2 + 2*m^4 - m^8 + m^10 - 1)"
          " + l^2*(m^4 - m^6 + 2*m^10 + 2*m^12 - m^14) + l^3*m^14")
@@ -627,35 +645,62 @@ BATCHED_ROUTES = ["arc_small", "arc_big", "circle", "graded", "chunks", "degree_
                   "k52_sheet0", "k52_sheet1", "k52_sheet2"]
 
 
-def _no_march(*args):
-    raise AssertionError("the batch refused a segment")
-
-
 @pytest.mark.parametrize("name", BATCHED_ROUTES)
-def test_batched_lift_matches_reference_kernel(fig8, monkeypatch, name):
+def test_batched_lift_matches_reference_kernel(fig8, name):
     curve, spec, ctrl = _batched_routes(fig8)[name]
-    monkeypatch.setattr(curve_tracker, "_march", _no_march)
     path, _ = _matches_reference(curve, spec, ctrl)
     assert path.diagnostics.halvings == 0
+    n = int(np.ceil(1.0 / ctrl.max_step))
+    assert np.array_equal(path.t, np.linspace(0.0, 1.0, n + 1))
     assert path.diagnostics.max_ratio < curve_tracker.BATCH_RATIO
     if name == "chunks":
         assert path.n_samples > 2 * curve_tracker.BATCH_CHUNK
 
 
-def test_batched_lift_on_a_real_row_stays_real(fig8, monkeypatch):
+def test_batched_lift_on_a_real_row_stays_real(fig8):
     # l is real along these stretches of the real axis: fig8's two sheets
     # below 1/phi, and 5_2's one real sheet beside a conjugate pair, where
-    # the eigenvalues carry imaginary noise that the batch snaps off (the
-    # march's Newton on a real row never creates it)
-    monkeypatch.setattr(curve_tracker, "_march", _no_march)
+    # the eigenvalues carry imaginary noise that the root solve snaps off
     k52 = parse_poly(K52_A)
     routes = [(fig8, 0.3, 0.5, root(fig8, 0.3)) for root in (small_root, big_root)]
     routes.append((k52, 0.75, 0.95, next(x for x in roots_in_l(k52, 0.75) if x.imag == 0.0)))
     for curve, a, b, seed in routes:
         path = lift_path(curve, PathSpec(segments=(LineSeg(a, b),), l_seed=seed),
                          StepControls())
+        assert path.diagnostics.halvings == 0
         assert np.all(path.l.imag == 0.0)
         assert np.all(path.log_l.imag == path.log_l.imag[0])
+
+
+def test_route_to_coefficients_that_are_not_finite_is_refused(fig8):
+    # m^8 overflows on the way to m = 1e80: the row cannot be solved
+    spec = PathSpec(segments=(LineSeg(2.0, 1e80),), l_seed=big_root(fig8, 2.0))
+    with pytest.raises(NonConvergence, match="coefficients are not finite at this m: m = "):
+        lift_path(fig8, spec, StepControls())
+
+
+def test_route_through_a_cancelling_leading_coefficient_is_refused():
+    # at m = 2 the leading coefficient m - 2 of (m - 2) l^2 + l - 1
+    # cancels: one sheet goes to infinity and the row keeps one root,
+    # which the stacked root solve cannot take
+    p = parse_poly("m*l^2 - 2*l^2 + l - 1")
+    spec = PathSpec(segments=(LineSeg(1.5, 2.0),), l_seed=1.0 + 1.0j)
+    with pytest.raises(DegenerateError, match=r"leading l-coefficient vanishes at this m: "
+                                              r"m = \(2\+0j\)"):
+        lift_path(p, spec, StepControls())
+
+
+@pytest.mark.parametrize("radius", [1e-3, 5e-4, 1e-4])
+def test_small_sheet_circle_near_zero_is_solved(fig8, radius):
+    # the leading l-coefficient m^4 is 1e-12 to 1e-16 of the constant term
+    # here, but a monomial never cancels: every row is solved, l winds 4
+    # times, and eta agrees with the reference kernel's
+    spec = loop_around_m(fig8, 0j, radius, small_root(fig8, radius))
+    path, ref = _matches_reference(fig8, spec, StepControls())
+    assert path.closed and path.diagnostics.halvings == 0
+    assert 0.0 < path.diagnostics.max_ratio < curve_tracker.BATCH_RATIO
+    assert path.log_l.imag[-1] - path.log_l.imag[0] == pytest.approx(4 * TWO_PI, abs=1e-8)
+    assert abs(integrate_eta(path).value - integrate_eta(ref).value) <= FORM_TOL
 
 
 def test_route_that_does_not_move_keeps_l(fig8):
@@ -670,7 +715,8 @@ def test_route_that_does_not_move_keeps_l(fig8):
 
 def test_batch_refuses_at_the_first_ambiguous_chunk(fig8, monkeypatch):
     # the near-branch line on 1000 intervals: its steps become ambiguous
-    # in the second chunk, where the batch stops and the march takes over
+    # in the second chunk, where each refused step's SPLIT - 1 new points
+    # are solved on their own; the later chunks are solved whole
     solved = []
 
     def recording(c):
@@ -679,8 +725,11 @@ def test_batch_refuses_at_the_first_ambiguous_chunk(fig8, monkeypatch):
 
     monkeypatch.setattr(curve_tracker, "companion_roots", recording)
     path = lift_path(fig8, _near_branch_line(fig8), StepControls(max_step=1e-3))
-    assert solved == [curve_tracker.BATCH_CHUNK + 1] * 2
-    assert path.diagnostics.halvings > 0 and path.diagnostics.max_ratio == 0.0
+    chunk, new = curve_tracker.BATCH_CHUNK + 1, curve_tracker.SPLIT - 1
+    splits = path.diagnostics.halvings // new
+    assert splits > 0 and path.diagnostics.halvings == splits * new
+    assert solved == [chunk] * 2 + [new] * splits + [chunk, 1000 - 3 * 256 + 1]
+    assert 0.0 < path.diagnostics.max_ratio < curve_tracker.BATCH_RATIO
 
 
 @pytest.mark.parametrize("seg", [
