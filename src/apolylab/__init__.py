@@ -7,11 +7,9 @@ from .curve_tracker import (
     PathSpec,
     StepControls,
     TrackedPath,
-    concat,
     lift_path,
     loop_around_m,
     refine,
-    reverse,
 )
 from .errors import (
     AmbiguousWinding,
@@ -19,7 +17,6 @@ from .errors import (
     DomainError,
     ExtrapolationUnstable,
     InsufficientData,
-    MismatchError,
     NoRational,
     NonConvergence,
     NotClosed,
@@ -63,11 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcSeg", "LineSeg", "PathSpec", "StepControls", "TrackedPath",
-    "concat", "lift_path", "loop_around_m", "refine", "reverse",
+    "lift_path", "loop_around_m", "refine",
     "AmbiguousWinding", "DegenerateError", "DomainError",
-    "ExtrapolationUnstable", "InsufficientData", "MismatchError",
-    "NoRational", "NonConvergence", "NotClosed", "PolySyntaxError",
-    "RamificationError", "SeedError",
+    "ExtrapolationUnstable", "InsufficientData", "NoRational",
+    "NonConvergence", "NotClosed", "PolySyntaxError", "RamificationError",
+    "SeedError",
     "colored_jones_fig8", "conjecture_gap", "growth_rate",
     "jones_sequence", "kashaev_sequence",
     "lobachevsky", "vol_fig8",

@@ -62,7 +62,6 @@ from .poly_core import (
     LaurentBiPoly,
     horner_row_batch,
     l_range,
-    laurent_rows,
     parse_poly,
     print_poly,
     roots_in_l,
@@ -403,6 +402,8 @@ def _stage_one_forms(rc, run_id, csv, summary):
         cs1 = one_forms.cs1_from(eta.value, xi.value)
         csv.add(run_id, "cs1:" + name, cs1.real, cs1.imag,
                 max(eta.est_error, xi.est_error), xi.n_samples)
+        summary.note("[cs] loop %s: the cs:, u: and cs1: rows move with the loop's "
+                     "start point (unverified)" % name)
     return q_order
 
 
@@ -441,15 +442,15 @@ def _stage_symbols(rc, csv, summary):
     tame_tol, steinberg_tol = rc.tol["tame"], rc.tol["steinberg"]
     for name, (curve, spec, steinberg) in rc.punctures.items():
         loop = lift_path(curve, spec, ctrl)
-        v_l = symbols_k2.valuation(curve, loop, "l")
-        v_m = symbols_k2.valuation(curve, loop, "m")
-        tame = symbols_k2.tame_symbol(curve, loop, v_l, v_m)
+        v_l = symbols_k2.valuation(loop, "l")
+        v_m = symbols_k2.valuation(loop, "m")
+        tame = symbols_k2.tame_symbol(loop, v_l, v_m)
         reg = one_forms.regulator(loop)
         match = abs(reg.value - tame)
-        csv.add(name, v_l.v, v_m.v, tame.real, tame.imag,
+        csv.add(name, v_l, v_m, tame.real, tame.imag,
                 reg.value.real, reg.value.imag, match)
         summary.add("[tame] %s: v_l=%d v_m=%d T=%.9g%+.3gj |r-T|=%.3g"
-                    % (name, v_l.v, v_m.v, tame.real, tame.imag, match),
+                    % (name, v_l, v_m, tame.real, tame.imag, match),
                     ok=match < tame_tol)
         if steinberg:
             defect = abs(reg.value - 1.0)
@@ -687,14 +688,14 @@ def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
     grid point has l-roots.  Points with m = 0, a degenerate leading
     coefficient, no convergence or no l-roots are skipped.  Each
     roots_in_l_batch call takes a block of whole grid rows (fixed Re m),
-    at most PROBE_BLOCK points; dA/dl at the roots is read off A's own
-    coefficient rows (poly_core.horner_row_batch).
+    at most PROBE_BLOCK points; dA/dl at the roots is read off the
+    coefficient rows it solved (poly_core.horner_row_batch).
     """
     if density < 1:
         raise ConfigError("grid density must be at least 1")
     if density > PROBE_BLOCK:
         raise ConfigError("grid density above %d" % PROBE_BLOCK)
-    lo, hi = l_range(knot.a_poly)
+    lo = l_range(knot.a_poly)[0]
     hits: List[Tuple[complex, float]] = []
     closest = None
     res = np.linspace(re_range[0], re_range[1], density)
@@ -706,13 +707,13 @@ def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
         m.real = block[:, None]
         m.imag = ims
         m = m.ravel()
-        roots, status = roots_in_l_batch(knot.a_poly, m)
+        roots, status, coeffs = roots_in_l_batch(knot.a_poly, m)
         solved = status == 0
         if roots.shape[1] == 0 or not solved.any():
             continue
         ms, roots = m[solved], roots[solved]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dadl = np.abs(horner_row_batch(laurent_rows(knot.a_poly, ms, lo, hi), lo, roots)[1])
+            dadl = np.abs(horner_row_batch(coeffs[solved], lo, roots)[1])
         # l = 0 is off the curve when A has negative powers of l: never a hit
         vals = np.where(np.isnan(dadl), np.inf, dadl).min(axis=1)
         below = vals < threshold

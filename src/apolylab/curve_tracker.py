@@ -1,26 +1,29 @@
 """Lift routes in the m-plane onto the curve A(l, m) = 0.
 
 A PathSpec is a chain of line and arc segments in the m-plane plus a
-branch seed for l at the first point.  lift_path follows the route one
-segment at a time on an equal-step grid, by one kernel (_track_grid).
-At each grid m, A and dA/dm are polynomials in l whose coefficient rows
-are built in numpy (poly_core.laurent_rows).  The kernel solves a
-segment's grid BATCH_CHUNK intervals at a time: every root at every m
-from one stacked eigvals call (poly_core.companion_roots), a tangent
-prediction from each root, and the seeded sheet followed through the
-nearest-root matches.  A step is refused when its match is ambiguous
-(the nearest root not below BATCH_RATIO of the second-nearest) or its
-point fails the residual check; the kernel then splits that step into
-SPLIT equal sub-steps, solves their points the same way and goes on from
-the last accepted l.  A matched root that fails the |dA/dl| guard is a
-branch point (RamificationError).  Each lift reports what it did in a
-LiftDiagnostics record.  The result carries one log state: the complex
-arrays log_l and log_m, each log|z| + i arg z with arg continuously
-unwrapped (between consecutive samples |delta arg| < pi), so winding
-numbers and branch-sensitive integrals are well defined downstream.
+branch seed for l at the first point.  The seed only picks the sheet:
+the lift starts on the root at the first point that it matches, from the
+same root solve as every later sample.  lift_path, the one builder of a
+TrackedPath, follows the route one segment at a time on an equal-step
+grid, by one kernel (_track_grid).  At each grid m, A and dA/dm are
+polynomials in l whose coefficient rows are built in numpy
+(poly_core.laurent_rows).  The kernel solves a segment's grid
+BATCH_CHUNK intervals at a time: every root at every m from one stacked
+eigvals call (poly_core.companion_roots), a tangent prediction from each
+root, and the seeded sheet followed through the nearest-root matches.  A
+step is refused when its match is ambiguous (the nearest root not below
+BATCH_RATIO of the second-nearest) or its point fails the residual
+check; the kernel then splits that step into SPLIT equal sub-steps,
+solves their points the same way and goes on from the last accepted l.
+A matched root that fails the |dA/dl| guard is a branch point
+(RamificationError).  Each lift reports what it did in a LiftDiagnostics
+record.  The result carries one log state: the complex arrays log_l and
+log_m, each log|z| + i arg z with arg continuously unwrapped (between
+consecutive samples |delta arg| < pi), so winding numbers and
+branch-sensitive integrals are well defined downstream.
 
-A closed path closes on the curve: lift_path and concat judge "the same
-l" by one rule, _same_l, relative to |l|.
+A closed path closes on the curve: its lift must return to its first l
+within MONODROMY_REL of |l|.
 
 A segment is a LineSeg or an ArcSeg, each with its parameter inverse
 param(m), or a GradedSeg: a segment traversed on a sinh substitution
@@ -47,7 +50,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    MismatchError,
     NonConvergence,
     NotClosed,
     RamificationError,
@@ -55,7 +57,6 @@ from .errors import (
 )
 from .poly_core import (
     NO_CONVERGENCE,
-    REAL_SNAP_REL,
     ROW_ERRORS,
     LaurentBiPoly,
     companion_roots,
@@ -71,12 +72,10 @@ from .poly_core import (
 )
 
 JOINT_TOL = 1e-12        # segment endpoints must chain within this
-CONCAT_TOL = 1e-9        # concat endpoint agreement in m
-MONODROMY_REL = 1e-8     # l-sameness (closed-loop return, concat joint), relative to |l|
+MONODROMY_REL = 1e-8     # l-sameness of a closed route's return, relative to |l|
 DEFAULT_SEED_TOL = 1e-6  # seed residual, relative to the term scale
 RESID_REL = 1e-12        # Newton tolerance, relative to the running term scale
 RAM_REL = 1e-8           # |dA/dl| guard, relative to the running term scale
-POLISH_BUDGET = 20       # Newton steps of the seed polish
 BASE_EPS = 1e-4          # |m - 1| radius in which arg m(t0) is zeroed
 BRANCH_BUDGET = 30       # Newton steps of the branch-point locator
 BRANCH_STEP_REL = 1e-13  # its last step, relative to |l| and |m|
@@ -250,7 +249,6 @@ class TrackedPath:
     log_m: np.ndarray
     residual_max: float
     closed: bool
-    base_convention: dict = field(compare=False)
     # sample intervals of each segment, in route order (empty: not known),
     # and whether every segment kept its equal-step grid (no step split)
     segment_intervals: Tuple[int, ...] = ()
@@ -265,56 +263,27 @@ class TrackedPath:
         return len(self.t)
 
 
-def _same_l(a: complex, b: complex) -> bool:
-    """a is the same l as b: |a - b| <= MONODROMY_REL |b|."""
-    return bool(abs(a - b) <= MONODROMY_REL * abs(b))
+def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> float:
+    """The term scale at the branch seed on A's coefficient row at m0.
 
-
-def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex):
-    """The branch seed polished onto the curve at m0, and the term scale
-    there.
-
-    The seed must be finite and satisfy A within DEFAULT_SEED_TOL of the
-    term scale on A's coefficient row at m0.  _polish polishes it (steps
-    only while the residual drops); on a real row a root within
-    REAL_SNAP_REL of the axis is put on it, so the [0, 2pi) arg convention
-    does not flip on sub-epsilon imaginary noise.  |dA/dl| there must pass
-    the lift's ramification guard: at a branch or singular point the
-    sheets are not separated.
+    The seed must be finite and satisfy A within DEFAULT_SEED_TOL of that
+    scale, and |dA/dl| there must pass the lift's ramification guard: at
+    a branch or singular point the sheets are not separated.  The seed
+    only picks the sheet; the lift starts on the root at m0 it matches
+    (_follow).
     """
     if not np.isfinite(l_seed):
         raise SeedError("seed %s is not a finite number" % l_seed)
     lo, hi = l_range(A)
     row = laurent_rows(A, [m0], lo, hi)[0].tolist()
-    maxima = term_maxima(A, [m0], lo, hi)[0].tolist()
-    residual = horner_row(row, lo, l_seed)[0]
-    if abs(residual) > DEFAULT_SEED_TOL * row_max_term(maxima, lo, l_seed):
+    residual, dal = horner_row(row, lo, l_seed)
+    scale = row_max_term(term_maxima(A, [m0], lo, hi)[0].tolist(), lo, l_seed)
+    if abs(residual) > DEFAULT_SEED_TOL * scale:
         raise SeedError("seed does not satisfy A within tolerance at the start point")
-    l0, dal = _polish(row, lo, l_seed)
-    l0 = complex(l0)
-    if all(c.imag == 0.0 for c in row) and abs(l0.imag) <= REAL_SNAP_REL * (1.0 + abs(l0)):
-        l0 = complex(l0.real)
-    scale = row_max_term(maxima, lo, l0)
     if not abs(dal) >= RAM_REL * scale:
         raise SeedError("seed is not separated from the other sheets; "
                         "start at an offset point instead")
-    return l0, scale
-
-
-def _polish(row: List[complex], lo: int, l: complex):
-    """Newton in l on one coefficient row of A (poly_core.horner_row)
-    while the residual strictly drops, within POLISH_BUDGET steps.
-    Returns (l, dA/dl) at the last iterate."""
-    r, d = horner_row(row, lo, l)
-    for _ in range(POLISH_BUDGET):
-        if d == 0:
-            break
-        l_try = l - r / d
-        r_try, d_try = horner_row(row, lo, l_try)
-        if not abs(r_try) < abs(r):
-            break
-        l, r, d = l_try, r_try, d_try
-    return l, d
+    return scale
 
 
 def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
@@ -322,7 +291,8 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
     """Lift l along n equal steps of seg keeping A(l, m) = 0.
 
     Chunk by chunk, in order, BATCH_CHUNK grid intervals at a time from
-    the last accepted l: the l-coefficient rows of A and dA/dm at the
+    the last accepted l, the first sample being the root at seg's first m
+    that l matches: the l-coefficient rows of A and dA/dm at the
     chunk's m (_rows) give every root at every m in one stacked eigvals
     call (poly_core.companion_roots), and _follow matches the seeded
     sheet along them.  At the first refused step the steps before it are
@@ -345,37 +315,39 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
     lo, hi = l_range(A)
     grid = np.linspace(0.0, 1.0, n + 1)
     grid_m = np.asarray(seg.points(grid), dtype=complex)
-    s_parts, m_parts, l_parts = [grid[:1]], [grid_m[:1]], [np.array([l])]
+    s_parts, m_parts, l_parts = [grid[:1]], [grid_m[:1]], []
     resid_max, min_margin, max_ratio, halvings = 0.0, math.inf, 0.0, 0
     for first in range(0, n, BATCH_CHUNK):
         s = grid[first:first + BATCH_CHUNK + 1]
         m = grid_m[first:first + BATCH_CHUNK + 1]
         rows, drows, maxima = _rows(A, Am, m, lo, hi)
-        if first == 0:
-            resid_max = abs(horner_row(rows[0].tolist(), lo, l)[0])
         z = companion_roots(rows)
         k = 0  # the chunk's last accepted sample
         while k < len(m) - 1:
             lc, ok, ratio, r, dal, scales = _follow(
                 rows[k:], drows[k:], maxima[k:], z[k:], m[k:], l, scale, lo)
+            if not l_parts:
+                # the first sample: the root at seg's first m that l matches
+                l_parts.append(lc[:1])
+                resid_max = abs(horner_row(rows[0].tolist(), lo, lc[0])[0])
             j = len(ok) if ok.all() else int(np.argmin(ok))
             if j:
                 resid_max = max(resid_max, float(r[:j].max()))
                 min_margin = min(min_margin, float((dal[:j] / scales[1:j + 1]).min()))
                 max_ratio = max(max_ratio, float(ratio[:j + 1].max()))
                 scale = float(scales[j])
-                l_parts.append(lc[:j])
-                l = lc[j - 1]
+                l_parts.append(lc[1:j + 1])
+                l = lc[j]
                 k += j
             if j == len(ok):
                 break
             # the step from sample k to k + 1 is refused
-            if lo and lc[j] == 0:
+            if lo and lc[j + 1] == 0:
                 raise DomainError("negative exponent at zero argument")
             if not dal[j] >= RAM_REL * scales[j + 1]:
                 m1 = complex(m[k + 1])
                 raise RamificationError("lift ran into a branch point near m = %s" % m1,
-                                        m=m1, l=complex(lc[j]))
+                                        m=m1, l=complex(lc[j + 1]))
             gap = (s[k + 1] - s[k]) / SPLIT
             if gap < ctrl.min_step:
                 raise NonConvergence("step underflow near m = %s" % complex(m[k]))
@@ -422,15 +394,17 @@ def _follow(rows: np.ndarray, drows: np.ndarray, maxima: np.ndarray, z: np.ndarr
 
     Each root at sample k predicts sample k + 1 by the tangent,
     l - (A_m / A_l) dm, and is matched to the nearest root there; the
-    sheet is the chain of matches from the root nearest l.  A step that
-    does not move m keeps l bit for bit (a root solve would move it by
-    rounding).  Step k is accepted (ok[k]) when its match's nearest
-    distance is below BATCH_RATIO of its second-nearest (for step 0 also
-    the match of l itself), its point has |A| <= RESID_REL * scale and
-    |dA/dl| >= RAM_REL * scale, with scale the running maximum term, and,
-    with a negative l-power, l != 0.  Returns (l, ok, ratio, |A|,
-    |dA/dl|, scales): per step, except ratio (per sample, from the match
-    of l) and scales (the running scale at each sample).
+    sheet is the chain of matches from the root nearest l at m[0].  A
+    step that does not move m keeps l bit for bit (a root solve would
+    move it by rounding).  Step k is accepted (ok[k]) when its match's
+    nearest distance is below BATCH_RATIO of its second-nearest (for
+    step 0 also the match of l itself), its point has
+    |A| <= RESID_REL * scale and |dA/dl| >= RAM_REL * scale, with scale
+    the running maximum term, and, with a negative l-power, l != 0.
+    Returns (l, ok, ratio, |A|, |dA/dl|, scales): l per sample, from the
+    root l matches at m[0], ok, |A| and |dA/dl| per step, ratio per
+    sample (from the match of l) and scales the running scale at each
+    sample.
     """
     # row k of pred holds the predictions for sample k: l itself at the
     # first m, then the tangent step from every root at k - 1
@@ -457,18 +431,18 @@ def _follow(rows: np.ndarray, drows: np.ndarray, maxima: np.ndarray, z: np.ndarr
         sheet.append(row[sheet[-1]])
     k = np.arange(len(m))
     ratio = ratio[k, sheet[:-1]]
-    lc = z[k, sheet[1:]][1:]
+    lc = z[k, sheet[1:]]
     for i in np.flatnonzero(m[1:] == m[:-1]).tolist():
-        lc[i] = lc[i - 1] if i else l
+        lc[i + 1] = lc[i]
     with np.errstate(all="ignore"):
-        v, dv = horner_row_batch(rows[1:], lo, lc[:, None])
+        v, dv = horner_row_batch(rows[1:], lo, lc[1:, None])
         r, dal = np.abs(v[:, 0]), np.abs(dv[:, 0])
-        term = row_max_term_batch(maxima[1:], lo, lc)
+        term = row_max_term_batch(maxima[1:], lo, lc[1:])
     scales = np.maximum.accumulate(np.append(scale, term))
     ok = (ratio[1:] < BATCH_RATIO) & (r <= RESID_REL * scales[:-1]) & (dal >= RAM_REL * scales[1:])
     ok[0] &= ratio[0] < BATCH_RATIO
     if lo:
-        ok &= lc != 0
+        ok &= lc[1:] != 0
     return lc, ok, ratio, r, dal, scales
 
 
@@ -476,9 +450,10 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
               ) -> TrackedPath:
     """Track the route in spec on A = 0 starting from the seeded branch.
 
-    The seed is checked and polished on A's coefficient row at the start
-    point, with no root solve (_seed: SeedError when it is off the curve
-    or where |dA/dl| fails the guard below).  Each segment is lifted on
+    The seed is checked on A's coefficient row at the start point (_seed:
+    SeedError when it is off the curve or where |dA/dl| fails the guard
+    below), and the lift's first sample is the root there that the seed
+    matches in the first segment's root solve.  Each segment is lifted on
     ceil(1 / ctrl.max_step) equal steps by root solves (_track_grid),
     which split a step they refuse into SPLIT sub-steps, down to
     ctrl.min_step.  Every accepted point has |A| <= RESID_REL * scale and
@@ -493,14 +468,14 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     """
     Am = partial(A, "m")
 
-    l0, scale = _seed(A, spec.l_seed, spec.segments[0].first)
+    scale = _seed(A, spec.l_seed, spec.segments[0].first)
 
     n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
     n_segs = len(spec.segments)
     t_parts: List[np.ndarray] = []
     m_parts: List[np.ndarray] = []
-    l_parts: List[np.ndarray] = [np.array([l0])]
-    l_end = l0
+    l_parts: List[np.ndarray] = []
+    l_end = complex(spec.l_seed)
     intervals: List[int] = []
     resid_max = 0.0
     diagnostics = LiftDiagnostics()
@@ -513,7 +488,7 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
         first = 1 if seg_idx > 0 else 0
         t_parts.append((seg_idx + np.asarray(s[first:])) / n_segs)
         m_parts.append(np.asarray(m_seg[first:], dtype=complex))
-        l_parts.append(np.asarray(l_seg[1:], dtype=complex))
+        l_parts.append(np.asarray(l_seg[first:], dtype=complex))
         l_end = complex(l_seg[-1])
 
     t = np.concatenate(t_parts)
@@ -521,16 +496,14 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     m = np.concatenate(m_parts)
     if not l.all():
         raise DomainError("route meets l = 0 at m = %s" % m[np.argmin(np.abs(l))])
-    if spec.closed and not _same_l(l[-1], l[0]):
+    if spec.closed and not abs(l[-1] - l[0]) <= MONODROMY_REL * abs(l[0]):
         raise NotClosed("closed route's lift does not return: l gap %.3g at |l| = %.3g"
                         % (abs(l[-1] - l[0]), abs(l[0])))
-    arg_m_zeroed = bool(abs(m[0] - 1.0) <= BASE_EPS)
     return TrackedPath(
         t=t, l=l, m=m,
-        log_l=_unwrapped_log(l), log_m=_unwrapped_log(m, arg_m_zeroed),
+        log_l=_unwrapped_log(l), log_m=_unwrapped_log(m, abs(m[0] - 1.0) <= BASE_EPS),
         residual_max=resid_max,
         closed=spec.closed,
-        base_convention={"arg_m_zeroed": arg_m_zeroed},
         segment_intervals=tuple(intervals),
         uniform=all(k == n for k in intervals),
         diagnostics=diagnostics,
@@ -637,53 +610,6 @@ def loop_around_m(A: LaurentBiPoly, m_center: complex, radius: float,
         for k in range(abs(turns))
     )
     return PathSpec(segments=segs, l_seed=l_seed, closed=True)
-
-
-def reverse(path: TrackedPath) -> TrackedPath:
-    """Orientation flip.  The unwrap is preserved, so the new base sample
-    keeps the old endpoint's arg values (not re-normalized)."""
-    conv = dict(path.base_convention)
-    conv["reversed"] = not conv.get("reversed", False)
-    return replace(
-        path,
-        t=1.0 - path.t[::-1],
-        l=path.l[::-1].copy(),
-        m=path.m[::-1].copy(),
-        log_l=path.log_l[::-1].copy(),
-        log_m=path.log_m[::-1].copy(),
-        base_convention=conv,
-        segment_intervals=path.segment_intervals[::-1],
-        graded_toward=path.graded_toward[::-1],
-    )
-
-
-def concat(a: TrackedPath, b: TrackedPath) -> TrackedPath:
-    """Join two tracked paths; b's args are re-based to continue a's unwrap.
-    Ends meet, and the join is closed, when l is _same_l and m within CONCAT_TOL."""
-    if not _same_l(b.l[0], a.l[-1]) or abs(a.m[-1] - b.m[0]) > CONCAT_TOL:
-        raise MismatchError("paths do not share an endpoint")
-
-    def joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.concatenate((x, y[1:] + 1j * (x[-1].imag - y[0].imag)))
-
-    na, nb = len(a.t), len(b.t)
-    w = (na - 1) / (na - 1 + nb - 1) if (na - 1 + nb - 1) > 0 else 0.5
-    t = np.concatenate((a.t * w, w + (1 - w) * b.t[1:]))
-    l = np.concatenate((a.l, b.l[1:]))
-    m = np.concatenate((a.m, b.m[1:]))
-    closed = _same_l(l[-1], l[0]) and abs(m[-1] - m[0]) <= CONCAT_TOL
-    return TrackedPath(
-        t=t, l=l, m=m,
-        log_l=joined(a.log_l, b.log_l), log_m=joined(a.log_m, b.log_m),
-        residual_max=max(a.residual_max, b.residual_max),
-        closed=closed,
-        base_convention=dict(a.base_convention),
-        segment_intervals=(a.segment_intervals + b.segment_intervals
-                           if a.segment_intervals and b.segment_intervals else ()),
-        uniform=a.uniform and b.uniform,
-        graded_toward=a.graded_toward + b.graded_toward,
-        diagnostics=a.diagnostics.join(b.diagnostics),
-    )
 
 
 def refine(ctrl: StepControls) -> StepControls:

@@ -34,10 +34,6 @@ class RamificationError(RuntimeError):
         self.l = l
 
 
-class MismatchError(ValueError):
-    """Endpoints of concatenated paths do not agree."""
-
-
 class NotClosed(ValueError):
     """A closed loop was required."""
 

@@ -355,7 +355,7 @@ def roots_in_l(p: LaurentBiPoly, m: complex) -> List[complex]:
     centroid, repeated per cluster size.  Sorted by (re, im).  This is
     the one-row case of roots_in_l_batch.
     """
-    roots, status = roots_in_l_batch(p, np.array([m], dtype=complex))
+    roots, status, _ = roots_in_l_batch(p, np.array([m], dtype=complex))
     if status[0]:
         error, message = ROW_ERRORS[status[0]]
         raise error(message)
@@ -365,11 +365,13 @@ def roots_in_l(p: LaurentBiPoly, m: complex) -> List[complex]:
 def roots_in_l_batch(p: LaurentBiPoly, m):
     """roots_in_l at every entry of a 1-D array of m, solved together.
 
-    Returns (roots, status): roots[b] holds the roots at m[b] as
+    Returns (roots, status, rows): roots[b] holds the roots at m[b] as
     roots_in_l returns them and status[b] is 0, or status[b] is the
     ROW_ERRORS code of the error roots_in_l raises at m[b] and roots[b]
-    is nan.  The rows are laurent_rows' and their companion matrices, for
-    all solvable rows, go to one stacked np.linalg.eigvals call.
+    is nan.  rows are the laurent_rows solved (at m = 0, the row at
+    m = 1), so a caller reads A and dA/dl at the roots off them
+    (horner_row_batch); their companion matrices, for all solvable rows,
+    go to one stacked np.linalg.eigvals call.
     """
     if not p:
         raise DegenerateError("zero polynomial")
@@ -383,7 +385,7 @@ def roots_in_l_batch(p: LaurentBiPoly, m):
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = laurent_rows(p, m, lo, hi)
         lead_maxima = term_maxima(p, m, hi, hi)[:, 0]
-    return _solve_rows(coeffs, lead_maxima, status)
+    return _solve_rows(coeffs, lead_maxima, status) + (coeffs,)
 
 
 def _solve_rows(coeffs: np.ndarray, lead_maxima: np.ndarray, status: np.ndarray):

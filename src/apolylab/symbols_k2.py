@@ -36,15 +36,9 @@ import numpy as np
 from .curve_tracker import TrackedPath, _unwrapped_log
 from .errors import AmbiguousWinding, ExtrapolationUnstable, NoRational
 from .one_forms import _romberg, _table
-from .poly_core import LaurentBiPoly
 
 WINDING_SLACK = 0.1
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Valuation:
-    v: int
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ def _loop_geometry(loop: TrackedPath):
     return center, _unwrapped_log(loop.m - center)
 
 
-def valuation(A: LaurentBiPoly, x_loop: TrackedPath, f_role: str) -> Valuation:
+def valuation(x_loop: TrackedPath, f_role: str) -> int:
     """Winding number of f in {l, m} over the witness loop."""
     logs = {"l": x_loop.log_l, "m": x_loop.log_m}
     if f_role not in logs:
@@ -71,11 +65,10 @@ def valuation(A: LaurentBiPoly, x_loop: TrackedPath, f_role: str) -> Valuation:
     v = round(d)
     if abs(d - v) > WINDING_SLACK:
         raise AmbiguousWinding("winding %.6f is not near an integer" % d)
-    return Valuation(v=v)
+    return v
 
 
-def tame_symbol(A: LaurentBiPoly, x_loop: TrackedPath, v_l: Valuation,
-                v_m: Valuation) -> complex:
+def tame_symbol(x_loop: TrackedPath, v_l: int, v_m: int) -> complex:
     """Tame symbol at the puncture x enclosed by x_loop.
 
     h = l^{v_m} m^{-v_l} is holomorphic and nonzero at x, and the loop's
@@ -85,7 +78,7 @@ def tame_symbol(A: LaurentBiPoly, x_loop: TrackedPath, v_l: Valuation,
     one_forms' table and Romberg step; its est_error / 2 pi |k|, the
     spread of T between the full and the half mesh, must be within 1e-4
     of max(1, |T|), or ExtrapolationUnstable is raised.  A loop with no
-    turn about x raises AmbiguousWinding.  A is not read.
+    turn about x raises AmbiguousWinding.
     """
     center, log_rel = _loop_geometry(x_loop)
     winding = float((log_rel[-1] - log_rel[0]).imag) / TWO_PI
@@ -93,9 +86,9 @@ def tame_symbol(A: LaurentBiPoly, x_loop: TrackedPath, v_l: Valuation,
     if turns == 0:
         raise AmbiguousWinding("witness loop makes %.6f turns about its center %s"
                                % (winding, center))
-    h = np.exp(v_m.v * x_loop.log_l - v_l.v * x_loop.log_m)
+    h = np.exp(v_m * x_loop.log_l - v_l * x_loop.log_m)
     value, _, est, _ = _romberg(x_loop, _table(x_loop, h, log_rel))
-    sign = -1.0 if (v_l.v * v_m.v) % 2 else 1.0
+    sign = -1.0 if (v_l * v_m) % 2 else 1.0
     tame = sign * value / (2j * math.pi * turns)
     spread = est / (TWO_PI * abs(turns))
     if not spread <= 1e-4 * max(1.0, abs(tame)):

@@ -257,7 +257,8 @@ def max_term(p: LaurentBiPoly, l: complex, m: complex) -> float:
 def probe_by_rows(knot, re_range, im_range, density: int, threshold: float):
     """cli_app.probe_branch_points as it was before it solved blocks of
     rows: one roots_in_l_batch call per grid row (fixed Re m), |dA/dl|
-    read off A's coefficient rows as the package reads it."""
+    read off A's coefficient rows built afresh (poly_core.laurent_rows),
+    not off the rows the solve returns."""
     lo, hi = l_range(knot.a_poly)
     hits: List[Tuple[complex, float]] = []
     closest = None
@@ -265,7 +266,7 @@ def probe_by_rows(knot, re_range, im_range, density: int, threshold: float):
     m.imag = np.linspace(im_range[0], im_range[1], density)
     for re in np.linspace(re_range[0], re_range[1], density):
         m.real = re
-        roots, status = roots_in_l_batch(knot.a_poly, m)
+        roots, status, _ = roots_in_l_batch(knot.a_poly, m)
         solved = status == 0
         if roots.shape[1] == 0 or not solved.any():
             continue

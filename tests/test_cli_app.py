@@ -366,6 +366,23 @@ class TestDemoVerb:
         cfg = json.loads((d1 / "demo_config.json").read_text())
         assert set(cfg["targets"]) == set(cli_app.STAGES)
 
+    def test_start_dependent_rows_are_marked_unverified(self, tmp_path):
+        # a loop's cs:, u: and cs1: rows come from xi, which moves with the
+        # loop's start point: one note per loop says so, next to its rows
+        d = tmp_path / "out"
+        assert cli_app.main(["demo", "-o", str(d)]) == 0
+        loops = json.loads((d / "demo_config.json").read_text())["loops"]
+        forms = (d / "one_forms.csv").read_text()
+        notes = [line for line in (d / "summary.txt").read_text().splitlines()
+                 if line.startswith("[cs] ")]
+        assert len(loops) == 4
+        assert sorted(notes) == ["[cs] loop %s: the cs:, u: and cs1: rows move with the "
+                                 "loop's start point (unverified)" % name
+                                 for name in sorted(loops)]
+        for name in loops:
+            for row in ("cs", "u", "cs1"):
+                assert ",%s:%s," % (row, name) in forms
+
     def test_every_verdict_is_backed_by_a_csv_row(self, tmp_path):
         # no orphan claims: each pass/fail line in the summary must have
         # a row in one of the CSVs carrying the number it reports
@@ -585,7 +602,8 @@ class TestProbeVerb:
                 return roots_in_l_batch(p, m)
             # leave every row unsolved: the largest grid solves nothing
             return (np.full((len(m), 2), np.nan, dtype=complex),
-                    np.full(len(m), NO_CONVERGENCE))
+                    np.full(len(m), NO_CONVERGENCE),
+                    np.full((len(m), 3), np.nan, dtype=complex))
 
         monkeypatch.setattr(cli_app, "roots_in_l_batch", recorder)
         cli_app.probe_branch_points(fig8_record, (0.5, 1.1), (-0.3, 0.3),

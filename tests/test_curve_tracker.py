@@ -13,26 +13,23 @@ from apolylab import (
     DegenerateError,
     DomainError,
     LineSeg,
-    MismatchError,
     NonConvergence,
     NotClosed,
     PathSpec,
     RamificationError,
     SeedError,
     StepControls,
-    concat,
     integrate_eta,
     integrate_xi,
     lift_path,
     loop_around_m,
     parse_poly,
     refine,
-    reverse,
     roots_in_l,
 )
 from apolylab import cli_app, curve_tracker, one_forms
 from apolylab.curve_tracker import _track_grid
-from apolylab.poly_core import companion_roots, partial
+from apolylab.poly_core import companion_roots, l_range, laurent_rows, partial
 from conftest import big_root, small_root, unit
 from oracles import eval_poly, max_term
 
@@ -116,15 +113,19 @@ def test_sqrt_curve_clockwise(ctrl):
 
 
 def test_two_single_turns_equal_one_double(fig8, ctrl):
-    spec1 = loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3), turns=1)
-    a = lift_path(fig8, spec1, ctrl)
-    b = lift_path(fig8, spec1, ctrl)
-    joined = concat(a, b)
+    # the single turn closes, so each turn of the double retraces it and
+    # adds its winding
+    single = lift_path(fig8, loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3)), ctrl)
     double = lift_path(fig8, loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3),
                                            turns=2), ctrl)
-    assert joined.n_samples == double.n_samples
-    assert np.allclose(joined.l, double.l, atol=1e-9)
-    assert np.allclose(joined.log_l.imag, double.log_l.imag, atol=1e-8)
+    n = single.n_samples
+    assert double.n_samples == 2 * n - 1
+    winding = single.log_l.imag[-1] - single.log_l.imag[0]
+    for turn in range(2):
+        part = slice(turn * (n - 1), turn * (n - 1) + n)
+        assert np.allclose(double.l[part], single.l, atol=1e-9)
+        assert np.allclose(double.log_l.imag[part], single.log_l.imag + turn * winding,
+                           atol=1e-8)
 
 
 def test_fig8_lift_stays_on_curve(fig8, ctrl):
@@ -158,7 +159,7 @@ def test_base_convention_near_geometric_point(fig8, ctrl):
     m0 = 1.0 + 1e-5
     seed = [r for r in roots_in_l(fig8, m0) if r.imag > 0][0]
     path = lift_path(fig8, PathSpec(segments=(LineSeg(m0, 1.01),), l_seed=seed), ctrl)
-    assert path.base_convention["arg_m_zeroed"] is True
+    # within BASE_EPS of m = 1, arg m starts at 0
     assert path.log_m.imag[0] == 0.0
 
 
@@ -166,10 +167,24 @@ def test_base_convention_away_from_geometric_point(fig8, ctrl):
     m0 = 0.3j
     seed = small_root(fig8, m0)
     path = lift_path(fig8, PathSpec(segments=(LineSeg(m0, 0.4j),), l_seed=seed), ctrl)
-    assert path.base_convention["arg_m_zeroed"] is False
+    # away from m = 1, arg m starts at its principal value
     assert path.log_m.imag[0] == pytest.approx(math.pi / 2)
     # l base arg is the principal value in [0, 2pi)
     assert 0.0 <= path.log_l.imag[0] < TWO_PI
+
+
+@pytest.mark.parametrize("m0", [0.42 * unit(0.6), 0.41 * unit(2.1), 0.3 + 0.2j, 1.3 - 0.4j],
+                         ids=["annulus_a", "annulus_b", "inner", "outer"])
+@pytest.mark.parametrize("sheet", [0, 1], ids=["big", "small"])
+def test_lift_starts_on_a_root_of_its_solve(fig8, ctrl, m0, sheet):
+    # the closed-form seed only picks the sheet: the first sample is the
+    # root at m0 of the solve that gives every later sample, bit for bit
+    seed = complex(oracles.fig8_sheets(np.array([m0]))[sheet][0])
+    path = lift_path(fig8, PathSpec(segments=(LineSeg(m0, 1.1 * m0),), l_seed=seed), ctrl)
+    lo, hi = l_range(fig8)
+    roots = companion_roots(laurent_rows(fig8, [m0], lo, hi))[0]
+    assert path.l[0] == roots[np.argmin(np.abs(roots - seed))]
+    assert abs(path.l[0] - seed) <= 1e-12 * abs(seed)
 
 
 def test_refinement_stability(fig8, ctrl):
@@ -193,36 +208,14 @@ def test_multi_segment_joint_dedup(fig8, ctrl):
     assert np.all(np.diff(path.t) > 0)
 
 
-def test_concat_matches_single_lift(fig8, ctrl):
-    a = ArcSeg(0j, 0.3, 0.3, 0.65)
-    b = ArcSeg(0j, 0.3, 0.65, 1.0)
-    both = lift_path(fig8, PathSpec(segments=(a, b), l_seed=small_root(fig8, a.first)), ctrl)
-    pa = lift_path(fig8, PathSpec(segments=(a,), l_seed=small_root(fig8, a.first)), ctrl)
-    pb = lift_path(fig8, PathSpec(segments=(b,), l_seed=complex(pa.l[-1])), ctrl)
-    joined = concat(pa, pb)
-    assert joined.n_samples == both.n_samples
-    assert np.allclose(joined.m, both.m, atol=1e-12)
-    assert np.allclose(joined.l, both.l, atol=1e-10)
-    assert np.allclose(joined.log_l.imag, both.log_l.imag, atol=1e-9)
-    assert np.allclose(joined.t, both.t, atol=1e-12)
-
-
-def test_concat_rejects_disjoint(fig8, ctrl):
-    pa = lift_path(fig8, PathSpec(segments=(ArcSeg(0j, 0.3, 0.3, 0.6),),
-                                  l_seed=small_root(fig8, 0.3 * unit(0.3))), ctrl)
-    pb = lift_path(fig8, PathSpec(segments=(ArcSeg(0j, 0.3, 1.5, 1.8),),
-                                  l_seed=small_root(fig8, 0.3 * unit(1.5))), ctrl)
-    with pytest.raises(MismatchError):
-        concat(pa, pb)
-
-
 def test_big_sheet_circle_closes_and_concats(fig8, ctrl):
     # on the big sheet at |m| = 0.015, |l| is about 2e7: the lift returns
-    # within 1e-15 of |l| (an l gap near 2e-8), so the circle is closed and
-    # joins itself into a closed double turn whose regulator is 1
+    # within 1e-15 of |l| (an l gap near 2e-8), so the circle is closed,
+    # and so is the double turn, whose regulator is 1
     loop = lift_path(fig8, loop_around_m(fig8, 0j, 0.015, big_root(fig8, 0.015)), ctrl)
     assert abs(loop.l[0]) > 1e7 and loop.closed
-    twice = concat(loop, loop)
+    twice = lift_path(fig8, loop_around_m(fig8, 0j, 0.015, big_root(fig8, 0.015), turns=2),
+                      ctrl)
     assert twice.closed
     assert abs(one_forms.regulator(twice).value - 1.0) < 1e-12
 
@@ -245,20 +238,6 @@ def test_route_through_m_zero_is_refused(ctrl):
                     l_seed=2.0 - corners[0], closed=True)
     with pytest.raises(DomainError, match="route meets m = 0"):
         lift_path(lin2, spec, ctrl)
-
-
-def test_reverse_involution(fig8, ctrl):
-    spec = PathSpec(segments=(ArcSeg(0j, 0.3, 0.3, 1.0),),
-                    l_seed=small_root(fig8, 0.3 * unit(0.3)))
-    path = lift_path(fig8, spec, ctrl)
-    rev = reverse(path)
-    assert rev.l[0] == path.l[-1] and rev.l[-1] == path.l[0]
-    assert rev.t[0] == pytest.approx(0.0) and rev.t[-1] == pytest.approx(1.0)
-    assert rev.base_convention["reversed"] is True
-    back = reverse(rev)
-    assert np.array_equal(back.l, path.l)
-    assert np.array_equal(back.log_l.imag, path.log_l.imag)
-    assert back.base_convention.get("reversed") is False
 
 
 def test_ramification_detected():
@@ -329,13 +308,6 @@ def test_segment_intervals_record_the_grid(fig8, ctrl):
     b = ArcSeg(0j, 0.3, 0.65, 1.0)
     path = lift_path(fig8, PathSpec(segments=(a, b), l_seed=small_root(fig8, a.first)), ctrl)
     assert path.segment_intervals == (100, 100) and path.uniform
-    rev = reverse(path)
-    assert rev.segment_intervals == (100, 100) and rev.uniform
-    pa = lift_path(fig8, PathSpec(segments=(a,), l_seed=small_root(fig8, a.first)),
-                   StepControls(max_step=1.0 / 24))
-    pb = lift_path(fig8, PathSpec(segments=(b,), l_seed=complex(pa.l[-1])), ctrl)
-    joined = concat(pa, pb)
-    assert joined.segment_intervals == (24, 100) and joined.uniform
     # the line past the branch point 1/phi splits steps: not uniform
     branch = 2.0 / (1.0 + math.sqrt(5.0))
     line = LineSeg(branch - 0.2 + 1e-5j, branch + 0.2 + 1e-5j)
@@ -595,18 +567,6 @@ def test_diagnostics_report_the_lift(fig8):
     assert smooth.diagnostics.min_step == pytest.approx(0.01)
     assert smooth.diagnostics.min_margin > 1.0
     assert 0.0 < smooth.diagnostics.max_ratio < 1e-3
-    # reverse keeps the record and concat joins two
-    assert reverse(near).diagnostics == diag
-    assert reverse(smooth).diagnostics == smooth.diagnostics
-    end = complex(near.m[-1])
-    tail = lift_path(fig8, PathSpec(segments=(LineSeg(end, end + 0.1),),
-                                    l_seed=complex(near.l[-1])), StepControls())
-    assert tail.diagnostics.max_ratio > 0.0
-    assert concat(near, tail).diagnostics == (
-        diag.halvings + tail.diagnostics.halvings,
-        min(diag.min_step, tail.diagnostics.min_step),
-        min(diag.min_margin, tail.diagnostics.min_margin),
-        max(diag.max_ratio, tail.diagnostics.max_ratio))
 
 
 # ---------------------------------------------------------------- batch
@@ -867,14 +827,3 @@ def test_no_grading_toward_a_branch_point_past_the_end(fig8):
     assert not path.uniform
     assert spec.segments[0].param(1.0 / PHI).real > 1.0
     assert curve_tracker.grade_toward_branch_points(fig8, spec, path, 0.01) == (spec, ())
-
-
-def test_reverse_and_concat_keep_graded_toward(fig8, ctrl):
-    spec = PathSpec(segments=(ArcSeg(0j, 0.3, 0.3, 1.0),),
-                    l_seed=small_root(fig8, 0.3 * unit(0.3)))
-    path = lift_path(fig8, spec, ctrl)
-    assert path.graded_toward == ()
-    a = replace(path, graded_toward=(0.5 + 0j, 0.75 + 0j))
-    assert reverse(a).graded_toward == (0.75 + 0j, 0.5 + 0j)
-    b = replace(reverse(path), graded_toward=(0.25j,))
-    assert concat(a, b).graded_toward == (0.5 + 0j, 0.75 + 0j, 0.25j)

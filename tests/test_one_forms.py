@@ -12,7 +12,6 @@ from apolylab import (
     PathSpec,
     StepControls,
     cli_app,
-    concat,
     cs_along,
     integrate_eta,
     integrate_xi,
@@ -21,7 +20,6 @@ from apolylab import (
     one_forms,
     parse_poly,
     refine,
-    reverse,
     roots_in_l,
     track_refined,
     vol_along,
@@ -49,6 +47,13 @@ def _arc_path(poly, theta0, theta1, radius=0.3, which="small", ctrl=StepControls
     m0 = radius * unit(theta0)
     seed = small_root(poly, m0) if which == "small" else big_root(poly, m0)
     spec = PathSpec(segments=(ArcSeg(0j, radius, theta0, theta1),), l_seed=seed)
+    return lift_path(poly, spec, ctrl)
+
+
+def _reversed_arc_path(poly, path, theta0, theta1, radius=0.3, ctrl=StepControls()):
+    """The arc of _arc_path from theta1 back to theta0, lifted on its own
+    from path's last l."""
+    spec = PathSpec(segments=(ArcSeg(0j, radius, theta1, theta0),), l_seed=complex(path.l[-1]))
     return lift_path(poly, spec, ctrl)
 
 
@@ -98,7 +103,7 @@ def test_vol_constant_on_closed_loops(fig8, ctrl):
 
 def test_reversal_negates_form_integrals(fig8, ctrl):
     path = _arc_path(fig8, 0.4, 1.0, ctrl=ctrl)
-    rev = reverse(path)
+    rev = _reversed_arc_path(fig8, path, 0.4, 1.0, ctrl=ctrl)
     assert integrate_eta(rev).value == pytest.approx(-integrate_eta(path).value, abs=1e-12)
     assert integrate_xi(rev).value == pytest.approx(-integrate_xi(path).value, abs=1e-12)
 
@@ -108,7 +113,9 @@ def test_concat_adds_form_integrals(fig8, ctrl):
     # continued unwrap, so the split is exactly additive
     a = _arc_path(fig8, 0.4, 0.7, ctrl=ctrl)
     b = _arc_path(fig8, 0.7, 1.0, ctrl=ctrl)
-    whole = concat(a, b)
+    whole = lift_path(fig8, PathSpec(segments=(ArcSeg(0j, 0.3, 0.4, 0.7),
+                                               ArcSeg(0j, 0.3, 0.7, 1.0)),
+                                     l_seed=small_root(fig8, 0.3 * unit(0.4))), ctrl)
     for form in (integrate_eta, integrate_xi):
         assert form(whole).value == pytest.approx(
             form(a).value + form(b).value, abs=1e-10)
@@ -199,7 +206,7 @@ def test_sharp_estimate_never_drops_below_rounding():
     path = curve_tracker.TrackedPath(
         t=np.zeros(n_samples), l=np.ones(n_samples, complex), m=np.ones(n_samples, complex),
         log_l=np.zeros(n_samples, complex), log_m=np.zeros(n_samples, complex),
-        residual_max=0.0, closed=False, base_convention={})
+        residual_max=0.0, closed=False)
     _, r2 = _romberg_columns(list(t))
     assert abs(r2[0] - r2[1]) < floor
     assert one_forms._romberg(path, t)[2:] == (floor, True)
@@ -318,10 +325,11 @@ def test_regulator_bilinear_in_monomial_roles(fig8, ctrl):
 
 
 def test_regulator_reversal_on_contractible_loop(fig8, ctrl):
-    loop = loop_around_m(fig8, 2.0 + 0j, 0.25, small_root(fig8, 2.25))
-    path = lift_path(fig8, loop, ctrl)
+    path = lift_path(fig8, loop_around_m(fig8, 2.0 + 0j, 0.25, small_root(fig8, 2.25)), ctrl)
+    clockwise = lift_path(
+        fig8, loop_around_m(fig8, 2.0 + 0j, 0.25, small_root(fig8, 2.25), turns=-1), ctrl)
     fwd = regulator_exponent(path)
-    bwd = regulator_exponent(reverse(path))
+    bwd = regulator_exponent(clockwise)
     tol = 10 * max(fwd.est_error, bwd.est_error) + 1e-12
     assert abs(bwd.value + fwd.value) < tol
 
@@ -340,7 +348,6 @@ def _fabricated_constant_m_path(n=41):
         t=t, l=l, m=m,
         log_l=np.log(np.abs(l)) + 0.9j * t, log_m=np.zeros(n, dtype=complex),
         residual_max=0.0, closed=False,
-        base_convention={"arg_m_zeroed": True},
     )
 
 
@@ -361,7 +368,7 @@ def test_kirk_klassen_expressions_agree(fig8):
 def test_kk_exponent_reversal(fig8, ctrl):
     path = _arc_path(fig8, 0.4, 1.0, ctrl=ctrl)
     fwd = kk_exponent(path)
-    bwd = kk_exponent(reverse(path))
+    bwd = kk_exponent(_reversed_arc_path(fig8, path, 0.4, 1.0, ctrl=ctrl))
     tol = 10 * max(fwd.est_error, bwd.est_error) + 1e-12
     assert abs(bwd.value + fwd.value) < tol
 

@@ -250,10 +250,10 @@ def test_monomial_leading_coefficient_never_vanishes(text):
     # however small or large it is beside the other coefficients, a
     # leading coefficient c m^j is no cancellation at m != 0
     m = np.geomspace(1e-8, 1e2, 41) * np.exp(1j * np.linspace(0.0, 6.0, 41))
-    roots, status = roots_in_l_batch(parse_poly(text), m)
+    roots, status, _ = roots_in_l_batch(parse_poly(text), m)
     assert not status.any() and np.isfinite(roots).all()
     # a leading coefficient that does cancel still vanishes
-    _, status = roots_in_l_batch(parse_poly("(m - 1)*l^2 + l - 1"), np.array([1.0 + 1e-15]))
+    _, status, _ = roots_in_l_batch(parse_poly("(m - 1)*l^2 + l - 1"), np.array([1.0 + 1e-15]))
     assert list(status) == [LEAD_VANISHES]
 
 
@@ -325,7 +325,7 @@ class TestBatchRoots:
     def test_matches_one_row_calls(self, text, tol):
         p = parse_poly(text)
         ms = _probe_points()
-        roots, status = roots_in_l_batch(p, ms)
+        roots, status, _ = roots_in_l_batch(p, ms)
         assert roots.shape[0] == len(ms) and status.shape == (len(ms),)
         for b, m in enumerate(ms):
             want, exc = _one_row(p, complex(m))
@@ -344,9 +344,12 @@ class TestBatchRoots:
         # for the others (False), next to the replaced iteration's
         p = parse_poly(text)
         ms = _probe_points()
-        # the rows roots_in_l_batch solves; m = 0 is skipped below
-        rows = laurent_rows(p, np.where(ms == 0, 1, ms), *l_range(p))
-        roots, status = roots_in_l_batch(p, ms)
+        # the rows roots_in_l_batch solves, laurent_rows' bit for bit (at
+        # m = 0, the row at m = 1); m = 0 is skipped below
+        roots, status, rows = roots_in_l_batch(p, ms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(rows, laurent_rows(p, np.where(ms == 0, 1, ms), *l_range(p)),
+                                  equal_nan=True)
         worst = {True: [0.0, 0.0], False: [0.0, 0.0]}
         for b, m in enumerate(ms):
             if m == 0:
@@ -375,7 +378,7 @@ class TestBatchRoots:
     def test_non_finite_rows(self, fig8):
         ms = np.array([0.5, np.nan, 1.5 + 0.5j, np.inf, 2.0])
         with np.errstate(invalid="ignore", over="ignore"):  # nan and inf powers
-            roots, status = roots_in_l_batch(fig8, ms)
+            roots, status, _ = roots_in_l_batch(fig8, ms)
             with pytest.raises(NonConvergence):
                 roots_in_l(fig8, complex(np.inf))
         assert list(status) == [0, NO_CONVERGENCE, 0, NO_CONVERGENCE, 0]
@@ -385,7 +388,7 @@ class TestBatchRoots:
 
     def test_skips_zero_and_degenerate_rows(self):
         p = parse_poly("l^2*m - l^2 + l")
-        roots, status = roots_in_l_batch(p, np.array([2.0, 1.0, 0.0, -1.0]))
+        roots, status, _ = roots_in_l_batch(p, np.array([2.0, 1.0, 0.0, -1.0]))
         assert list(status[[1, 2]]) == [3, 1]
         assert status[0] == 0 and status[3] == 0
         assert np.allclose(sorted(roots[0], key=abs), [0.0, -1.0])
@@ -395,7 +398,7 @@ class TestBatchRoots:
         # a negative m-power with m = 0 in the batch: that row is M_ZERO, the
         # others are solved; (l - 2)(l - 1/m) has the roots 2 and 1/m
         p = parse_poly("l^2 - 2*l - m^-1*l + 2*m^-1")
-        roots, status = roots_in_l_batch(p, np.array([0.25, 0.0, -2.0 + 1.0j]))
+        roots, status, _ = roots_in_l_batch(p, np.array([0.25, 0.0, -2.0 + 1.0j]))
         assert list(status) == [0, M_ZERO, 0]
         assert np.all(np.isnan(roots[1]))
         assert np.allclose(roots[[0, 2]], [[2.0, 4.0], [-0.4 - 0.2j, 2.0]], rtol=1e-14, atol=0)
@@ -407,7 +410,7 @@ class TestBatchRoots:
         # Newton polish, real snap or clustering
         rng = np.random.default_rng(5)
         ms = rng.uniform(-1.8, 1.8, 50) + 1j * rng.uniform(-1.8, 1.8, 50)
-        roots, status = roots_in_l_batch(fig8, ms)
+        roots, status, _ = roots_in_l_batch(fig8, ms)
         assert np.all(status == 0)
         for b, m in enumerate(ms):
             want = np.sort_complex(np.roots(laurent_rows(fig8, [m], *l_range(fig8))[0][::-1]))
@@ -430,7 +433,7 @@ class TestBatchRoots:
                 assert abs(got[b, k] - want) <= 1e-12 * max(1.0, max_term(fig8, z[b, k], m))
 
     def test_no_l_roots(self):
-        roots, status = roots_in_l_batch(parse_poly("m + 2"), np.array([1.0, -2.0]))
+        roots, status, _ = roots_in_l_batch(parse_poly("m + 2"), np.array([1.0, -2.0]))
         assert roots.shape == (2, 0)
         assert list(status) == [0, 2]
         with pytest.raises(DegenerateError):
