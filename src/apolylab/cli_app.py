@@ -187,10 +187,11 @@ def _controls_from_json(cfg: dict) -> StepControls:
     unknown = sorted(set(ctrl) - {"max_step", "min_step"})
     if unknown:
         raise ConfigError("unknown controls key %s" % ", ".join(map(repr, unknown)))
+    default = StepControls()
     try:
         return StepControls(
-            max_step=float(ctrl.get("max_step", 0.01)),
-            min_step=float(ctrl.get("min_step", 1e-12)),
+            max_step=float(ctrl.get("max_step", default.max_step)),
+            min_step=float(ctrl.get("min_step", default.min_step)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad controls: %s" % exc)

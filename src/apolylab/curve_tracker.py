@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -206,7 +207,7 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class StepControls:
-    max_step: float = 0.01   # in segment parameter
+    max_step: float = 1.0 / 128   # in segment parameter; 128 steps, a multiple of 16
     min_step: float = 1e-12
 
     def __post_init__(self):
@@ -261,6 +262,15 @@ class TrackedPath:
     @property
     def n_samples(self) -> int:
         return len(self.t)
+
+    @cached_property
+    def log_table(self) -> np.ndarray:
+        """one_forms' trapezoid table of int log l dlog m, built once, on
+        first use; every form of one_forms reads it."""
+        from .one_forms import _table   # one_forms imports this module
+        table = _table(self, self.log_l, self.log_m)
+        table.flags.writeable = False
+        return table
 
 
 def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> float:

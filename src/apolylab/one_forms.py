@@ -40,9 +40,11 @@ Off the h^2 regime, as on closed loops, where the trapezoid rule on a
 periodic integrand beats every Romberg column, it takes one Richardson
 step.  eta and xi are Im and Re of
 one table but keep their own real ratio gates: a pre-asymptotic arc can
-be in the h^2 regime for one and not the other.  track_refined builds
-the table once per lift and halves the step until the forms meet a
-target (quadrature_shortfall).  Near a branch point l behaves like
+be in the h^2 regime for one and not the other.  The table of
+int log l dlog m is the path's log_table, built on first use, so every
+form of one path reads one table.  track_refined builds it once per lift
+and halves the step until the forms meet a target
+(quadrature_shortfall).  Near a branch point l behaves like
 sqrt(m - m_b), which no equal-step grid in the route's own parameter
 resolves; track_refined then grades the open route toward m_b
 (curve_tracker.GradedSeg, a sinh substitution), on whose equal-step grid
@@ -186,12 +188,12 @@ _FORMS: Dict[str, Callable[[TrackedPath, np.ndarray], np.ndarray]] = {
 
 def integrate_eta(path: TrackedPath) -> IntegralResult:
     """int (log|l| d arg m - log|m| d arg l); real."""
-    return _integrate(path, _FORMS["eta"](path, _table(path, path.log_l, path.log_m)))
+    return _integrate(path, _FORMS["eta"](path, path.log_table))
 
 
 def integrate_xi(path: TrackedPath) -> IntegralResult:
     """int of -(log|m| d log|l| + arg l d arg m); real, branch-dependent."""
-    return _integrate(path, _FORMS["xi"](path, _table(path, path.log_l, path.log_m)))
+    return _integrate(path, _FORMS["xi"](path, path.log_table))
 
 
 def vol_from(eta: float, vol_k: float) -> float:
@@ -260,7 +262,7 @@ def regulator(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
 
 def kk_exponent(path: TrackedPath) -> IntegralResult:
     """2 pi i int (alpha beta' - beta alpha') dt from the log state."""
-    return _integrate(path, _FORMS["kk"](path, _table(path, path.log_l, path.log_m)))
+    return _integrate(path, _FORMS["kk"](path, path.log_table))
 
 
 def kirk_klassen(path: TrackedPath) -> KirkKlassen:
@@ -272,7 +274,7 @@ def kirk_klassen(path: TrackedPath) -> KirkKlassen:
     of it when est_error is R2's spread, a third of it in the Richardson
     case, to first order.
     """
-    e1, e2, _, _ = _romberg(path, _FORMS["kk"](path, _table(path, path.log_l, path.log_m)))
+    e1, e2, _, _ = _romberg(path, _FORMS["kk"](path, path.log_table))
     v1 = complex(np.exp(e1))
     v2 = complex(np.exp(e2))
     return KirkKlassen(value=v1, expr_diff=abs(v1 - v2), exponent=complex(e1))
@@ -308,7 +310,9 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     A mix of certified and uncertified forms keeps refining: it marks a
     mesh that is not yet in the h^2 regime everywhere, where the
     uncertified forms' Richardson values can still be off (a big-sheet
-    arc at 401 samples reads eta 8e-13 off with est_error below 1e-9).
+    arc lifted at max_step 0.0025, 401 samples, reads eta 8e-13 off with
+    est_error below 1e-9).  The default mesh, 128 intervals per segment,
+    a multiple of 16, can certify on the first lift.
 
     An open route whose first lift split a step is graded once
     (curve_tracker.grade_toward_branch_points): each segment passing a
@@ -316,15 +320,17 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     toward it, lifted again at the same controls and refined as above.
     On the equal-step grid in the new parameter the square-root
     behaviour of l is smooth, so the lift keeps its grid and Romberg
-    certifies it (a line 1e-5 from 1/phi: 801 samples, where R2's spread
-    meets the target, errors below 1e-13; on the line's own parameter six
-    halvings, 6,401 samples, leave it uncertified and 1e-7 off).  A route
+    certifies it (a line 1e-5 from 1/phi: 513 samples, where R2's spread
+    meets the target, errors below 1e-12; on the line's own parameter six
+    halvings, 8,207 samples, leave it uncertified and 2e-8 off).  A route
     whose first lift is uniform, and every closed loop, keeps its own
     parameter.
 
     Returns (path, {form: IntegralResult}, controls_used), where
     controls_used are the controls the returned path was lifted with and
     path.graded_toward lists the branch points it was graded toward.
+    The path carries the table its forms were judged on (log_table), so
+    every later integral of it reads that table instead of building it.
     """
     forms = tuple(forms)
     unknown = [name for name in forms if name not in _FORMS]
@@ -340,9 +346,10 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
     for halving in range(max_halvings + 1):
         if halving:
             path = lift_path(A, spec, current)
-        t = _table(path, path.log_l, path.log_m)
-        results = {name: _integrate(path, _FORMS[name](path, t)) for name in forms}
+        # graded_toward first: replace makes a new path, without the table
+        path = replace(path, graded_toward=toward)
+        results = {name: _integrate(path, _FORMS[name](path, path.log_table)) for name in forms}
         if halving == max_halvings or quadrature_shortfall(path, results, target) is None:
             break
         current = refine(current)
-    return replace(path, graded_toward=toward), results, current
+    return path, results, current

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import numpy as np

@@ -1,15 +1,16 @@
+import cmath
 import copy
 import json
 import math
 import re
 import subprocess
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from apolylab import cli_app, one_forms, parse_poly, partial, print_poly, vol_fig8
+from apolylab import (
+    StepControls, cli_app, one_forms, parse_poly, partial, print_poly, vol_fig8)
 from apolylab.poly_core import NO_CONVERGENCE, roots_in_l, roots_in_l_batch
 from oracles import eval_poly
 
@@ -118,6 +119,14 @@ class TestRunVerb:
                                  "l_seed": [0.0, 0.0]}}}
         assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
         assert "zigzag" in capsys.readouterr().err
+
+    def test_controls_default_to_the_library_default(self, minimal_cfg):
+        # one default mesh: a run config with no controls section, or with
+        # only one key of it, lifts at StepControls()'s values
+        assert "controls" not in minimal_cfg
+        assert cli_app._read_config(minimal_cfg).ctrl == StepControls()
+        cfg = dict(minimal_cfg, controls={"min_step": 1e-10})
+        assert cli_app._read_config(cfg).ctrl == StepControls(min_step=1e-10)
 
     @pytest.mark.parametrize("target, section, entry", [
         ("jones", "jones", {"N_list": [500, 1000, 2000]}),
@@ -243,12 +252,19 @@ class TestRunVerb:
 
     def test_witness_without_turns_exits_1_with_one_line(self, tmp_path, capsys,
                                                          fig8_record):
-        # out around m = 0.25 and back clockwise around -0.05: the loop
-        # makes no turn about its center 0.1, so no residue is read off it
-        seed = min(roots_in_l(fig8_record.a_poly, 0.1 + 0j), key=abs)
-        out = circle_json(0.25 + 0j, 0.15, seed, math.pi, 3.0 * math.pi)
-        back = circle_json(-0.05 + 0j, 0.15, seed, 0.0, -2.0 * math.pi)
-        loop = dict(out, segments=out["segments"] + back["segments"])
+        # a C-shaped loop about 0.25, radii 0.15 and 0.05, open on the
+        # positive real side: its samples' mean, about 0.285, lies in the
+        # opening, 0.026 off the loop on every mesh, and the loop makes no
+        # turn about it, so no residue is read off it
+        c, outer, inner, gap = 0.25, 0.15, 0.05, 0.5
+        corners = [c + radius * cmath.exp(1j * angle)
+                   for radius, angle in ((outer, -gap), (inner, -gap), (inner, gap), (outer, gap))]
+        seed = min(roots_in_l(fig8_record.a_poly, corners[3]), key=abs)
+        out = circle_json(c + 0j, outer, seed, gap, 2.0 * math.pi - gap)
+        back = circle_json(c + 0j, inner, seed, 2.0 * math.pi - gap, gap)
+        lines = [{"kind": "line", "m_start": [a.real, a.imag], "m_end": [b.real, b.imag]}
+                 for a, b in (corners[:2], corners[2:])]
+        loop = dict(out, segments=[out["segments"][0], lines[0], back["segments"][0], lines[1]])
         cfg = {"knot": "fig8", "targets": ["symbols"],
                "punctures": {"eight": {"a_poly": "knot", "loop": loop}}}
         assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 1

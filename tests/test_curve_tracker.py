@@ -72,7 +72,7 @@ def test_identity_curve_lift(ctrl):
     spec = PathSpec(segments=(LineSeg(1.0, 2.0 + 1j),), l_seed=1.0)
     path = lift_path(p, spec, ctrl)
     assert np.allclose(path.l, path.m, atol=1e-12)
-    assert path.n_samples == 101
+    assert path.n_samples == 129
     assert path.t[0] == 0.0 and path.t[-1] == 1.0
     assert np.all(np.diff(path.t) > 0)
     assert not path.closed
@@ -204,7 +204,7 @@ def test_multi_segment_joint_dedup(fig8, ctrl):
     b = ArcSeg(0j, 0.3, 0.65, 1.0)
     spec = PathSpec(segments=(a, b), l_seed=small_root(fig8, a.first))
     path = lift_path(fig8, spec, ctrl)
-    assert path.n_samples == 201
+    assert path.n_samples == 257
     assert np.all(np.diff(path.t) > 0)
 
 
@@ -307,14 +307,14 @@ def test_segment_intervals_record_the_grid(fig8, ctrl):
     a = ArcSeg(0j, 0.3, 0.3, 0.65)
     b = ArcSeg(0j, 0.3, 0.65, 1.0)
     path = lift_path(fig8, PathSpec(segments=(a, b), l_seed=small_root(fig8, a.first)), ctrl)
-    assert path.segment_intervals == (100, 100) and path.uniform
+    assert path.segment_intervals == (128, 128) and path.uniform
     # the line past the branch point 1/phi splits steps: not uniform
     branch = 2.0 / (1.0 + math.sqrt(5.0))
     line = LineSeg(branch - 0.2 + 1e-5j, branch + 0.2 + 1e-5j)
     near = lift_path(fig8, PathSpec(segments=(line,), l_seed=small_root(fig8, line.first)),
                      ctrl)
     assert near.segment_intervals == (near.n_samples - 1,)
-    assert near.segment_intervals[0] > 100 and not near.uniform
+    assert near.segment_intervals[0] > 128 and not near.uniform
 
 
 def test_track_grid_stays_on_curve(fig8):
@@ -549,9 +549,9 @@ def test_diagnostics_report_the_lift(fig8):
     # arc refuses none
     near = lift_path(fig8, _near_branch_line(fig8), StepControls())
     diag = near.diagnostics
-    assert diag.halvings == near.n_samples - 101 > 0
+    assert diag.halvings == near.n_samples - 129 > 0
     assert diag.halvings % (curve_tracker.SPLIT - 1) == 0
-    assert diag.min_step == pytest.approx(0.01 / curve_tracker.SPLIT ** 3)
+    assert diag.min_step == pytest.approx(1.0 / 128 / curve_tracker.SPLIT ** 3)
     assert diag.min_step == np.diff(near.t).min()
     # the worst accepted match, not the refused ones
     assert 0.0 < diag.max_ratio < curve_tracker.BATCH_RATIO
@@ -564,7 +564,7 @@ def test_diagnostics_report_the_lift(fig8):
     smooth = lift_path(fig8, PathSpec(segments=(arc,), l_seed=small_root(fig8, arc.first)),
                        StepControls())
     assert smooth.diagnostics.halvings == 0
-    assert smooth.diagnostics.min_step == pytest.approx(0.01)
+    assert smooth.diagnostics.min_step == pytest.approx(1.0 / 128)
     assert smooth.diagnostics.min_margin > 1.0
     assert 0.0 < smooth.diagnostics.max_ratio < 1e-3
 

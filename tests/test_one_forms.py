@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from apolylab import (
     one_forms,
     parse_poly,
     refine,
-    roots_in_l,
     track_refined,
     vol_along,
     vol_fig8,
@@ -122,23 +122,35 @@ def test_concat_adds_form_integrals(fig8, ctrl):
 
 
 def test_quadrature_convergence_order(fig8):
-    # the default mesh (100 intervals, not a multiple of 8) takes one
-    # Richardson step; from 200 intervals on the ratio test certifies the
-    # Romberg diagonal, which is at rounding level already.  On 200
-    # intervals (8 divides them, 16 does not) est_error is R1's spread
-    # |R1(h) - R1(2h)|; from 400 on the stride-16 sum passes the third
-    # ratio gate and est_error is R2's spread |R2(h) - R2(2h)|, which
-    # bounds R3's error, floored at the rounding level
+    # on the 0.01 ladder the first mesh (100 intervals, not a multiple of
+    # 8) takes one Richardson step; from 200 intervals on the ratio test
+    # certifies the Romberg diagonal, which is at rounding level already.
+    # On 200 intervals (8 divides them, 16 does not) est_error is R1's
+    # spread |R1(h) - R1(2h)|; from 400 on the stride-16 sum passes the
+    # third ratio gate and est_error is R2's spread |R2(h) - R2(2h)|, which
+    # bounds R3's error, floored at the rounding level.  The default
+    # ladder's 128 intervals, a multiple of 16, give R2's spread on the
+    # first lift
     seed = small_root(fig8, 0.3 * unit(0.3))
     want = oracles.fig8_arc_integrals(0j, 0.3, 0.3, 1.4, seed)["eta"]
-    ctrl = StepControls()
-    results = []
-    for _ in range(4):
-        path = _arc_path(fig8, 0.3, 1.4, ctrl=ctrl)
-        res = integrate_eta(path)
-        assert abs(res.value - want) <= res.est_error
-        results.append((path, res))
-        ctrl = refine(ctrl)
+
+    def ladder(ctrl):
+        results = []
+        for _ in range(4):
+            path = _arc_path(fig8, 0.3, 1.4, ctrl=ctrl)
+            res = integrate_eta(path)
+            assert abs(res.value - want) <= res.est_error
+            results.append((path, res))
+            ctrl = refine(ctrl)
+        return results
+
+    def assert_r2_spread(path, res):
+        t = _form_sums(path, "eta", (1, 2, 4, 8))
+        _, r2 = _romberg_columns(t)
+        floor = (path.n_samples - 1) * one_forms.ROUNDING * abs(t[0])
+        assert res.est_error == pytest.approx(max(abs(r2[0] - r2[1]), floor), rel=1e-12)
+
+    results = ladder(StepControls(max_step=0.01))
     assert [r.certified for _, r in results] == [False, True, True, True]
     assert 1e-11 < abs(results[0][1].value - want) < 1e-9
     for _, res in results[1:]:
@@ -147,11 +159,13 @@ def test_quadrature_convergence_order(fig8):
     r1, _ = _romberg_columns(_form_sums(path, "eta", (1, 2, 4, 8)))
     assert res.est_error == pytest.approx(abs(r1[0] - r1[1]), rel=1e-12)
     for path, res in results[2:]:
-        t = _form_sums(path, "eta", (1, 2, 4, 8))
-        _, r2 = _romberg_columns(t)
-        floor = (path.n_samples - 1) * one_forms.ROUNDING * abs(t[0])
-        assert res.est_error == pytest.approx(max(abs(r2[0] - r2[1]), floor), rel=1e-12)
+        assert_r2_spread(path, res)
         assert res.est_error < abs(r1[0] - r1[1]) / 50.0
+    default = ladder(StepControls())
+    assert [path.n_samples for path, _ in default] == [129, 257, 513, 1025]
+    for path, res in default:
+        assert res.certified and abs(res.value - want) < 1e-13
+        assert_r2_spread(path, res)
 
 
 def _eta_table(path):
@@ -228,13 +242,65 @@ def test_track_refined_meets_target(fig8, ctrl):
     for res in results.values():
         assert res.est_error <= 1e-9
         assert res.n_samples == path.n_samples
-    assert used.max_step < ctrl.max_step
+    # the default mesh certifies the arc on its first lift; from 0.01 it
+    # halves once
+    assert used == ctrl and path.n_samples == 129
+    _, _, used = track_refined(fig8, spec, StepControls(max_step=0.01), target=1e-9)
+    assert used.max_step == 0.005
     # the halving budget bounds the work even for unreachable targets
     path, capped, used = track_refined(fig8, spec, ctrl, target=0.0, max_halvings=1)
     assert all(r.est_error > 0.0 for r in capped.values())
     # ... and returns the controls its path was lifted with
     assert used.max_step == ctrl.max_step / 2
     assert path.n_samples == math.ceil(1.0 / used.max_step) + 1
+
+
+def test_default_mesh_has_t4_on_a_first_lift(fig8):
+    # 128 intervals per segment, a multiple of 16: the first lift of the
+    # demo's two-segment a = 0.9 route has the whole table, T0 to T4
+    spec, _ = cli_app._conjecture_path(cli_app.load_knots()["fig8"], 0.9)
+    path = lift_path(fig8, spec, StepControls())
+    assert path.uniform and path.segment_intervals == (128, 128)
+    assert len(path.log_table) == 5
+    assert integrate_eta(path).certified
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_one_table_per_lift(fig8, monkeypatch, graded):
+    # track_refined builds the table of int log l dlog m once for each lift
+    # it judges (a graded route's first lift only decides the grading),
+    # and the path it returns carries it: its six public integrals build
+    # none, and equal those of a freshly built table bit for bit
+    built, lifts = [], []
+    table, lift = one_forms._table, one_forms.lift_path
+
+    def counted_table(*args):
+        built.append(args[0])
+        return table(*args)
+
+    def counted_lift(*args):
+        lifts.append(args[1])
+        return lift(*args)
+
+    monkeypatch.setattr(one_forms, "_table", counted_table)
+    monkeypatch.setattr(one_forms, "lift_path", counted_lift)
+    spec = (_near_branch_line(fig8, 1.0) if graded
+            else _annulus_arc(fig8, 0.42, 0.6, "small")[0])
+    path, res, _ = track_refined(fig8, spec, forms=("eta", "xi", "kk"), target=1e-9)
+    assert len(lifts) == (4 if graded else 2)
+    assert len(built) == len(lifts) - graded and built[-1] is path
+    assert bool(path.graded_toward) == graded
+
+    def integrals(p):
+        return (integrate_eta(p), integrate_xi(p), kk_exponent(p), kirk_klassen(p),
+                vol_along(p, vol_fig8()), cs_along(p, 0.125))
+
+    del built[:]
+    got = integrals(path)
+    assert built == []
+    assert got[:3] == (res["eta"], res["xi"], res["kk"])
+    fresh = replace(path)
+    assert integrals(fresh) == got and built == [fresh]
 
 
 def test_track_refined_rejects_unknown_form(fig8, ctrl):
@@ -389,10 +455,21 @@ def test_kk_expr_diff_restates_est_error(fig8):
     # below |kk| est_error, and below 1/63 of it under R2's spread).
     # Either way it measures the quadrature, not an independent
     # evaluation, and the value is within est_error of the closed-form
-    # lift (the demo's route arc_a at halvings 0-4)
+    # lift (the demo's route arc_a at halvings 0-4 of the 0.01 ladder and
+    # of the default one, where every level has R2's spread)
     seed = small_root(fig8, 0.3 * unit(0.3))
     want = cmath.exp(oracles.fig8_arc_integrals(0j, 0.3, 0.3, 1.0, seed)["kk"])
     ctrl = StepControls()
+    for level in range(5):
+        path = _arc_path(fig8, 0.3, 1.0, ctrl=ctrl)
+        kk = kirk_klassen(path)
+        exponent = kk_exponent(path)
+        bound = abs(kk.value) * exponent.est_error
+        assert exponent.certified
+        assert kk.expr_diff <= 1.01 * bound / 63.0
+        assert abs(kk.value - want) <= bound
+        ctrl = refine(ctrl)
+    ctrl = StepControls(max_step=0.01)
     for level in range(5):
         path = _arc_path(fig8, 0.3, 1.0, ctrl=ctrl)
         kk = kirk_klassen(path)
@@ -455,7 +532,8 @@ def test_romberg_arcs_in_the_annulus(fig8):
     # open arcs on both sheets between m = 0 and the branch points at
     # |m| = 1/phi, as in the benchmark's arcs routes: at a 1e-9 target the
     # certified Romberg value is within 1e-13 of the closed-form lift after
-    # at most three halvings (at most 801 samples instead of 6401)
+    # at most three halvings (at most 1,025 samples instead of 8,193; these
+    # arcs stop at 129 or 257)
     rng = np.random.default_rng(9)
     for _ in range(6):
         for which, centre in (("small", 0.6), ("big", 2.0)):
@@ -474,8 +552,10 @@ def test_romberg_arcs_in_the_annulus(fig8):
 def test_mixed_certification_keeps_refining(fig8):
     # pre-asymptotic big-sheet arc: at 401 samples xi is certified but eta
     # is not (rho = 4.06, rho' = 4.24), and eta's one-step value, though
-    # its est_error is below the target, is 8e-13 off; track_refined
-    # halves once more, where both forms are certified
+    # its est_error is below the target, is 8e-13 off; track_refined from
+    # 0.01 halves once more, where both forms are certified.  The default
+    # ladder stops at 513 samples: at 129 and 257 eta is not certified
+    # either, but its est_error misses the target
     spec, want = _annulus_arc(fig8, 0.41669119406335, 1.939587920832504, "big")
     path = lift_path(fig8, spec, StepControls(max_step=0.0025))
     eta, xi = integrate_eta(path), integrate_xi(path)
@@ -484,12 +564,14 @@ def test_mixed_certification_keeps_refining(fig8):
     assert abs(eta.value - want["eta"]) > 5e-13
     assert one_forms.quadrature_shortfall(path, {"eta": eta, "xi": xi}, 1e-9) \
         == "est_error below target 1e-09 but Romberg certifies only xi"
-    path, res, used = track_refined(fig8, spec, target=1e-9)
-    assert _stop_level(used) == 3 and path.n_samples == 801
-    for name in ("eta", "xi"):
-        assert res[name].certified
-        err = abs(res[name].value - want[name])
-        assert err < 1e-13 and err <= res[name].est_error
+    for ctrl, halvings, n_samples in ((StepControls(max_step=0.01), 3, 801),
+                                      (StepControls(), 2, 513)):
+        path, res, used = track_refined(fig8, spec, ctrl, target=1e-9)
+        assert used.max_step == ctrl.max_step / 2 ** halvings and path.n_samples == n_samples
+        for name in ("eta", "xi"):
+            assert res[name].certified
+            err = abs(res[name].value - want[name])
+            assert err < 1e-13 and err <= res[name].est_error
 
 
 @pytest.mark.parametrize("max_step", [0.01, 1.0 / 64, 1.0 / 800])
@@ -583,7 +665,7 @@ def _near_branch_line(fig8, direction, gap=1e-5, length=0.4):
 def _assert_graded_and_accurate(fig8, spec, want):
     path, res, used = track_refined(fig8, spec, forms=("eta", "xi", "kk"), target=1e-9)
     assert len(path.graded_toward) == 1 and abs(path.graded_toward[0] - INV_PHI) < 1e-12
-    assert path.uniform and path.n_samples <= 801
+    assert path.uniform and path.n_samples <= 1025
     for name in ("eta", "xi", "kk"):
         err = abs(res[name].value - want[name])
         assert res[name].certified, name
@@ -593,8 +675,8 @@ def _assert_graded_and_accurate(fig8, spec, want):
 
 
 def test_near_branch_line_certifies_on_a_graded_mesh(fig8):
-    # on an equal-step grid this line never certifies: it runs out at 6401
-    # samples, 1e-7 off, and its est_error can sit below its error
+    # on an equal-step grid this line never certifies: six halvings of the
+    # default mesh, 8,207 samples, leave it 2e-8 off
     rng = np.random.default_rng(10)
     for direction in 1.0 + rng.uniform(-0.15, 0.15, 8):
         spec = _near_branch_line(fig8, direction, gap=1e-5 * rng.uniform(0.8, 1.25))
@@ -603,29 +685,32 @@ def test_near_branch_line_certifies_on_a_graded_mesh(fig8):
             fig8, spec, oracles.fig8_route_integrals(spec.segments, spec.l_seed))
 
 
-def test_near_branch_line_stops_at_801_samples(fig8):
-    # the benchmark's line: R2's spread certifies it at 801 samples, where
-    # R1's (1.6e-8 against an error of 1.5e-14) kept it lifting to 1,601
-    # or 3,201
+def test_near_branch_line_stops_at_513_samples(fig8):
+    # the benchmark's line: R2's spread certifies it at 513 samples, errors
+    # 5.7e-13 and 2.3e-13, the graded routes' 1e-12.  On the 0.01 ladder
+    # it stops at 801 samples within 1e-13, where R1's spread (1.6e-8
+    # against an error of 1.5e-14) kept it lifting to 1,601 or 3,201
     spec = _near_branch_line(fig8, 1.0)
     want = oracles.fig8_route_integrals(spec.segments, spec.l_seed)
-    path, res, _ = track_refined(fig8, spec, target=1e-9)
-    assert path.n_samples == 801
-    for name in ("eta", "xi"):
-        err = abs(res[name].value - want[name])
-        assert res[name].certified, name
-        assert err < 1e-13, name
-        assert err <= res[name].est_error, name
+    for ctrl, n_samples, tol in ((StepControls(), 513, 1e-12),
+                                 (StepControls(max_step=0.01), 801, 1e-13)):
+        path, res, _ = track_refined(fig8, spec, ctrl, target=1e-9)
+        assert path.n_samples == n_samples
+        for name in ("eta", "xi"):
+            err = abs(res[name].value - want[name])
+            assert res[name].certified, name
+            assert err < tol, name
+            assert err <= res[name].est_error, name
 
 
 @pytest.mark.parametrize("start, which, n_samples, eta, xi", [
-    (0.6, "small", 201, -0.32277293573540056, -5.936266119658793),
-    (2.0, "big", 401, -0.16564578164719476, -3.1065384416927695),
-])
+    (0.6, "small", 257, -0.3227729357354015, -5.936266119658794),
+    (2.0, "big", 129, -0.1656457816472267, -3.106538441692789),
+], ids=["small-257", "big-129"])
 def test_annulus_arcs_keep_their_stop(fig8, start, which, n_samples, eta, xi):
-    # the arcs stop where they did under R1's spread: at 201 samples 16
-    # does not divide the intervals, at 401 R1's spread was already below
-    # the target
+    # the big-sheet arc stops on the default mesh's first lift; the
+    # small-sheet one halves once, because at 129 samples xi's R2 spread
+    # (3.6e-9) misses the target
     spec, want = _annulus_arc(fig8, 0.42, start, which)
     path, res, _ = track_refined(fig8, spec, target=1e-9)
     assert path.n_samples == n_samples

@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import math
 

@@ -10,12 +10,12 @@ from apolylab import (
     NoRational,
     NotClosed,
     PathSpec,
+    StepControls,
     estimate_symbol_order,
     lift_path,
     loop_around_m,
     parse_poly,
     recognize_rational,
-    roots_in_l,
     tame_symbol,
     valuation,
 )
@@ -143,13 +143,17 @@ def test_tame_symbol_two_turns_of_a_ramified_sheet(ctrl):
 def test_tame_symbol_rejects_eccentric_witness(fig8, ctrl):
     # the circle passes 8e-3 from the branch point 1/phi and the wide
     # square's corner at 0.5 is 0.12 from it: the residues on the two
-    # meshes differ by more than 1e-4 of |T|
+    # meshes differ by more than 1e-4 of |T|, the square's on 100
+    # intervals per side.  On the default 128, a multiple of 16, Romberg
+    # certifies the square's sides and T reads 1 within 1e-11 (1.6e-12)
     circle = lift_path(fig8, loop_around_m(fig8, 0j, 0.61, small_root(fig8, 0.61)), ctrl)
-    for loop in (circle, _square_loop(fig8, 0.5, ctrl)):
+    for loop in (circle, _square_loop(fig8, 0.5, StepControls(max_step=0.01))):
         v_l = valuation(loop, "l")
         v_m = valuation(loop, "m")
         with pytest.raises(ExtrapolationUnstable):
             tame_symbol(loop, v_l, v_m)
+    square = _square_loop(fig8, 0.5, ctrl)
+    assert abs(tame_symbol(square, valuation(square, "l"), valuation(square, "m")) - 1.0) < 1e-11
 
 
 def test_tame_symbol_lifts_nothing(fig8, ctrl, monkeypatch):
