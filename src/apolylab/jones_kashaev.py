@@ -9,10 +9,12 @@ with q^{1/2} = exp(i theta / 2) for the theta in [0, 2pi) representing
 q.  Each paired factor is real on the unit circle, so values are signed
 reals; they grow like exp(const N) and are accumulated in log scale.
 The sum runs in numpy over fixed chunks of CHUNK terms: a cumulative sum
-of log|factor| and a cumulative product of signs per chunk, each chunk
-folded into one max-shifted signed sum, so memory stays flat in N.  Each
-value carries its conditioning, log10(max |term| / |sum|), and its
-smallest |factor|.  Other knots can plug in any evaluator with the same
+of log|factor| per chunk, and a cumulative product of signs only in a
+chunk with a negative factor, each chunk folded into one max-shifted
+signed sum, so memory stays flat in N.  A chunk whose terms all underflow
+to 0.0 against the largest term so far takes no exponential.  Each value
+carries its conditioning, log10(max |term| / |sum|), and its smallest
+|factor|.  Other knots can plug in any evaluator with the same
 (N, q) -> LogComplex signature.
 
 The growth fit models log|J_N| = (slope / 2pi) k + c log N + b over a
@@ -37,6 +39,9 @@ TWO_PI = 2.0 * math.pi
 # Terms per numpy pass of the Jones sum: large enough that the per-chunk
 # overhead is small, small enough that the work arrays stay near 0.5 MB.
 CHUNK = 8192
+# np.exp returns +0 below log(2^-1075) ~ -745.13, so a chunk whose largest
+# log|term| lies more than this below the running top adds exactly 0.0
+EXP_UNDERFLOW = 746.0
 
 
 @dataclass(frozen=True)
@@ -99,25 +104,38 @@ def _jones_sum(N, theta):
 
     The terms are taken CHUNK at a time: the chunk's log|factor| array,
     with the carried log|prod| added into its first entry, goes through
-    np.cumsum (the partial sums are added in term order), and the
-    cumulative product of the factor signs times the carried sign gives
-    each term's sign.  The chunk then folds into a running signed sum
-    acc * e^top, where top is the largest log|term| so far; acc is
-    rescaled when a chunk's largest log exceeds top.
+    np.cumsum (the partial sums are added in term order).  Each term's
+    sign is the carried sign times the cumulative product of the factor
+    signs, taken only in a chunk with a negative factor; elsewhere every
+    term has the carried sign, and sign * sum(w) is sum(sign * w) to the
+    bit.  The chunk then folds into a running signed sum acc * e^top,
+    where top is the largest log|term| so far; acc is rescaled when a
+    chunk's largest log exceeds top.  A chunk whose largest log lies more
+    than EXP_UNDERFLOW below top would add exactly 0.0, so it skips the
+    exponentials and only carries log|prod|, the sign and min_factor.
 
     Returns (log_abs, arg, cond, min_factor): arg in {0, pi}, cond =
     log10(max |term| / |sum|) and min_factor = min |factor| over the
     factors summed (inf when there is none).
     """
     stop = _first_zero_factor(N, theta)
+    half = 0.5 * theta
     top = 0.0       # largest log|term|; the j = 0 term is 1
     acc = 1.0       # signed sum / e^top
     log_prod = 0.0  # log|prod| and its sign, carried into the next chunk
     sign = 1.0
     min_factor = math.inf
     for first in range(1, stop, CHUNK):
-        j = np.arange(first, min(first + CHUNK, stop))
-        pair = -4.0 * np.sin(0.5 * (N - j) * theta) * np.sin(0.5 * (N + j) * theta)
+        end = min(first + CHUNK, stop)
+        # (N -/+ j) (theta / 2) for j = first .. end - 1: halving is exact,
+        # so these are the doubles 0.5 (N -/+ j) theta
+        pair = np.arange(N - first, N - end, -1.0)
+        pair *= half
+        np.sin(pair, out=pair)
+        pair *= -4.0
+        plus = np.arange(N + first, N + end, 1.0)
+        plus *= half
+        pair *= np.sin(plus, out=plus)
         zeros = np.flatnonzero(pair == 0.0)
         if zeros.size:
             pair = pair[:zeros[0]]
@@ -127,16 +145,20 @@ def _jones_sum(N, theta):
         logs = np.log(magnitude)
         logs[0] += log_prod
         np.cumsum(logs, out=logs)
-        signs = np.cumprod(np.sign(pair))
-        signs *= sign
         log_prod = float(logs[-1])
-        sign = float(signs[-1])
         min_factor = min(min_factor, float(magnitude.min()))
         chunk_top = float(logs.max())
         if chunk_top > top:
             acc *= math.exp(top - chunk_top)
             top = chunk_top
-        acc += float(np.sum(signs * np.exp(logs - top)))
+        # the signs relative to the carried sign, where a factor is negative
+        signs = np.cumprod(np.sign(pair)) if pair.min() < 0.0 else None
+        if chunk_top >= top - EXP_UNDERFLOW:
+            logs -= top
+            terms = np.exp(logs, out=logs)
+            acc += sign * float(np.sum(terms if signs is None else signs * terms))
+        if signs is not None:
+            sign *= float(signs[-1])
         if zeros.size:
             break
     if acc == 0.0:

@@ -38,13 +38,15 @@ certified est_error is |R2(h) - R2(2h)|, a bound on R3's error, wherever
 third ratio gate, and |R1(h) - R1(2h)|, a bound only on R1's, otherwise.
 Off the h^2 regime, as on closed loops, where the trapezoid rule on a
 periodic integrand beats every Romberg column, it takes one Richardson
-step.  eta and xi are Im and Re of
-one table but keep their own real ratio gates: a pre-asymptotic arc can
-be in the h^2 regime for one and not the other.  The table of
+step.  Every est_error is floored at the rounding level (n - 1) eps |T0|.
+eta and xi are Im and Re of one table but keep their own real ratio
+gates: a pre-asymptotic arc can be in the h^2 regime for one and not
+the other.  The table of
 int log l dlog m is the path's log_table, built on first use, so every
 form of one path reads one table.  track_refined builds it once per lift
 and halves the step until the forms meet a target
-(quadrature_shortfall).  Near a branch point l behaves like
+(quadrature_shortfall) or every form that misses it sits at its
+rounding floor.  Near a branch point l behaves like
 sqrt(m - m_b), which no equal-step grid in the route's own parameter
 resolves; track_refined then grades the open route toward m_b
 (curve_tracker.GradedSeg, a sinh substitution), on whose equal-step grid
@@ -135,6 +137,12 @@ def _table(path: TrackedPath, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array(sums)
 
 
+def _rounding_floor(path: TrackedPath, t: np.ndarray) -> float:
+    """The floor of est_error on table t: (n - 1) eps |T0|, the rounding
+    the full-mesh sum can carry.  It doubles with each halving."""
+    return float((path.n_samples - 1) * ROUNDING * abs(t[0]))
+
+
 def _romberg(path: TrackedPath, t: np.ndarray):
     """The one quadrature, on a real or complex table t from _table (or an
     affine map of one).  Returns (value, lower, est_error, certified),
@@ -146,12 +154,14 @@ def _romberg(path: TrackedPath, t: np.ndarray):
     diagonal R3 (lower R2).  est_error is |R2(h) - R2(2h)|, a bound on
     R3's error, when T4 is there and rho'' = (T3 - T4)/(T2 - T3) also
     reads 4 (within RHO_COARSE_TOL), and |R1(h) - R1(2h)|, a bound only on
-    R1's, otherwise; either is floored at the rounding level
-    (n - 1) eps |T0|.  When rho or rho' misses 4 the value is one
+    R1's, otherwise.  When rho or rho' misses 4 the value is one
     Richardson step R1 = T0 + (T0 - T1)/3 (lower T0) and est_error is
-    |T0 - T1|.
+    |T0 - T1|.  Every est_error is floored at the rounding level
+    (n - 1) eps |T0| (_rounding_floor): a closed loop whose full and half
+    meshes agree to the bit is still off by rounding.
     """
     full, half = t[0], t[1]
+    floor = _rounding_floor(path, t)
     if len(t) >= 4:
         d = [t[k] - t[k + 1] for k in range(len(t) - 1)]
         if d[0] != 0 and d[1] != 0 and (abs(d[1] / d[0] - 4.0) < RHO_TOL
@@ -161,10 +171,9 @@ def _romberg(path: TrackedPath, t: np.ndarray):
             r3 = r2[0] + (r2[0] - r2[1]) / 63.0
             sharp = len(d) == 4 and abs(d[3] / d[2] - 4.0) < RHO_COARSE_TOL
             spread = abs(r2[0] - r2[1]) if sharp else abs(r1[0] - r1[1])
-            est = max(spread, (path.n_samples - 1) * ROUNDING * abs(full))
-            return r3.item(), r2[0].item(), float(est), True
+            return r3.item(), r2[0].item(), max(float(spread), floor), True
     value = full + (full - half) / 3.0
-    return value.item(), full.item(), float(abs(full - half)), False
+    return value.item(), full.item(), max(float(abs(full - half)), floor), False
 
 
 def _integrate(path: TrackedPath, t: np.ndarray) -> IntegralResult:
@@ -286,7 +295,7 @@ def quadrature_shortfall(path: TrackedPath, results: Dict[str, IntegralResult],
     meet it: every est_error below target, all forms on one rule (all
     certified or none) and at least MIN_INTERVALS intervals per segment.
     On fewer intervals the full and half meshes can agree exactly while
-    both are wrong (est_error 0 on a 2-sample loop)."""
+    both are wrong (est_error at its rounding floor on a 2-sample loop)."""
     missed = ["%s %.2g" % (name, r.est_error) for name, r in results.items()
               if not r.est_error < target]
     if missed:
@@ -302,11 +311,24 @@ def quadrature_shortfall(path: TrackedPath, results: Dict[str, IntegralResult],
     return None
 
 
+def _at_rounding_floor(path: TrackedPath, tables: Dict[str, np.ndarray],
+                       results: Dict[str, IntegralResult], target: float) -> bool:
+    """True when some form misses target and every form that does reads
+    est_error equal to its rounding floor, on at least MIN_INTERVALS
+    intervals per segment: a halving would only double that floor."""
+    missed = [name for name, r in results.items() if not r.est_error < target]
+    return (bool(missed) and min(path.segment_intervals, default=0) >= MIN_INTERVALS
+            and all(results[name].est_error == _rounding_floor(path, tables[name])
+                    for name in missed))
+
+
 def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls(),
                   forms: Iterable[str] = ("eta", "xi"), target: float = 1e-8,
                   max_halvings: int = 6):
     """Lift the route, halving max_step until the requested forms meet
-    target (quadrature_shortfall is None) or the halving budget runs out.
+    target (quadrature_shortfall is None), every form that misses it
+    reads its rounding floor (n - 1) eps |T0|, which a halving only
+    doubles, or the halving budget runs out.
     A mix of certified and uncertified forms keeps refining: it marks a
     mesh that is not yet in the h^2 regime everywhere, where the
     uncertified forms' Richardson values can still be off (a big-sheet
@@ -348,8 +370,10 @@ def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepCon
             path = lift_path(A, spec, current)
         # graded_toward first: replace makes a new path, without the table
         path = replace(path, graded_toward=toward)
-        results = {name: _integrate(path, _FORMS[name](path, path.log_table)) for name in forms}
-        if halving == max_halvings or quadrature_shortfall(path, results, target) is None:
+        tables = {name: _FORMS[name](path, path.log_table) for name in forms}
+        results = {name: _integrate(path, t) for name, t in tables.items()}
+        if (halving == max_halvings or quadrature_shortfall(path, results, target) is None
+                or _at_rounding_floor(path, tables, results, target)):
             break
         current = refine(current)
     return path, results, current

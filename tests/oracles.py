@@ -629,14 +629,21 @@ def regulator_rule(loop, f=(1, 0), g=(0, 1)):
 FORM_RULES = {"eta": eta_rule, "xi": xi_rule, "kk": kk_rule}
 
 
+def rounding_floor_reference(path, rule) -> float:
+    """(n - 1) eps |T0|, the floor of every est_error of rule on path."""
+    return float((path.n_samples - 1) * one_forms.ROUNDING * abs(rule(path.log_l, path.log_m)))
+
+
 def romberg_reference(path, rule):
     """(value, lower, est_error, certified) of rule by the cautious Romberg
     driver that called it on each mesh; same gates and constants as
     one_forms._romberg.  The stride-16 sum, there only when 16 divides
     every segment's intervals, gates the sharp estimate |R2(h) - R2(2h)|;
     without it, or when its ratio misses 4, the estimate is
-    |R1(h) - R1(2h)|."""
+    |R1(h) - R1(2h)|.  The one-step estimate |T0 - T1| is floored at the
+    same rounding level (n - 1) eps |T0| as both of those."""
     full = rule(path.log_l, path.log_m)
+    floor = rounding_floor_reference(path, rule)
 
     def coarse(stride):
         idx = one_forms._coarse_indices(path, stride)
@@ -656,10 +663,9 @@ def romberg_reference(path, rule):
                 d4 = t[3] - coarse(16)
                 if abs(d4 / d[2] - 4.0) < one_forms.RHO_COARSE_TOL:
                     spread = abs(r2[0] - r2[1])
-            est = max(spread, (path.n_samples - 1) * one_forms.ROUNDING * abs(full))
-            return r3.item(), r2[0].item(), float(est), True
+            return r3.item(), r2[0].item(), max(float(spread), floor), True
     value = full + (full - half) / 3.0
-    return value.item(), full.item(), float(abs(full - half)), False
+    return value.item(), full.item(), max(float(abs(full - half)), floor), False
 
 
 def integrate_reference(path, rule) -> one_forms.IntegralResult:
@@ -671,7 +677,9 @@ def integrate_reference(path, rule) -> one_forms.IntegralResult:
 def track_refined_reference(A, spec, ctrl, forms=("eta", "xi"), target=1e-8,
                             max_halvings=6):
     """one_forms.track_refined's refinement loop on FORM_RULES: returns
-    (path, {form: IntegralResult})."""
+    (path, {form: IntegralResult}).  It also stops where every form that
+    misses target reads est_error at its rounding floor (n - 1) eps |T0|,
+    on at least MIN_INTERVALS intervals per segment."""
     path = curve_tracker.lift_path(A, spec, ctrl)
     if not spec.closed and not path.uniform:
         spec, toward = curve_tracker.grade_toward_branch_points(A, spec, path, ctrl.max_step)
@@ -681,8 +689,12 @@ def track_refined_reference(A, spec, ctrl, forms=("eta", "xi"), target=1e-8,
         if halving:
             path = curve_tracker.lift_path(A, spec, ctrl)
         results = {name: integrate_reference(path, FORM_RULES[name]) for name in forms}
-        if halving == max_halvings or one_forms.quadrature_shortfall(path, results,
-                                                                     target) is None:
+        missed = [name for name, r in results.items() if not r.est_error < target]
+        floored = missed and min(path.segment_intervals) >= one_forms.MIN_INTERVALS and all(
+            results[name].est_error == rounding_floor_reference(path, FORM_RULES[name])
+            for name in missed)
+        if (halving == max_halvings or floored
+                or one_forms.quadrature_shortfall(path, results, target) is None):
             break
         ctrl = curve_tracker.refine(ctrl)
     return path, results

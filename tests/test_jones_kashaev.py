@@ -147,6 +147,54 @@ class TestChunkedKernel:
         assert arg == want_arg
         assert log_abs == pytest.approx(want_log, rel=1e-12, abs=1e-300)
 
+    # (log_abs, arg, cond, min_factor) as float.hex, written by the kernel
+    # as it was before it skipped underflowed chunks' exponentials and
+    # positive chunks' sign pass (run on a git archive of commit 493a509):
+    # the skips must leave every bit of every output in place
+    PINNED = [
+        (8192, TWO_PI / 8192, ("0x1.4c79896a1eb74p+11", "0x0.0p+0",
+                               "-0x1.d661aecc013dcp+0", "0x1.3bd3cb982124ap-21")),
+        (8193, TWO_PI / 8193, ("0x1.4c83e1787a007p+11", "0x0.0p+0",
+                               "-0x1.d662e4fc40f0ap+0", "0x1.3bc00f484d62fp-21")),
+        (16385, TWO_PI / 16385, ("0x1.4bbb79468a2a1p+12", "0x0.0p+0",
+                                 "-0x1.fceb0d4186788p+0", "0x1.3bc9edf7ca952p-23")),
+        (10 ** 5, TWO_PI / 10 ** 5, ("0x1.f90e5b9c164bap+14", "0x0.0p+0",
+                                     "-0x1.30bb75625832dp+1", "0x1.0f4b2aacebf23p-28")),
+        (10 ** 6, TWO_PI / 10 ** 6, ("0x1.3b8399555302ep+18", "0x0.0p+0",
+                                     "-0x1.70bb6d1fe559ap+1", "0x1.5b417e5045c3ap-35")),
+        (500, TWO_PI / 556, ("-0x1.4f2ef321ba50fp-2", "0x0.0p+0",
+                             "0x1.2322f834d7ea6p-3", "0x1.b2a2a82157a0ep-7")),
+        (20000, 0.7, ("0x1.2f6ec8a69b9d8p+2", "0x0.0p+0",
+                      "0x1.79cad4c7ffb7cp+2", "0x1.f53835ec4d6ddp-13")),
+        (16385, 1.2345, ("0x1.ccf734908541dp+2", "0x1.921fb54442d18p+1",
+                         "-0x1.a9dfd2b28ac1fp-2", "0x1.724834688adddp-16")),
+        # chunks that add nothing hold negative factors here and carry
+        # the sign into a later chunk that does add
+        (60000, TWO_PI * (1.5 + math.sqrt(5) * 1e-6) / 60000,
+         ("0x1.92f9687d356d5p+13", "0x0.0p+0",
+          "0x1.73bfa5454147dp+3", "0x1.81d6fe1e8b7a6p-33")),
+    ]
+
+    @pytest.mark.parametrize("N, theta, want", PINNED)
+    def test_outputs_are_pinned_to_the_bit(self, N, theta, want):
+        assert _jones_sum(N, theta) == tuple(float.fromhex(x) for x in want)
+
+    def test_underflowed_chunks_take_no_exponential(self, monkeypatch):
+        # at the Kashaev point N = 10^6 the terms of 78 of the 123 chunks
+        # lie more than EXP_UNDERFLOW below the largest term before them,
+        # where np.exp gives exactly 0; no factor is negative, so no chunk
+        # takes the cumulative product of signs
+        calls = {"exp": 0, "cumprod": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        N = 10 ** 6
+        _jones_sum(N, TWO_PI / N)
+        assert -(-(N - 1) // CHUNK) == 123
+        assert calls == {"exp": 45, "cumprod": 0}
+
     def test_stops_at_an_exact_zero_factor(self, monkeypatch):
         # at theta = 2e-166 the factors underflow to exactly 0.0 from
         # j = 14378 on, inside the second chunk; with the root-of-unity
@@ -155,9 +203,12 @@ class TestChunkedKernel:
         monkeypatch.setattr("apolylab.jones_kashaev._first_zero_factor",
                             lambda n, t: n)
         with np.errstate(divide="raise"):
-            log_abs, arg, _, min_factor = _jones_sum(N, theta)
-        assert (log_abs, arg) == oracles.jones_sum_scalar_loop(N, theta, N)
-        assert min_factor > 0.0
+            got = _jones_sum(N, theta)
+        assert got[:2] == oracles.jones_sum_scalar_loop(N, theta, N)
+        assert got[3] > 0.0
+        # pinned like PINNED: the factors that are not 0.0 reach down to
+        # the smallest subnormal
+        assert got == (0.0, 0.0, 0.0, float.fromhex("0x0.0000000000001p-1022"))
 
     def test_single_term(self):
         assert colored_jones_fig8(1, unit(1.2345)) == LogComplex(

@@ -255,6 +255,33 @@ def test_track_refined_meets_target(fig8, ctrl):
     assert path.n_samples == math.ceil(1.0 / used.max_step) + 1
 
 
+def test_track_refined_stops_at_the_rounding_floor(fig8, ctrl, monkeypatch):
+    # the same arc at target 1e-13: eta meets it at 257 samples, xi's
+    # est_error there is its rounding floor (n - 1) eps |T0|, 1.16e-13, and
+    # each halving only doubles that floor; refinement stops after lifting
+    # 129 + 257 samples instead of spending six halvings (16,263 samples)
+    # and ending uncertified at 8,193, and the shortfall is still reported
+    lifted = []
+    lift = one_forms.lift_path
+
+    def counted_lift(*args):
+        path = lift(*args)
+        lifted.append(path.n_samples)
+        return path
+
+    monkeypatch.setattr(one_forms, "lift_path", counted_lift)
+    spec = PathSpec(segments=(ArcSeg(0j, 0.3, 0.3, 1.0),),
+                    l_seed=small_root(fig8, 0.3 * unit(0.3)))
+    path, res, used = track_refined(fig8, spec, ctrl, target=1e-13)
+    assert lifted == [129, 257] and path.n_samples == 257 and used == refine(ctrl)
+    xi_table = one_forms._FORMS["xi"](path, path.log_table)
+    assert res["xi"].est_error == one_forms._rounding_floor(path, xi_table)
+    assert res["xi"].est_error == pytest.approx(1.16e-13, rel=0.01)
+    assert res["eta"].est_error < 1e-13
+    assert one_forms.quadrature_shortfall(path, res, 1e-13) == (
+        "est_error xi 1.2e-13 misses target 1e-13")
+
+
 def test_default_mesh_has_t4_on_a_first_lift(fig8):
     # 128 intervals per segment, a multiple of 16: the first lift of the
     # demo's two-segment a = 0.9 route has the whole table, T0 to T4
@@ -504,9 +531,11 @@ def _form_sums(path, form, strides=(1, 2)):
 
 def _richardson(path, form):
     """The one-step rule on its own: T0 on every sample and T1 on every
-    other one; returns T0 + (T0 - T1)/3 and |T0 - T1|."""
+    other one; returns T0 + (T0 - T1)/3 and |T0 - T1|, floored at the
+    rounding level (n - 1) eps |T0|."""
     full, coarse = _form_sums(path, form)
-    return (full + (full - coarse) / 3.0).item(), float(abs(full - coarse))
+    floor = (path.n_samples - 1) * np.finfo(float).eps * abs(full)
+    return (full + (full - coarse) / 3.0).item(), float(max(abs(full - coarse), floor))
 
 
 def _romberg_columns(t):
@@ -614,13 +643,17 @@ def test_richardson_never_spans_a_segment_joint(fig8):
 
 
 def test_track_refined_needs_sixteen_intervals_per_segment(fig8):
-    # on 2 samples the half mesh is the full mesh and est_error reads 0
-    # whatever the value; such a lift never meets a target
+    # on 2 samples the half mesh is the full mesh, |T0 - T1| reads 0
+    # whatever the value and est_error is the rounding floor eps |T0|;
+    # such a lift never meets a target
     spec = loop_around_m(fig8, 0j, 0.3, small_root(fig8, 0.3))
     path, res, used = track_refined(fig8, spec, StepControls(max_step=1.0), target=1e-8,
                                     max_halvings=0)
     assert path.segment_intervals == (1,)
-    assert res["eta"].est_error == res["xi"].est_error == 0.0
+    for name in ("eta", "xi"):
+        full, half = _form_sums(path, name)
+        assert full == half
+        assert res[name].est_error == np.finfo(float).eps * abs(full) < 1e-30
     assert abs(res["xi"].value) < 1e-12  # the period is -2 (4 pi^2)
     assert one_forms.quadrature_shortfall(path, res, 1e-8) == (
         "est_error below target 1e-08 on 1 intervals per segment, fewer than 16")
