@@ -175,18 +175,20 @@ def _loop_from_json(what: str, name: str, spec: dict) -> PathSpec:
     return loop
 
 
-def _section(cfg: dict, key: str) -> dict:
+def _section(cfg: dict, key: str, allowed=None) -> dict:
+    """cfg[key], {} when absent; it must be a JSON object and, when
+    allowed is given, hold no key outside it."""
     section = cfg.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError("'%s' must be a JSON object" % key)
+    unknown = sorted(set(section) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise ConfigError("unknown %s key %s" % (key, ", ".join(map(repr, unknown))))
     return section
 
 
 def _controls_from_json(cfg: dict) -> StepControls:
-    ctrl = _section(cfg, "controls")
-    unknown = sorted(set(ctrl) - {"max_step", "min_step"})
-    if unknown:
-        raise ConfigError("unknown controls key %s" % ", ".join(map(repr, unknown)))
+    ctrl = _section(cfg, "controls", ("max_step", "min_step"))
     default = StepControls()
     try:
         return StepControls(
@@ -198,10 +200,10 @@ def _controls_from_json(cfg: dict) -> StepControls:
 
 
 def _tolerances_from_json(cfg: dict) -> Dict[str, float]:
-    tol = _section(cfg, "tolerances")
     defaults = {"eta": ETA_TOL, "rational": RATIONAL_TOL,
                 "quadrature_target": 1e-8, "tame": TAME_TOL,
                 "steinberg": STEINBERG_TOL, "kirk_klassen": KK_TOL}
+    tol = _section(cfg, "tolerances", list(defaults) + ["q_max"])
     try:
         out = {name: float(tol.get(name, value)) for name, value in defaults.items()}
         out["q_max"] = int(tol.get("q_max", 48))
@@ -231,7 +233,7 @@ def _punctures_from_json(cfg: dict, knot: KnotRecord):
 def _jones_from_json(cfg: dict) -> Tuple[List[int], List[float]]:
     """N_list and a_values of the jones section; the growth fit needs at
     least four increasing N, and every a must give k = round(N / a) >= 1."""
-    jcfg = _section(cfg, "jones")
+    jcfg = _section(cfg, "jones", ("N_list", "a_values"))
     try:
         n_list = [int(n) for n in jcfg.get("N_list", [500, 1000, 2000, 4000])]
         a_values = [float(a) for a in jcfg.get("a_values", [0.9, 1.0, 1.1])]

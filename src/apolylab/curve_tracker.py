@@ -2,16 +2,19 @@
 
 A PathSpec is a chain of line and arc segments in the m-plane plus a
 branch seed for l at the first point.  The seed only picks the sheet:
-the lift starts on the root at the first point that it matches, from the
-same root solve as every later sample.  lift_path, the one builder of a
-TrackedPath, follows the route one segment at a time on an equal-step
-grid, by one kernel (_track_grid).  At each grid m, A and dA/dm are
-polynomials in l whose coefficient rows are built in numpy
-(poly_core.laurent_rows).  The kernel solves a segment's grid
-BATCH_CHUNK intervals at a time: every root at every m from one stacked
-eigvals call (poly_core.companion_roots), a tangent prediction from each
-root, and the seeded sheet followed through the nearest-root matches.  A
-step is refused when its match is ambiguous (the nearest root not below
+it is checked on A's row at the first point, and the lift starts on the
+root there that it matches, from the same root solve as every later
+sample.  lift_path, the one builder of a TrackedPath, follows the route
+one segment at a time on an equal-step grid, by one kernel
+(_track_grid).  At each grid m, A and dA/dm are polynomials in l whose
+coefficient rows are built in numpy (poly_core.laurent_rows); A, dA/dl
+and the term scale at a point are read off them by
+poly_core.horner_row_batch and row_max_term_batch alone, for the seed
+as for every sample.  The kernel solves a segment's grid BATCH_CHUNK
+intervals at a time: every root at every m from one stacked eigvals call
+(poly_core.companion_roots), a tangent prediction from each root, and
+the seeded sheet followed through the nearest-root matches.  A step is
+refused when its match is ambiguous (the nearest root not below
 BATCH_RATIO of the second-nearest) or its point fails the residual
 check; the kernel then splits that step into SPLIT equal sub-steps,
 solves their points the same way and goes on from the last accepted l.
@@ -61,13 +64,11 @@ from .poly_core import (
     ROW_ERRORS,
     LaurentBiPoly,
     companion_roots,
-    horner_row,
     horner_row_batch,
     l_range,
     laurent_rows,
     mark_unsolvable,
     partial,
-    row_max_term,
     row_max_term_batch,
     term_maxima,
 )
@@ -91,14 +92,11 @@ class LineSeg:
     m_start: complex
     m_end: complex
 
-    def point(self, s: float) -> complex:
-        return complex(self.points(s))
-
     def points(self, s):
         return self.m_start + s * (self.m_end - self.m_start)
 
     def param(self, m: complex) -> complex:
-        """The complex s with point(s) = m."""
+        """The complex s with points(s) = m."""
         return (m - self.m_start) / (self.m_end - self.m_start)
 
     @property
@@ -117,15 +115,12 @@ class ArcSeg:
     angle_start: float
     angle_end: float
 
-    def point(self, s: float) -> complex:
-        return complex(self.points(s))
-
     def points(self, s):
         a = self.angle_start + s * (self.angle_end - self.angle_start)
         return self.center + self.radius * (np.cos(a) + 1j * np.sin(a))
 
     def param(self, m: complex) -> complex:
-        """The complex s with point(s) = m, its real part taken within half
+        """The complex s with points(s) = m, its real part taken within half
         a turn of the arc's midpoint: arg and log of the radius ratio are
         the real and (negated) imaginary angle."""
         span = self.angle_end - self.angle_start
@@ -135,11 +130,11 @@ class ArcSeg:
 
     @property
     def first(self) -> complex:
-        return self.point(0.0)
+        return complex(self.points(0.0))
 
     @property
     def last(self) -> complex:
-        return self.point(1.0)
+        return complex(self.points(1.0))
 
 
 @dataclass(frozen=True)
@@ -164,9 +159,6 @@ class GradedSeg:
             raise ValueError("GradedSeg needs a finite s0 and a finite positive w")
         object.__setattr__(self, "a", math.asinh(-self.s0 / self.w))
         object.__setattr__(self, "b", math.asinh((1.0 - self.s0) / self.w))
-
-    def point(self, u: float) -> complex:
-        return complex(self.points(u))
 
     def points(self, u):
         u = np.asarray(u, dtype=float)
@@ -273,50 +265,32 @@ class TrackedPath:
         return table
 
 
-def _seed(A: LaurentBiPoly, l_seed: complex, m0: complex) -> float:
-    """The term scale at the branch seed on A's coefficient row at m0.
-
-    The seed must be finite and satisfy A within DEFAULT_SEED_TOL of that
-    scale, and |dA/dl| there must pass the lift's ramification guard: at
-    a branch or singular point the sheets are not separated.  The seed
-    only picks the sheet; the lift starts on the root at m0 it matches
-    (_follow).
-    """
-    if not np.isfinite(l_seed):
-        raise SeedError("seed %s is not a finite number" % l_seed)
-    lo, hi = l_range(A)
-    row = laurent_rows(A, [m0], lo, hi)[0].tolist()
-    residual, dal = horner_row(row, lo, l_seed)
-    scale = row_max_term(term_maxima(A, [m0], lo, hi)[0].tolist(), lo, l_seed)
-    if abs(residual) > DEFAULT_SEED_TOL * scale:
-        raise SeedError("seed does not satisfy A within tolerance at the start point")
-    if not abs(dal) >= RAM_REL * scale:
-        raise SeedError("seed is not separated from the other sheets; "
-                        "start at an offset point instead")
-    return scale
-
-
 def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
                 l: complex, scale: float, ctrl: StepControls):
     """Lift l along n equal steps of seg keeping A(l, m) = 0.
 
-    Chunk by chunk, in order, BATCH_CHUNK grid intervals at a time from
-    the last accepted l, the first sample being the root at seg's first m
-    that l matches: the l-coefficient rows of A and dA/dm at the
-    chunk's m (_rows) give every root at every m in one stacked eigvals
-    call (poly_core.companion_roots), and _follow matches the seeded
-    sheet along them.  At the first refused step the steps before it are
-    kept.  The refused step is split into SPLIT equal sub-steps, whose
-    SPLIT - 1 new points are solved in one companion_roots call and
-    spliced into the chunk, and matching resumes from the last accepted
-    l; a sub-step refused again is split again.  A root at a given m
-    does not depend on the batch it was solved in, so a route no step
-    of which is refused keeps its equal-step grid and its values.
+    l is first checked on row 0 of the first chunk, A's row at seg's
+    first m: with scale raised to the term magnitude at l, l must satisfy
+    A within DEFAULT_SEED_TOL of scale and |dA/dl| must pass the RAM_REL
+    guard (SeedError otherwise: at a branch or singular point the sheets
+    are not separated).  Then chunk by chunk, in order, BATCH_CHUNK grid
+    intervals at a time from the last accepted l, the first sample being
+    the root at seg's first m that l matches: the l-coefficient rows of
+    A and dA/dm at the chunk's m (_rows) give every root at every m in
+    one stacked eigvals call (poly_core.companion_roots), and _follow
+    matches the seeded sheet along them.  At the first refused step the
+    steps before it are kept.  The refused step is split into SPLIT
+    equal sub-steps, whose SPLIT - 1 new points are solved in one
+    companion_roots call and spliced into the chunk, and matching
+    resumes from the last accepted l; a sub-step refused again is split
+    again.  A root at a given m does not depend on the batch it was
+    solved in, so a route no step of which is refused keeps its
+    equal-step grid and its values.
 
     Raises RamificationError where the matched root fails the |dA/dl|
     guard (no split separates the sheets at a fixed m), NonConvergence
     when a sub-step would fall below ctrl.min_step, and DomainError
-    where, with a negative l-power, the matched root is l = 0.  Returns
+    where, with a negative l-power, l or the matched root is 0.  Returns
     (s, m, l, resid_max, scale, diagnostics): the segment parameters with
     their m and l samples, the largest residual, the running term scale
     and the segment's LiftDiagnostics (halvings counts the inserted
@@ -331,6 +305,18 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
         s = grid[first:first + BATCH_CHUNK + 1]
         m = grid_m[first:first + BATCH_CHUNK + 1]
         rows, drows, maxima = _rows(A, Am, m, lo, hi)
+        if not first:
+            # l on the row of seg's first m, where the lift starts
+            if lo and l == 0:
+                raise DomainError("negative exponent at zero argument")
+            with np.errstate(all="ignore"):
+                v, dv = horner_row_batch(rows[:1], lo, np.array([[l]]))
+                scale = max(scale, float(row_max_term_batch(maxima[:1], lo, np.array([l]))[0]))
+            if abs(v[0, 0]) > DEFAULT_SEED_TOL * scale:
+                raise SeedError("seed does not satisfy A within tolerance at the start point")
+            if not abs(dv[0, 0]) >= RAM_REL * scale:
+                raise SeedError("seed is not separated from the other sheets; "
+                                "start at an offset point instead")
         z = companion_roots(rows)
         k = 0  # the chunk's last accepted sample
         while k < len(m) - 1:
@@ -339,7 +325,8 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
             if not l_parts:
                 # the first sample: the root at seg's first m that l matches
                 l_parts.append(lc[:1])
-                resid_max = abs(horner_row(rows[0].tolist(), lo, lc[0])[0])
+                with np.errstate(all="ignore"):
+                    resid_max = float(np.abs(horner_row_batch(rows[:1], lo, lc[:1, None])[0][0, 0]))
             j = len(ok) if ok.all() else int(np.argmin(ok))
             if j:
                 resid_max = max(resid_max, float(r[:j].max()))
@@ -404,17 +391,15 @@ def _follow(rows: np.ndarray, drows: np.ndarray, maxima: np.ndarray, z: np.ndarr
 
     Each root at sample k predicts sample k + 1 by the tangent,
     l - (A_m / A_l) dm, and is matched to the nearest root there; the
-    sheet is the chain of matches from the root nearest l at m[0].  A
-    step that does not move m keeps l bit for bit (a root solve would
-    move it by rounding).  Step k is accepted (ok[k]) when its match's
-    nearest distance is below BATCH_RATIO of its second-nearest (for
-    step 0 also the match of l itself), its point has
-    |A| <= RESID_REL * scale and |dA/dl| >= RAM_REL * scale, with scale
-    the running maximum term, and, with a negative l-power, l != 0.
-    Returns (l, ok, ratio, |A|, |dA/dl|, scales): l per sample, from the
-    root l matches at m[0], ok, |A| and |dA/dl| per step, ratio per
-    sample (from the match of l) and scales the running scale at each
-    sample.
+    sheet is the chain of matches from the root nearest l at m[0].  Step
+    k is accepted (ok[k]) when its match's nearest distance is below
+    BATCH_RATIO of its second-nearest (for step 0 also the match of l
+    itself), its point has |A| <= RESID_REL * scale and
+    |dA/dl| >= RAM_REL * scale, with scale the running maximum term, and,
+    with a negative l-power, l != 0.  Returns (l, ok, ratio, |A|, |dA/dl|,
+    scales): l per sample, from the root l matches at m[0], ok, |A| and
+    |dA/dl| per step, ratio per sample (from the match of l) and scales
+    the running scale at each sample.
     """
     # row k of pred holds the predictions for sample k: l itself at the
     # first m, then the tangent step from every root at k - 1
@@ -442,8 +427,6 @@ def _follow(rows: np.ndarray, drows: np.ndarray, maxima: np.ndarray, z: np.ndarr
     k = np.arange(len(m))
     ratio = ratio[k, sheet[:-1]]
     lc = z[k, sheet[1:]]
-    for i in np.flatnonzero(m[1:] == m[:-1]).tolist():
-        lc[i + 1] = lc[i]
     with np.errstate(all="ignore"):
         v, dv = horner_row_batch(rows[1:], lo, lc[1:, None])
         r, dal = np.abs(v[:, 0]), np.abs(dv[:, 0])
@@ -460,26 +443,25 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
               ) -> TrackedPath:
     """Track the route in spec on A = 0 starting from the seeded branch.
 
-    The seed is checked on A's coefficient row at the start point (_seed:
-    SeedError when it is off the curve or where |dA/dl| fails the guard
+    The seed must be finite.  It is checked on row 0 of the first
+    segment's root solve, A's coefficient row at the start point
+    (SeedError when it is off the curve or where |dA/dl| fails the guard
     below), and the lift's first sample is the root there that the seed
-    matches in the first segment's root solve.  Each segment is lifted on
-    ceil(1 / ctrl.max_step) equal steps by root solves (_track_grid),
-    which split a step they refuse into SPLIT sub-steps, down to
-    ctrl.min_step.  Every accepted point has |A| <= RESID_REL * scale and
-    |dA/dl| >= RAM_REL * scale, with scale the running maximum term
-    magnitude along the path.  Raises RamificationError where a matched
-    root fails that guard, and NonConvergence when the step size
-    underflows.  The path's diagnostics record the inserted samples, the
-    smallest accepted step, the smallest |dA/dl| / scale and the worst
-    match ratio over every segment.  Raises DomainError at a sample with
-    m = 0 or l = 0, and NotClosed when a closed spec's lift does not
-    return to its first l.
+    matches.  Each segment is lifted on ceil(1 / ctrl.max_step) equal
+    steps by root solves (_track_grid), which split a step they refuse
+    into SPLIT sub-steps, down to ctrl.min_step.  Every accepted point
+    has |A| <= RESID_REL * scale and |dA/dl| >= RAM_REL * scale, with
+    scale the running maximum term magnitude along the path.  Raises
+    RamificationError where a matched root fails that guard, and
+    NonConvergence when the step size underflows.  The path's diagnostics
+    record the inserted samples, the smallest accepted step, the smallest
+    |dA/dl| / scale and the worst match ratio over every segment.  Raises
+    DomainError at a sample with m = 0 or l = 0, and NotClosed when a
+    closed spec's lift does not return to its first l.
     """
+    if not np.isfinite(spec.l_seed):
+        raise SeedError("seed %s is not a finite number" % spec.l_seed)
     Am = partial(A, "m")
-
-    scale = _seed(A, spec.l_seed, spec.segments[0].first)
-
     n = max(1, int(np.ceil(1.0 / ctrl.max_step)))
     n_segs = len(spec.segments)
     t_parts: List[np.ndarray] = []
@@ -487,7 +469,7 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     l_parts: List[np.ndarray] = []
     l_end = complex(spec.l_seed)
     intervals: List[int] = []
-    resid_max = 0.0
+    resid_max, scale = 0.0, 0.0
     diagnostics = LiftDiagnostics()
     for seg_idx, seg in enumerate(spec.segments):
         s, m_seg, l_seg, resid, scale, diag = _track_grid(A, Am, seg, n, l_end, scale, ctrl)
@@ -545,9 +527,12 @@ def locate_branch_point(A: LaurentBiPoly, l: complex, m: complex
     ranges = [l_range(p) for p in polys]
 
     def row_values(l, m):
-        # (A, A_l), (A_l, A_ll) and (A_m, A_lm) at (l, m)
-        return [horner_row(laurent_rows(p, [m], lo, hi)[0].tolist(), lo, l)
-                for p, (lo, hi) in zip(polys, ranges)]
+        # (A, A_l), (A_l, A_ll) and (A_m, A_lm) at (l, m), not finite at
+        # l = 0 on a curve with a negative l-power
+        with np.errstate(all="ignore"):
+            return [[complex(v[0, 0]) for v in
+                     horner_row_batch(laurent_rows(p, [m], lo, hi), lo, np.array([[l]]))]
+                    for p, (lo, hi) in zip(polys, ranges)]
 
     try:
         for _ in range(BRANCH_BUDGET):
@@ -562,8 +547,8 @@ def locate_branch_point(A: LaurentBiPoly, l: complex, m: complex
         else:
             return None
         lo, hi = ranges[0]
-        scale = row_max_term(term_maxima(A, [m], lo, hi)[0].tolist(), lo, l)
-        if abs(row_values(l, m)[2][0] * m) < SINGULAR_REL * scale:
+        scale = row_max_term_batch(term_maxima(A, [m], lo, hi), lo, np.array([l]))[0]
+        if not abs(row_values(l, m)[2][0] * m) >= SINGULAR_REL * scale:
             return None
     except DomainError:
         return None

@@ -23,16 +23,14 @@ A is turned into numbers through one layout only.  :func:`laurent_rows`
 takes a 1-D array of m to one coefficient row per m, index k holding the
 coefficient of l^(lo + k), denominators kept, with (lo, hi) =
 :func:`l_range`; :func:`term_maxima` holds each l-power's largest term
-magnitude in the same layout.  :func:`horner_row` and
-:func:`row_max_term` read one such row at a scalar l (the value, dA/dl
-and the term scale at which tolerances are set), which is how the lift
-polishes its seed; :func:`horner_row_batch` and
-:func:`row_max_term_batch` are their batched forms at arrays of l.  The
-l^lo shift is applied by these readers alone.  :func:`roots_in_l_batch`
-takes the eigenvalues of the companion matrices of every solvable row in
-one stacked LAPACK call (``np.linalg.eigvals``, backward stable),
-polishes them by Newton's method and returns them with a per-row status
-code (:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l`
+magnitude in the same layout.  :func:`horner_row_batch` and
+:func:`row_max_term_batch` read such rows at arrays of l (the value,
+dA/dl and the term scale at which tolerances are set); they are the only
+readers of A at a point, and the l^lo shift is applied by them alone.
+:func:`roots_in_l_batch` takes the eigenvalues of the companion matrices
+of every solvable row in one stacked LAPACK call (``np.linalg.eigvals``,
+backward stable), polishes them by Newton's method and returns them with
+a per-row status code (:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l`
 is its one-row case and raises the row's error.  :func:`companion_roots`
 is that solve, unsorted, on rows a caller built itself (the batched
 lift), and :func:`mark_unsolvable` the row check that comes before it.
@@ -246,9 +244,9 @@ def l_range(p: LaurentBiPoly) -> Tuple[int, int]:
 def laurent_rows(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
     """p as a Laurent polynomial in l at each entry of a 1-D array of m,
     denominators kept: coeffs[b, k] = sum_j c_ij m_b^j for the l-power
-    i = lo + k.  p's l-powers must lie in lo..hi.  On one row, horner_row
-    gives p and dp/dl at any l.  Raises DomainError when p has a negative
-    m-power and an m is 0."""
+    i = lo + k.  p's l-powers must lie in lo..hi.  horner_row_batch gives
+    p and dp/dl at any l on these rows.  Raises DomainError when p has a
+    negative m-power and an m is 0."""
     ms = _checked_m(p, m)
     coeffs = np.zeros((len(ms), hi - lo + 1), dtype=complex)
     for (i, j), c in p.terms.items():
@@ -257,9 +255,9 @@ def laurent_rows(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
 
 
 def term_maxima(p: LaurentBiPoly, m, lo: int, hi: int) -> np.ndarray:
-    """max_j |c_ij| |m_b|^j in laurent_rows' layout: on one row,
-    row_max_term gives the largest term magnitude |c_ij| |l|^i |m_b|^j of
-    p at any l, the scale of residual tolerances.  Only the l-powers
+    """max_j |c_ij| |m_b|^j in laurent_rows' layout: row_max_term_batch
+    gives the largest term magnitude |c_ij| |l|^i |m_b|^j of p at any l on
+    these rows, the scale of residual tolerances.  Only the l-powers
     lo..hi are taken, so term_maxima(p, m, hi, hi) is the leading power's
     column alone."""
     am = np.abs(_checked_m(p, m))
@@ -279,37 +277,13 @@ def _checked_m(p: LaurentBiPoly, m) -> np.ndarray:
     return ms
 
 
-def horner_row(row: List[complex], lo: int, l: complex) -> Tuple[complex, complex]:
-    """Value and l-derivative at l of sum_k row[k] l^(lo + k), lo <= 0, by
-    Horner's rule on one row of laurent_rows' coefficients (as a list).
-    A negative lo at l = 0 raises DomainError."""
-    v, dv = row[-1], 0j
-    for c in row[-2::-1]:
-        dv = dv * l + v
-        v = v * l + c
-    if lo:
-        if l == 0:
-            raise DomainError("negative exponent at zero argument")
-        w = l ** lo
-        return w * v, w * (dv + lo * v / l)
-    return v, dv
-
-
-def row_max_term(maxima: List[float], lo: int, l: complex) -> float:
-    """The largest term magnitude at l on one row of term_maxima (as a
-    list): max_k maxima[k] |l|^(lo + k)."""
-    al = abs(l)
-    if lo and al == 0:
-        raise DomainError("negative exponent at zero argument")
-    return max([x * al ** i for i, x in enumerate(maxima, lo)])
-
-
 def horner_row_batch(rows: np.ndarray, lo: int, z: np.ndarray):
-    """horner_row at every z[b, k] on row b of laurent_rows' coefficients:
-    (value, l-derivative), each shaped like z.  The derivative is Horner's
-    rule on the derivative rows rows[:, 1:] * (1, 2, ...), and the l^lo
-    shift is applied only when lo != 0.  Raises nothing: a negative lo
-    at z = 0 gives values that are not finite."""
+    """(value, l-derivative) of sum_k rows[b, k] l^(lo + k), lo <= 0, on
+    row b of laurent_rows' coefficients at every l = z[b, k], each shaped
+    like z.  The derivative is Horner's rule on the derivative rows
+    rows[:, 1:] * (1, 2, ...), and the l^lo shift is applied only when
+    lo != 0.  Raises nothing: a negative lo at z = 0 gives values that
+    are not finite."""
     d = rows.shape[1] - 1
     v = horner_rows(rows, z)
     dv = horner_rows(rows[:, 1:] * np.arange(1, d + 1), z) if d else np.zeros(z.shape, complex)
@@ -320,7 +294,8 @@ def horner_row_batch(rows: np.ndarray, lo: int, z: np.ndarray):
 
 
 def row_max_term_batch(maxima: np.ndarray, lo: int, l: np.ndarray) -> np.ndarray:
-    """row_max_term on row b of term_maxima at l[b], for a 1-D array l."""
+    """The largest term magnitude max_k maxima[b, k] |l[b]|^(lo + k) on row
+    b of term_maxima at l[b], for a 1-D array l."""
     return (maxima * np.abs(l)[:, None] ** np.arange(lo, lo + maxima.shape[1])).max(axis=1)
 
 

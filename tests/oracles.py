@@ -244,7 +244,7 @@ def eval_poly(p: LaurentBiPoly, l: complex, m: complex) -> complex:
 
 def max_term(p: LaurentBiPoly, l: complex, m: complex) -> float:
     """Largest term magnitude |c| |l|^i |m|^j at the point, term by term:
-    the reference for poly_core.row_max_term."""
+    the reference for poly_core.row_max_term_batch."""
     best = 0.0
     al, am = abs(l), abs(m)
     for (i, j), c in p.terms.items():

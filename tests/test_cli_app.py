@@ -157,12 +157,16 @@ class TestRunVerb:
         ("symbols", "punctures", {"p": {"a_poly": "m + l - 1",
                                         "loop": dict(circle_json(1.0, 0.1, -0.1 + 0j),
                                                      closed=False)}}),
+        # a misspelt key is refused in every section with fixed keys, not
+        # run at its default
+        ("one_forms", "tolerances", {"quadrature_targt": 1e-14}),
+        ("jones", "jones", {"N_lsit": [500, 1000, 2000, 4000]}),
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
             "newton_budget_negative", "newton_budget_stale", "controls_unknown_key",
             "min_step_zero", "q_max_zero",
             "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite",
-            "loop_open", "puncture_open"])
+            "loop_open", "puncture_open", "tolerances_unknown_key", "jones_unknown_key"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
                                       target, section, entry):

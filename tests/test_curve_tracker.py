@@ -57,7 +57,7 @@ def test_segment_endpoints():
     assert seg.first == pytest.approx(3.0 + 0j)
     assert seg.last == pytest.approx(-1.0 + 0j)
     line = LineSeg(0j, 1.0 + 1j)
-    assert line.point(0.5) == pytest.approx(0.5 + 0.5j)
+    assert line.points(0.5) == pytest.approx(0.5 + 0.5j)
 
 
 def test_loop_around_m_arguments():
@@ -698,8 +698,9 @@ def test_batch_refuses_at_the_first_ambiguous_chunk(fig8, monkeypatch):
     curve_tracker.GradedSeg(ArcSeg(0j, 0.6, 0.3, 1.5), 0.4, 1e-5),
 ], ids=["line", "arc", "graded"])
 def test_segment_points_are_its_point_values(seg):
+    # an array of parameters gives the values of each parameter alone
     s = np.linspace(0.0, 1.0, 257)
-    assert np.array_equal(seg.points(s), [seg.point(x) for x in s.tolist()])
+    assert np.array_equal(seg.points(s), [complex(seg.points(x)) for x in s.tolist()])
 
 
 # ---------------------------------------------------------------- grading
@@ -717,11 +718,11 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 ], ids=["line", "arc", "clockwise_arc", "full_turn"])
 def test_param_inverts_point(seg):
     for s in np.linspace(0.0, 1.0, 41)[1:-1]:
-        assert abs(seg.param(seg.point(s)) - s) <= 1e-14
+        assert abs(seg.param(seg.points(s)) - s) <= 1e-14
     # off the route: a step i h along the normal moves s by i h to first order
     for s in (0.25, 0.6):
-        m = seg.point(s)
-        normal = 1j * (seg.point(s + 1e-9) - m) / 1e-9
+        m = seg.points(s)
+        normal = 1j * (seg.points(s + 1e-9) - m) / 1e-9
         assert seg.param(m + 1e-6 * normal) == pytest.approx(s + 1e-6j, abs=1e-10)
 
 
@@ -732,9 +733,9 @@ def test_graded_segment_keeps_the_route(seg, s0, w):
     graded = curve_tracker.GradedSeg(seg, s0, w)
     assert graded.first == seg.first and graded.last == seg.last
     # the lift's end samples are the wrapped segment's own
-    assert graded.point(0.0) == seg.point(0.0) and graded.point(1.0) == seg.point(1.0)
+    assert graded.points(0.0) == seg.points(0.0) and graded.points(1.0) == seg.points(1.0)
     u = np.linspace(0.0, 1.0, 101)
-    s = np.array([seg.param(graded.point(x)) for x in u])
+    s = np.array([seg.param(graded.points(x)) for x in u])
     assert np.all(np.abs(s.imag) < 1e-12) and np.all(np.diff(s.real) > 0)
     # crowded toward s0: ds/du = w (b - a) cosh(a + u (b - a)) is smallest
     # there, one u-step of it at most cosh((b - a) du) times that
@@ -776,6 +777,19 @@ def test_branch_point_locator_rejects_the_node(fig8):
         m = 1.0 + 1e-3 * unit(theta)
         for l in (small_root(fig8, m), big_root(fig8, m)):
             assert curve_tracker.locate_branch_point(fig8, l, m) is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("curve, l, m", [
+    ("l + l^-1*m - l^-1", 0j, 1.0 + 0j),
+    ("l - m^-1", 1.0 + 0j, 0j),
+], ids=["l_zero", "m_zero"])
+def test_branch_point_locator_gives_up_at_a_zero_argument(curve, l, m):
+    # A and its derivatives are not finite at l = 0 on a curve with a
+    # negative l-power (the branch point of l^2 = 1 - m at m = 1), and
+    # have no row at m = 0 on one with a negative m-power: no branch
+    # point, and no numpy warning
+    assert curve_tracker.locate_branch_point(parse_poly(curve), l, m) is None
 
 
 def test_grading_wraps_only_the_segment_that_passes_the_branch_point(fig8):
