@@ -160,6 +160,7 @@ def _segment_from_json(seg: dict):
 
 
 def _pathspec_from_json(spec: dict) -> PathSpec:
+    _object("path spec", spec, ("segments", "l_seed", "closed"))
     try:
         segments = tuple(_segment_from_json(s) for s in spec["segments"])
         return PathSpec(segments=segments, l_seed=_c(spec["l_seed"]),
@@ -175,16 +176,20 @@ def _loop_from_json(what: str, name: str, spec: dict) -> PathSpec:
     return loop
 
 
-def _section(cfg: dict, key: str, allowed=None) -> dict:
-    """cfg[key], {} when absent; it must be a JSON object and, when
-    allowed is given, hold no key outside it."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError("'%s' must be a JSON object" % key)
-    unknown = sorted(set(section) - set(allowed)) if allowed is not None else []
+def _object(what: str, obj, allowed=None) -> dict:
+    """obj, which must be a JSON object and, when allowed is given, hold
+    no key outside it; what names it in the error."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be a JSON object" % what)
+    unknown = sorted(set(obj) - set(allowed)) if allowed is not None else []
     if unknown:
-        raise ConfigError("unknown %s key %s" % (key, ", ".join(map(repr, unknown))))
-    return section
+        raise ConfigError("unknown %s key %s" % (what, ", ".join(map(repr, unknown))))
+    return obj
+
+
+def _section(cfg: dict, key: str, allowed=None) -> dict:
+    """cfg[key], {} when absent, checked by _object."""
+    return _object(key, cfg.get(key, {}), allowed)
 
 
 def _controls_from_json(cfg: dict) -> StepControls:
@@ -217,7 +222,8 @@ def _tolerances_from_json(cfg: dict) -> Dict[str, float]:
 def _punctures_from_json(cfg: dict, knot: KnotRecord):
     out = {}
     for name, entry in _section(cfg, "punctures").items():
-        if not isinstance(entry, dict) or "loop" not in entry:
+        _object("puncture %r" % name, entry, ("a_poly", "loop", "steinberg"))
+        if "loop" not in entry:
             raise ConfigError("puncture %r needs a 'loop'" % name)
         curve_text = entry.get("a_poly")
         try:
@@ -280,11 +286,15 @@ class _RunConfig:
     out_dir: str
 
 
+# the top-level keys of a run config
+CONFIG_KEYS = ("knot", "targets", "controls", "tolerances", "loops", "paths",
+               "punctures", "jones", "out_dir")
+
+
 def _read_config(cfg) -> _RunConfig:
     """Every section of a parsed JSON config; raises ConfigError on the
     first invalid entry."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    _object("config", cfg, CONFIG_KEYS)
     targets = cfg.get("targets", [])
     if not targets:
         raise ConfigError("targets list is empty")

@@ -183,27 +183,35 @@ def colored_jones_fig8_mp(N: int, p: int, k: int) -> Tuple[float, float]:
 
     The j-th factor is -4 sinpi((N - j) p/k) sinpi((N + j) p/k); mpmath's
     sinpi is exactly 0 at integers, so the factor that vanishes in exact
-    arithmetic vanishes here too and ends the sum.  The working precision
-    covers the largest partial product, bounded in floats first.
+    arithmetic vanishes here too and ends the sum.  The sum is taken at
+    40 digits first.  Where it cancels more than 10 digits, max |term| /
+    |sum| > 10^10, it is taken again at a working precision that covers
+    the largest partial product, bounded in floats first.
     """
     import mpmath
 
-    log10_top, acc = 0.0, 0.0
-    for j in range(1, N):
-        f = abs(4.0 * math.sin(math.pi * (N - j) * p / k)
-                * math.sin(math.pi * (N + j) * p / k))
-        acc += math.log10(max(f, 1e-300))
-        log10_top = max(log10_top, acc)
-    with mpmath.workdps(int(log10_top) + 40):
-        total = mpmath.mpf(1)
-        prod = mpmath.mpf(1)
+    def summed(dps):
+        with mpmath.workdps(dps):
+            total = top = prod = mpmath.mpf(1)
+            for j in range(1, N):
+                prod *= -4 * mpmath.sinpi(mpmath.mpf((N - j) * p) / k) \
+                    * mpmath.sinpi(mpmath.mpf((N + j) * p) / k)
+                if prod == 0:
+                    break
+                total += prod
+                top = max(top, abs(prod))
+            return total, top
+
+    total, top = summed(40)
+    if total == 0 or top > 1e10 * abs(total):
+        log10_top, acc = 0.0, 0.0
         for j in range(1, N):
-            prod *= -4 * mpmath.sinpi(mpmath.mpf((N - j) * p) / k) \
-                * mpmath.sinpi(mpmath.mpf((N + j) * p) / k)
-            if prod == 0:
-                break
-            total += prod
-        return float(mpmath.log(abs(total))), (0.0 if total > 0 else math.pi)
+            f = abs(4.0 * math.sin(math.pi * (N - j) * p / k)
+                    * math.sin(math.pi * (N + j) * p / k))
+            acc += math.log10(max(f, 1e-300))
+            log10_top = max(log10_top, acc)
+        total, _ = summed(int(log10_top) + 40)
+    return float(mpmath.log(abs(total))), (0.0 if total > 0 else math.pi)
 
 
 def colored_jones_fig8_mp_theta(N: int, theta: float, dps: int = 40) -> float:
@@ -378,9 +386,19 @@ def kashaev_log_sum_exp(N: int) -> float:
     term is positive, so the log of each partial product, from
     |1 - e^{i t}| = 2 sin(t/2), and one correctly rounded sum of the
     max-shifted exponentials (math.fsum) give the value without
-    cancellation at any N."""
+    cancellation at any N.  Each log of a partial product is the
+    correctly rounded sum of the logs of its factors: the running total
+    is kept exact as a pair of doubles, hi + lo, each new total rounded
+    by math.fsum, so no rounding accumulates along the N - 1 steps."""
     i = np.arange(1, N, dtype=np.float64)
-    logs = np.concatenate(([0.0], np.cumsum(2.0 * np.log(2.0 * np.sin(np.pi * i / N)))))
+    steps = 2.0 * np.log(2.0 * np.sin(np.pi * i / N))
+    logs = np.empty(N)
+    logs[0] = hi = lo = 0.0
+    fsum = math.fsum
+    for j, step in enumerate(steps.tolist(), 1):
+        total = fsum((hi, lo, step))
+        hi, lo = total, fsum((hi, lo, step, -total))
+        logs[j] = total
     top = float(np.max(logs))
     return top + math.log(math.fsum(np.exp(logs - top)))
 

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from apolylab import (
     StepControls, cli_app, one_forms, parse_poly, partial, print_poly, vol_fig8)
+from apolylab.errors import ConfigError
 from apolylab.poly_core import NO_CONVERGENCE, roots_in_l, roots_in_l_batch
 from oracles import eval_poly
 
@@ -161,12 +162,19 @@ class TestRunVerb:
         # run at its default
         ("one_forms", "tolerances", {"quadrature_targt": 1e-14}),
         ("jones", "jones", {"N_lsit": [500, 1000, 2000, 4000]}),
+        # ... and at the top level, in a puncture entry and in a path spec
+        ("one_forms", "tolerance", {"eta": 1e-6}),
+        ("symbols", "punctures", {"p": {"a_poly": "m + l - 1", "steinbreg": True,
+                                        "loop": circle_json(1.0, 0.1, -0.1 + 0j)}}),
+        ("one_forms", "paths", {"arc": dict(circle_json(0j, 0.3, 0.0090699074 + 0j,
+                                                         a1=1.0), clsoed=False)}),
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
             "newton_budget_negative", "newton_budget_stale", "controls_unknown_key",
             "min_step_zero", "q_max_zero",
             "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite",
-            "loop_open", "puncture_open", "tolerances_unknown_key", "jones_unknown_key"])
+            "loop_open", "puncture_open", "tolerances_unknown_key", "jones_unknown_key",
+            "top_level_unknown_key", "puncture_unknown_key", "path_unknown_key"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
                                       target, section, entry):
@@ -175,6 +183,20 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("wrong, right, entries", [
+        ("tolerance", "tolerances", lambda key, seed: {key: {"eta": 1e-6}}),
+        ("steinbreg", "steinberg", lambda key, seed: {"punctures": {"p": {
+            "a_poly": "m + l - 1", key: True, "loop": circle_json(1.0, 0.1, -0.1 + 0j)}}}),
+        ("clsoed", "closed", lambda key, seed: {"paths": {"arc": dict(
+            circle_json(0j, 0.3, seed, a1=1.0), **{key: False})}}),
+    ])
+    def test_misspelt_key_is_named(self, minimal_cfg, wrong, right, entries):
+        # the same config reads with the key spelled right
+        seed = complex(*minimal_cfg["loops"]["m0_small"]["l_seed"])
+        cli_app._read_config(dict(minimal_cfg, **entries(right, seed)))
+        with pytest.raises(ConfigError, match="unknown .* key '%s'" % wrong):
+            cli_app._read_config(dict(minimal_cfg, **entries(wrong, seed)))
 
     def test_missed_quadrature_target_is_noted(self, tmp_path, minimal_cfg):
         # est_error >= 0, so a target of 0 is missed on every route; a
@@ -585,7 +607,6 @@ class TestProbeVerb:
         assert closest[1] == pytest.approx(best[1], rel=1e-8, abs=1e-9)
 
     def test_density_guard(self, fig8_record):
-        from apolylab.errors import ConfigError
         with pytest.raises(ConfigError):
             cli_app.probe_branch_points(fig8_record, (0, 1), (0, 1),
                                         1001, threshold=0.1)

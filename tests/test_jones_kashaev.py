@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from apolylab import (
@@ -15,9 +17,23 @@ from apolylab import (
     kashaev_sequence,
     vol_fig8,
 )
-from apolylab.jones_kashaev import CHUNK, LogComplex, _first_zero_factor, _jones_sum
+from apolylab.jones_kashaev import (
+    CHUNK, LogComplex, _first_zero_factor, _jones_sum, _product_sum, _root_of_unity)
 
 TWO_PI = 2.0 * math.pi
+
+# log <4_1>_N to 30 digits, written by summing all N terms in mpmath at 40
+# digits: total += prod; prod *= (2 sinpi(k/N))^2 for k = 1 .. N - 1
+# (mpmath 1.3; about 18 s at N = 10^6)
+KASHAEV_LOG_30 = {
+    8192: "2659.79802423476729600539299088",
+    8193: "2660.1212732680204130923356915",
+    16385: "5307.71710828757727995102204439",
+    10 ** 5: "32323.5894626125775594553430081",
+    248550: "80316.4016295193530351120674305",
+    1001286: "323501.860568653727599348755328",
+    10 ** 6: "323086.395832769510680859185763",
+}
 
 
 def unit(theta):
@@ -142,26 +158,34 @@ class TestChunkedKernel:
     def test_matches_scalar_loop(self, N, theta):
         log_abs, arg, cond, _ = _jones_sum(N, theta)
         want_log, want_arg = oracles.jones_sum_scalar_loop(
-            N, theta, _first_zero_factor(N, theta))
+            N, theta, _first_zero_factor(N, _root_of_unity(N, theta)))
         assert cond < 2.0
         assert arg == want_arg
         assert log_abs == pytest.approx(want_log, rel=1e-12, abs=1e-300)
 
-    # (log_abs, arg, cond, min_factor) as float.hex, written by the kernel
-    # as it was before it skipped underflowed chunks' exponentials and
-    # positive chunks' sign pass (run on a git archive of commit 493a509):
-    # the skips must leave every bit of every output in place
+    # (log_abs, arg, cond, min_factor) as float.hex.  The generic-q rows
+    # were written by the kernel as it was before it skipped underflowed
+    # chunks' exponentials and positive chunks' sign pass (run on a git
+    # archive of commit 493a509): the skips must leave every bit of every
+    # output in place.  The Kashaev rows are written by the half-sum; the
+    # comment gives log_abs minus its 30-digit value (KASHAEV_LOG_30), and
+    # in brackets that of the full term-order sum that they replace
     PINNED = [
-        (8192, TWO_PI / 8192, ("0x1.4c79896a1eb74p+11", "0x0.0p+0",
-                               "-0x1.d661aecc013dcp+0", "0x1.3bd3cb982124ap-21")),
-        (8193, TWO_PI / 8193, ("0x1.4c83e1787a007p+11", "0x0.0p+0",
-                               "-0x1.d662e4fc40f0ap+0", "0x1.3bc00f484d62fp-21")),
-        (16385, TWO_PI / 16385, ("0x1.4bbb79468a2a1p+12", "0x0.0p+0",
-                                 "-0x1.fceb0d4186788p+0", "0x1.3bc9edf7ca952p-23")),
-        (10 ** 5, TWO_PI / 10 ** 5, ("0x1.f90e5b9c164bap+14", "0x0.0p+0",
-                                     "-0x1.30bb75625832dp+1", "0x1.0f4b2aacebf23p-28")),
-        (10 ** 6, TWO_PI / 10 ** 6, ("0x1.3b8399555302ep+18", "0x0.0p+0",
-                                     "-0x1.70bb6d1fe559ap+1", "0x1.5b417e5045c3ap-35")),
+        # +4.1e-12 (full sum -3.2e-12)
+        (8192, TWO_PI / 8192, ("0x1.4c79896a1eb84p+11", "0x0.0p+0",
+                               "-0x1.d661aecc013dcp+0", "0x1.3bd3cb98226dbp-21")),
+        # -4.5e-13 (-3.2e-12)
+        (8193, TWO_PI / 8193, ("0x1.4c83e1787a00dp+11", "0x0.0p+0",
+                               "-0x1.d662e4fc40f0ap+0", "0x1.3bc00f484e206p-21")),
+        # +1.5e-11 (-4.8e-11)
+        (16385, TWO_PI / 16385, ("0x1.4bbb79468a2e6p+12", "0x0.0p+0",
+                                 "-0x1.fceb0d4186788p+0", "0x1.3bc9edf7c98c1p-23")),
+        # +1.6e-10 (-7.6e-11)
+        (10 ** 5, TWO_PI / 10 ** 5, ("0x1.f90e5b9c164fap+14", "0x0.0p+0",
+                                     "-0x1.30bb75625832dp+1", "0x1.0f4b2aace4d7ep-28")),
+        # -5.8e-11 (+1.0e-8)
+        (10 ** 6, TWO_PI / 10 ** 6, ("0x1.3b83995552f7ep+18", "0x0.0p+0",
+                                     "-0x1.70bb6d1fe559ap+1", "0x1.5b417e4fd77b4p-35")),
         (500, TWO_PI / 556, ("-0x1.4f2ef321ba50fp-2", "0x0.0p+0",
                              "0x1.2322f834d7ea6p-3", "0x1.b2a2a82157a0ep-7")),
         (20000, 0.7, ("0x1.2f6ec8a69b9d8p+2", "0x0.0p+0",
@@ -180,10 +204,12 @@ class TestChunkedKernel:
         assert _jones_sum(N, theta) == tuple(float.fromhex(x) for x in want)
 
     def test_underflowed_chunks_take_no_exponential(self, monkeypatch):
-        # at the Kashaev point N = 10^6 the terms of 78 of the 123 chunks
-        # lie more than EXP_UNDERFLOW below the largest term before them,
-        # where np.exp gives exactly 0; no factor is negative, so no chunk
-        # takes the cumulative product of signs
+        # at the Kashaev point N = 10^6 the half-sum builds the terms
+        # j <= (N - 1)/2 in 62 chunks and folds each chunk twice, its terms
+        # and their reflections; 101 of the 124 folds lie more than
+        # EXP_UNDERFLOW below the largest term before them, where np.exp
+        # gives exactly 0; no factor is negative, so no chunk takes the
+        # cumulative product of signs
         calls = {"exp": 0, "cumprod": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
@@ -192,18 +218,30 @@ class TestChunkedKernel:
             monkeypatch.setattr(np, name, counted)
         N = 10 ** 6
         _jones_sum(N, TWO_PI / N)
-        assert -(-(N - 1) // CHUNK) == 123
-        assert calls == {"exp": 45, "cumprod": 0}
+        assert -(-((N - 1) // 2) // CHUNK) == 62
+        assert calls == {"exp": 23, "cumprod": 0}
 
-    def test_stops_at_an_exact_zero_factor(self, monkeypatch):
+    def test_skipped_chunks_take_only_the_sign_parity(self, monkeypatch):
+        # here 8 chunks hold negative factors and 5 of them add nothing:
+        # those carry only the parity of their negative factors, and the
+        # cumulative product of signs is taken in the 3 chunks that add
+        calls = {"exp": 0, "cumprod": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        _jones_sum(60000, TWO_PI * (1.5 + math.sqrt(5) * 1e-6) / 60000)
+        assert calls == {"exp": 3, "cumprod": 3}
+
+    def test_stops_at_an_exact_zero_factor(self):
         # at theta = 2e-166 the factors underflow to exactly 0.0 from
         # j = 14378 on, inside the second chunk; with the root-of-unity
-        # cut-off lifted only the float test can end the sum there
+        # cut-off lifted (q reads as 1 there) only the float test can end
+        # the sum there
         N, theta = 2 * CHUNK + 1, 2e-166
-        monkeypatch.setattr("apolylab.jones_kashaev._first_zero_factor",
-                            lambda n, t: n)
         with np.errstate(divide="raise"):
-            got = _jones_sum(N, theta)
+            got = _product_sum(N, theta, N)
         assert got[:2] == oracles.jones_sum_scalar_loop(N, theta, N)
         assert got[3] > 0.0
         # pinned like PINNED: the factors that are not 0.0 reach down to
@@ -227,12 +265,13 @@ class TestChunkedKernel:
 
     def test_kashaev_conditioning(self):
         # positive terms: the sum exceeds its largest term by about 10^2.9;
-        # the smallest factor is the last, 4 sin^2(pi/N)
+        # the smallest factor is 4 sin^2(pi/N), the first (and the last),
+        # read off sin(pi/N) rather than off a sine near pi
         N = 10 ** 6
         got = colored_jones_fig8(N, unit(TWO_PI / N))
         assert got.cond == pytest.approx(-2.9, abs=0.05)
         assert got.min_factor == pytest.approx(4.0 * math.sin(math.pi / N) ** 2,
-                                               rel=1e-6)
+                                               rel=1e-14)
 
     def test_deformed_conditioning(self):
         # the sum stops before j = 556 - 500, its first zero factor
@@ -250,11 +289,25 @@ class TestChunkedKernel:
 
     def test_logs_accumulate_in_term_order(self):
         # the carried log|prod| enters each chunk before its cumsum, so the
-        # logs add up as one running sum: 2.3e-10 off at N = 10^6, where a
-        # carry added after the cumsum leaves the value 1e-8 off
+        # logs add up as one running sum, over the N/2 terms of the
+        # half-sum: 5.8e-11 off the correctly rounded oracle at N = 10^6,
+        # where the same running sum over all N terms was 1.0e-8 off
         N = 10 ** 6
         got = colored_jones_fig8(N, unit(TWO_PI / N))
         assert abs(got.log_abs - oracles.kashaev_log_sum_exp(N)) < 2e-9
+
+    def test_oracle_matches_30_digit_values(self):
+        # the oracle's logs are correctly rounded prefix sums, so it shares
+        # no accumulated rounding with the kernel's running sum
+        for N in (10 ** 5, 248550, 1001286, 10 ** 6):
+            want = float(KASHAEV_LOG_30[N])
+            assert abs(oracles.kashaev_log_sum_exp(N) - want) < 1e-10
+
+    @pytest.mark.parametrize("N", sorted(KASHAEV_LOG_30))
+    def test_kashaev_value_to_3e_14(self, N):
+        # the worst of these is 1.1e-14 relative, at N = 248550
+        got = colored_jones_fig8(N, unit(TWO_PI / N))
+        assert got.log_abs == pytest.approx(float(KASHAEV_LOG_30[N]), rel=3e-14)
 
     def test_memory_stays_flat_in_n(self):
         # chunked work arrays: whole-length arrays at N = 10^6 peak at 53 MB
@@ -267,6 +320,40 @@ class TestChunkedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
+
+
+# (N, p): q = e^{2 pi i p/N} of order N, for p in {1, N - 1, 3} prime to N
+PRIMITIVE_POINTS = sorted({(N, p % N) for N in (1, 2, 3, 4, 5, 500, 4000, 8192, 8193)
+                           for p in (1, N - 1, 3) if math.gcd(p, N) == 1})
+
+
+class TestHalfSum:
+    # at q of order N the terms reflect, t_{N-1-j} = N^2 / t_j, and the
+    # sum is built from the terms j <= (N - 1)/2
+
+    @pytest.mark.parametrize("N, p", PRIMITIVE_POINTS)
+    def test_matches_mpmath(self, N, p):
+        want_log, want_arg = oracles.colored_jones_fig8_mp(N, p, N)
+        got = _jones_sum(N, TWO_PI * p / N)
+        assert got[0] == pytest.approx(want_log, rel=3e-14, abs=1e-15)
+        assert got[1] == want_arg == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.integers(1, 1500), odd=st.booleans())
+    def test_matches_the_term_by_term_sum(self, half, odd):
+        # odd N has a middle term, its own reflection; even N has none
+        N = 2 * half - odd
+        got = _jones_sum(N, TWO_PI / N)
+        want = _product_sum(N, TWO_PI / N, N)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        assert got[1] == want[1] == 0.0
+        assert got[3] == pytest.approx(want[3], rel=1e-12)
+
+    def test_middle_term_counted_once(self):
+        # N = 3: t_0 = 1, t_1 = 4 sin^2(pi/3) = 3 (the middle), t_2 = 9
+        assert math.exp(_jones_sum(3, TWO_PI / 3)[0]) == pytest.approx(13.0, rel=1e-15)
+        # N = 4: 1 + 2 + 8 + 16, no middle term
+        assert math.exp(_jones_sum(4, TWO_PI / 4)[0]) == pytest.approx(27.0, rel=1e-15)
 
 
 class TestSequences:
