@@ -15,7 +15,8 @@ default; --timings fills real wall-clock values (and is therefore the
 one switch that breaks byte identity).
 
 Exit codes: 0 all requested operations completed, 1 a stage failed
-(stage named on stderr), 2 the config itself is invalid.
+(stage named on stderr), 2 the config itself is invalid (an unknown or
+repeated target included).
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ from .poly_core import (
 
 TWO_PI = 2.0 * math.pi
 
+# the bounds of the [eta], [tame] and [steinberg] checks; the [regulator]
+# check's are symbols_k2.Q_MAX and RATIONAL_TOL
 ETA_TOL = 1e-6
-RATIONAL_TOL = 1e-5
 TAME_TOL = 1e-6
 STEINBERG_TOL = 1e-8
-KK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,6 @@ class KnotRecord:
     cs_k: float
     m0: complex
     l_seed: complex
-    epsilon: float
     cs_note: str = ""
 
 
@@ -100,11 +100,10 @@ def _resolve_vol(vol_field) -> float:
 def _record_from_dict(rec: dict) -> KnotRecord:
     poly = parse_poly(rec["a_poly"])
     seed = rec["seed"]
-    eps = float(seed.get("epsilon", 1e-4))
     if "m0" in seed:
         m0 = complex(seed["m0"][0], seed["m0"][1])
     else:
-        m0 = 1.0 + eps
+        m0 = 1.0 + float(seed.get("epsilon", 1e-4))
     if "l_seed" in seed:
         l_seed = complex(seed["l_seed"][0], seed["l_seed"][1])
     else:
@@ -123,7 +122,6 @@ def _record_from_dict(rec: dict) -> KnotRecord:
         cs_k=float(rec["cs"]),
         m0=m0,
         l_seed=l_seed,
-        epsilon=eps,
         cs_note=rec.get("cs_note", ""),
     )
 
@@ -193,30 +191,19 @@ def _section(cfg: dict, key: str, allowed=None) -> dict:
 
 
 def _controls_from_json(cfg: dict) -> StepControls:
-    ctrl = _section(cfg, "controls", ("max_step", "min_step"))
-    default = StepControls()
+    ctrl = _section(cfg, "controls", ("max_step",))
     try:
-        return StepControls(
-            max_step=float(ctrl.get("max_step", default.max_step)),
-            min_step=float(ctrl.get("min_step", default.min_step)),
-        )
+        return StepControls(**{name: float(value) for name, value in ctrl.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad controls: %s" % exc)
 
 
-def _tolerances_from_json(cfg: dict) -> Dict[str, float]:
-    defaults = {"eta": ETA_TOL, "rational": RATIONAL_TOL,
-                "quadrature_target": 1e-8, "tame": TAME_TOL,
-                "steinberg": STEINBERG_TOL, "kirk_klassen": KK_TOL}
-    tol = _section(cfg, "tolerances", list(defaults) + ["q_max"])
+def _target_from_json(cfg: dict) -> float:
+    tol = _section(cfg, "tolerances", ("quadrature_target",))
     try:
-        out = {name: float(tol.get(name, value)) for name, value in defaults.items()}
-        out["q_max"] = int(tol.get("q_max", 48))
+        return float(tol.get("quadrature_target", one_forms.QUADRATURE_TARGET))
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad tolerances: %s" % exc)
-    if out["q_max"] < 1:
-        raise ConfigError("tolerances.q_max must be at least 1")
-    return out
 
 
 def _punctures_from_json(cfg: dict, knot: KnotRecord):
@@ -274,10 +261,11 @@ def _knot_from_config(cfg: dict) -> KnotRecord:
 @dataclass(frozen=True)
 class _RunConfig:
     """A run config, read and checked in full before any stage runs."""
+    run_id: str
     targets: Tuple[str, ...]
     knot: KnotRecord
     ctrl: StepControls
-    tol: Dict[str, float]
+    target: float   # the quadrature target of every route
     loops: Dict[str, PathSpec]
     paths: Dict[str, PathSpec]
     punctures: Dict[str, Tuple[LaurentBiPoly, PathSpec, bool]]
@@ -296,21 +284,26 @@ def _read_config(cfg) -> _RunConfig:
     first invalid entry."""
     _object("config", cfg, CONFIG_KEYS)
     targets = cfg.get("targets", [])
-    if not targets:
-        raise ConfigError("targets list is empty")
-    unknown = [t for t in targets if t not in STAGES]
+    if not isinstance(targets, list) or not targets:
+        raise ConfigError("targets must be a non-empty list")
+    unknown = [t for t in targets if not (isinstance(t, str) and t in STAGES)]
     if unknown:
         raise ConfigError("unknown targets: %s" % ", ".join(map(str, unknown)))
+    repeated = sorted({t for t in targets if targets.count(t) > 1})
+    if repeated:
+        raise ConfigError("repeated targets: %s" % ", ".join(repeated))
     knot = _knot_from_config(cfg)
     n_list, a_values = _jones_from_json(cfg)
     out_dir = cfg.get("out_dir", "out")
     if not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a string")
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return _RunConfig(
+        run_id=hashlib.sha256(blob.encode()).hexdigest()[:12],
         targets=tuple(targets),
         knot=knot,
         ctrl=_controls_from_json(cfg),
-        tol=_tolerances_from_json(cfg),
+        target=_target_from_json(cfg),
         loops={name: _loop_from_json("loop", name, spec)
                for name, spec in _section(cfg, "loops").items()},
         paths={name: _pathspec_from_json(spec)
@@ -324,17 +317,13 @@ def _read_config(cfg) -> _RunConfig:
 
 # ---------------------------------------------------------------- output
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 class _Csv:
     def __init__(self, path: Path, header: List[str]):
         self.path = path
         self.rows: List[List[str]] = [header]
 
     def add(self, *cells):
-        self.rows.append([c if isinstance(c, str) else _fmt(c) for c in cells])
+        self.rows.append([c if isinstance(c, str) else "%.17g" % float(c) for c in cells])
 
     def write(self):
         body = "\n".join(",".join(row) for row in self.rows) + "\n"
@@ -363,151 +352,173 @@ class _Summary:
         return "\n".join(self.lines + [tail]) + "\n"
 
 
-def _run_id(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+class _Output:
+    """What the stages write: the one_forms, symbols and jones CSVs in
+    out_dir, the summary, and the estimated order of {l, m} (1 until the
+    one_forms stage sets it).  With timings the jones CSV's runtime_ms
+    column holds wall-clock values, otherwise 0."""
+
+    def __init__(self, out_dir: Path, timings: bool):
+        self.out_dir = out_dir
+        self.forms = _Csv(out_dir / "one_forms.csv",
+                          ["run_id", "op", "value_re", "value_im", "est_error",
+                           "n_samples"])
+        self.symbols = _Csv(out_dir / "symbols.csv",
+                            ["puncture_id", "v_l", "v_m", "tame_re", "tame_im",
+                             "regulator_re", "regulator_im", "match_abs_err"])
+        self.jones = _Csv(out_dir / "jones.csv",
+                          ["N", "k", "a", "log_abs", "arg", "runtime_ms"])
+        self.summary = _Summary()
+        self.q_order = 1
+        self.timings = timings
+
+    def runtime_ms(self, t0: float, rows: int) -> float:
+        """The runtime_ms cell of each of rows jones rows computed since t0
+        (a time.perf_counter() reading): 0 without timings."""
+        return (time.perf_counter() - t0) * 1000.0 / rows if self.timings else 0.0
+
+    def write(self):
+        for csv in (self.forms, self.symbols, self.jones):
+            csv.write()
+        (self.out_dir / "summary.txt").write_text(self.summary.text(), newline="\n")
 
 
 # ---------------------------------------------------------------- stages
+# every stage takes the read config and the run's _Output
 
-def _stage_one_forms(rc, run_id, csv, summary):
+def _stage_one_forms(rc: _RunConfig, out: _Output):
     """eta/xi/vol/cs/U/cs1 per named loop, with -arg r / 2 pi of the
     regulator r(l, m) on its lift recognized as p/q (stable when residual
-    plus est_error / 2 pi is within tolerance) and the lcm of q feeding U."""
-    knot = rc.knot
-    eta_tol, q_max = rc.tol["eta"], rc.tol["q_max"]
-    rat_tol, target = rc.tol["rational"], rc.tol["quadrature_target"]
-
+    plus est_error / 2 pi is within symbols_k2.RATIONAL_TOL) and the lcm
+    of q, the estimated order of {l, m}, feeding U."""
+    csv, summary = out.forms, out.summary
     recognized: List[symbols_k2.RationalRecognition] = []
     per_loop = {}
     for name, spec in rc.loops.items():
-        path, res = _track_noted(rc, summary, "loop " + name, spec, ("eta", "xi"), target)
+        path, res = _track_noted(rc, out, "loop " + name, spec, ("eta", "xi"))
         eta, xi = res["eta"], res["xi"]
-        csv.add(run_id, "eta:" + name, eta.value, 0.0, eta.est_error, eta.n_samples)
-        csv.add(run_id, "xi:" + name, xi.value, 0.0, xi.est_error, xi.n_samples)
+        csv.add(rc.run_id, "eta:" + name, eta.value, 0.0, eta.est_error, eta.n_samples)
+        csv.add(rc.run_id, "xi:" + name, xi.value, 0.0, xi.est_error, xi.n_samples)
         summary.add("[eta] loop %s: |integral| = %.3g (est %.2g, n=%d)"
                     % (name, abs(eta.value), eta.est_error, eta.n_samples),
-                    ok=abs(eta.value) < max(eta_tol, 10.0 * eta.est_error))
+                    ok=abs(eta.value) < max(ETA_TOL, 10.0 * eta.est_error))
         exponent = one_forms.regulator_exponent(path)
         ratio = -exponent.value.imag / TWO_PI
         try:
-            rec = symbols_k2.recognize_rational(ratio, q_max, rat_tol)
-            rec = replace(rec, stable=rec.residual + exponent.est_error / TWO_PI < rat_tol)
+            rec = symbols_k2.recognize_rational(ratio)
+            rec = replace(rec, stable=rec.residual + exponent.est_error / TWO_PI
+                          < symbols_k2.RATIONAL_TOL)
             caveat = "" if rec.stable else " (unstable)"
         except NoRational as exc:
-            rec, caveat = exc.best, " (no q<=%d rational within %g)" % (q_max, rat_tol)
+            rec, caveat = exc.best, (" (no q<=%d rational within %g)"
+                                     % (symbols_k2.Q_MAX, symbols_k2.RATIONAL_TOL))
         recognized.append(rec)
-        csv.add(run_id, "xi/4pi2_rational:" + name, rec.p, rec.q, rec.residual,
+        csv.add(rc.run_id, "xi/4pi2_rational:" + name, rec.p, rec.q, rec.residual,
                 int(rec.stable))
         summary.add("[regulator] loop %s: -arg r/2pi = %.12g -> %d/%d residual %.2g%s"
                     % (name, ratio, rec.p, rec.q, rec.residual, caveat), ok=rec.stable)
-        per_loop[name] = (path, res)
+        per_loop[name] = res
 
     try:
-        q_order = symbols_k2.estimate_symbol_order(recognized)
+        out.q_order = symbols_k2.estimate_symbol_order(recognized)
     except ValueError:
-        q_order = 1
-    summary.note("[order] estimated order of {l,m} (lower bound): %d" % q_order)
+        out.q_order = 1
+    summary.note("[order] estimated order of {l,m} (lower bound): %d" % out.q_order)
 
-    for name, (path, res) in per_loop.items():
+    for name, res in per_loop.items():
         eta, xi = res["eta"], res["xi"]
-        _add_along_rows(csv, run_id, name, knot, q_order, eta, xi)
+        _add_along_rows(rc, out, name, eta, xi)
         cs1 = one_forms.cs1_from(eta.value, xi.value)
-        csv.add(run_id, "cs1:" + name, cs1.real, cs1.imag,
+        csv.add(rc.run_id, "cs1:" + name, cs1.real, cs1.imag,
                 max(eta.est_error, xi.est_error), xi.n_samples)
         summary.note("[cs] loop %s: the cs:, u: and cs1: rows move with the loop's "
                      "start point (unverified)" % name)
-    return q_order
 
 
-def _track_noted(rc, summary, route, spec, forms, target, max_halvings=6):
-    """track_refined on one route of the run's knot, with summary notes: a
-    line per branch point its lift was graded toward, with the route's
-    closest sample distance to it, and a line when the refinement stopped
-    short of its quadrature target (its values are then unverified).  No
-    line for an ungraded route that meets its target."""
+def _track_noted(rc: _RunConfig, out: _Output, route, spec, forms, max_halvings=6):
+    """track_refined on one route of the run's knot to the run's
+    quadrature target, with summary notes: a line per branch point its
+    lift was graded toward, with the route's closest sample distance to
+    it, and a line when the refinement stopped short of the target (its
+    values are then unverified).  No line for an ungraded route that
+    meets its target."""
     path, res, _ = one_forms.track_refined(rc.knot.a_poly, spec, rc.ctrl, forms=forms,
-                                           target=target, max_halvings=max_halvings)
+                                           target=rc.target, max_halvings=max_halvings)
     for m_b in path.graded_toward:
-        summary.note("[quadrature] %s: graded toward m = %.9g%+.3gj (distance %.3g)"
-                     % (route, m_b.real, m_b.imag, float(np.min(np.abs(path.m - m_b)))))
-    shortfall = one_forms.quadrature_shortfall(path, res, target)
+        out.summary.note("[quadrature] %s: graded toward m = %.9g%+.3gj (distance %.3g)"
+                         % (route, m_b.real, m_b.imag, float(np.min(np.abs(path.m - m_b)))))
+    shortfall = one_forms.quadrature_shortfall(path, res, rc.target)
     if shortfall:
-        summary.note("[quadrature] %s: %s (unverified)" % (route, shortfall))
+        out.summary.note("[quadrature] %s: %s (unverified)" % (route, shortfall))
     return path, res
 
 
-def _add_along_rows(csv, run_id, label, knot, q_order, eta, xi):
+def _add_along_rows(rc: _RunConfig, out: _Output, label, eta, xi):
     """vol, cs and U rows of one route from its eta and xi integrals;
     returns (vol, cs, U)."""
+    knot, csv = rc.knot, out.forms
     vol = one_forms.vol_from(eta.value, knot.vol_k)
     cs = one_forms.cs_from(xi.value, knot.cs_k)
-    u = one_forms.special_cs_from(xi.value, q_order)
-    csv.add(run_id, "vol:" + label, vol, 0.0, eta.est_error, eta.n_samples)
-    csv.add(run_id, "cs:" + label, cs, 0.0, xi.est_error, xi.n_samples)
-    csv.add(run_id, "u:" + label, u.value, u.torus_class, xi.est_error,
+    u = one_forms.special_cs_from(xi.value, out.q_order)
+    csv.add(rc.run_id, "vol:" + label, vol, 0.0, eta.est_error, eta.n_samples)
+    csv.add(rc.run_id, "cs:" + label, cs, 0.0, xi.est_error, xi.n_samples)
+    csv.add(rc.run_id, "u:" + label, u.value, u.torus_class, xi.est_error,
             xi.n_samples)
     return vol, cs, u
 
 
-def _stage_symbols(rc, csv, summary):
-    ctrl = rc.ctrl
-    tame_tol, steinberg_tol = rc.tol["tame"], rc.tol["steinberg"]
+def _stage_symbols(rc: _RunConfig, out: _Output):
     for name, (curve, spec, steinberg) in rc.punctures.items():
-        loop = lift_path(curve, spec, ctrl)
+        loop = lift_path(curve, spec, rc.ctrl)
         v_l = symbols_k2.valuation(loop, "l")
         v_m = symbols_k2.valuation(loop, "m")
         tame = symbols_k2.tame_symbol(loop, v_l, v_m)
         reg = one_forms.regulator(loop)
         match = abs(reg.value - tame)
-        csv.add(name, v_l, v_m, tame.real, tame.imag,
-                reg.value.real, reg.value.imag, match)
-        summary.add("[tame] %s: v_l=%d v_m=%d T=%.9g%+.3gj |r-T|=%.3g"
-                    % (name, v_l, v_m, tame.real, tame.imag, match),
-                    ok=match < tame_tol)
+        out.symbols.add(name, v_l, v_m, tame.real, tame.imag,
+                        reg.value.real, reg.value.imag, match)
+        out.summary.add("[tame] %s: v_l=%d v_m=%d T=%.9g%+.3gj |r-T|=%.3g"
+                        % (name, v_l, v_m, tame.real, tame.imag, match),
+                        ok=match < TAME_TOL)
         if steinberg:
             defect = abs(reg.value - 1.0)
-            summary.add("[steinberg] %s: |r(l,m) - 1| = %.3g" % (name, defect),
-                        ok=defect < steinberg_tol)
+            out.summary.add("[steinberg] %s: |r(l,m) - 1| = %.3g" % (name, defect),
+                            ok=defect < STEINBERG_TOL)
 
 
-def _stage_kirk_klassen(rc, run_id, csv, summary):
-    tol = rc.tol["kirk_klassen"]
+def _stage_kirk_klassen(rc: _RunConfig, out: _Output):
     for name, spec in rc.paths.items():
-        # refine until the exponent's quadrature estimate supports tol
-        path, res = _track_noted(rc, summary, "path " + name, spec, ("kk",), tol,
-                                 max_halvings=8)
+        # refine until the exponent's quadrature estimate meets the target
+        path, res = _track_noted(rc, out, "path " + name, spec, ("kk",), max_halvings=8)
         est = res["kk"].est_error
         kk = one_forms.kirk_klassen(path)
-        csv.add(run_id, "kk:" + name, kk.value.real, kk.value.imag,
-                est, path.n_samples)
-        csv.add(run_id, "kk_expr_diff:" + name, kk.expr_diff, 0.0, est,
-                path.n_samples)
+        out.forms.add(rc.run_id, "kk:" + name, kk.value.real, kk.value.imag,
+                      est, path.n_samples)
+        out.forms.add(rc.run_id, "kk_expr_diff:" + name, kk.expr_diff, 0.0, est,
+                      path.n_samples)
         # expr_diff is at most |kk| est_error / 63 under R2's spread
         # (|kk| est_error / 3 under one Richardson step): it restates the
         # stopping rule
-        summary.note("[kk] path %s: two expressions differ by %.3g (unverified)"
-                     % (name, kk.expr_diff))
+        out.summary.note("[kk] path %s: two expressions differ by %.3g (unverified)"
+                         % (name, kk.expr_diff))
 
 
-def _stage_jones(rc, csv, summary, timings):
+def _stage_jones(rc: _RunConfig, out: _Output):
     knot = rc.knot
     t0 = time.perf_counter()
     seq = kashaev_sequence(rc.n_list)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    runtime_ms = out.runtime_ms(t0, len(seq))
     for N, value in seq:
-        csv.add(N, N, 1.0, value.log_abs, value.arg,
-                elapsed_ms / len(seq) if timings else 0.0)
+        out.jones.add(N, N, 1.0, value.log_abs, value.arg, runtime_ms)
     fit = growth_rate(seq, a=1.0)
     gap, report = conjecture_gap(fit, knot.vol_k, knot.cs_k)
-    summary.add("[jones] Kashaev fit slope %.12g vs 6 Lambda(pi/3) %.12g "
-                "(diff %.3g), log N coefficient %.3f"
-                % (fit.slope, knot.vol_k, abs(fit.slope - knot.vol_k),
-                   fit.log_correction),
-                ok=abs(fit.slope - knot.vol_k) < 1e-3)
+    out.summary.add("[jones] Kashaev fit slope %.12g vs 6 Lambda(pi/3) %.12g "
+                    "(diff %.3g), log N coefficient %.3f"
+                    % (fit.slope, knot.vol_k, abs(fit.slope - knot.vol_k),
+                       fit.log_correction),
+                    ok=abs(fit.slope - knot.vol_k) < 1e-3)
     for line in report.splitlines():
-        summary.note("[jones]   " + line)
-    return fit
+        out.summary.note("[jones]   " + line)
 
 
 def _conjecture_path(knot: KnotRecord, a: float) -> Tuple[PathSpec, float]:
@@ -527,23 +538,20 @@ def _conjecture_path(knot: KnotRecord, a: float) -> Tuple[PathSpec, float]:
     return PathSpec(segments=(arc, drop), l_seed=knot.l_seed, closed=False), ang
 
 
-def _stage_conjecture(rc, run_id, csv, jones_csv, summary, q_order, timings):
-    knot, target = rc.knot, rc.tol["quadrature_target"]
+def _stage_conjecture(rc: _RunConfig, out: _Output):
+    knot, summary = rc.knot, out.summary
     for a in rc.a_values:
         spec, ang = _conjecture_path(knot, a)
         label = "a=%g" % a
-        path, res = _track_noted(rc, summary, "conjecture " + label, spec, ("eta", "xi"),
-                                 target)
-        vol, cs, u = _add_along_rows(csv, run_id, label, knot, q_order,
-                                     res["eta"], res["xi"])
+        path, res = _track_noted(rc, out, "conjecture " + label, spec, ("eta", "xi"))
+        vol, cs, u = _add_along_rows(rc, out, label, res["eta"], res["xi"])
         t0 = time.perf_counter()
         seq = jones_sequence(rc.n_list, a)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        runtime_ms = out.runtime_ms(t0, len(seq))
         fit = growth_rate(seq, a)
         if a != 1.0:
             for (N, value), k in zip(seq, fit.k_values):
-                jones_csv.add(N, k, a, value.log_abs, value.arg,
-                              elapsed_ms / len(seq) if timings else 0.0)
+                out.jones.add(N, k, a, value.log_abs, value.arg, runtime_ms)
         gap, report = conjecture_gap(fit, vol, cs, u.value)
         endpoint = complex(path.m[-1])
         line = ("[conjecture] %s: m_end=%.6g%+.6gj Vol=%.12g CS=%.12g U=%.12g"
@@ -556,12 +564,14 @@ def _stage_conjecture(rc, run_id, csv, jones_csv, summary, q_order, timings):
         if ang == 0.0:
             summary.note("[conjecture]   a=1 targets the singular geometric "
                          "point; integrals stop at the offset base point "
-                         "(epsilon=%g)" % knot.epsilon)
+                         "(epsilon=%g)" % abs(knot.m0 - 1.0))
         for line in report.splitlines():
             summary.note("[conjecture]   " + line)
 
 
-STAGES = ("one_forms", "symbols", "kirk_klassen", "jones", "conjecture")
+STAGES = {"one_forms": _stage_one_forms, "symbols": _stage_symbols,
+          "kirk_klassen": _stage_kirk_klassen, "jones": _stage_jones,
+          "conjecture": _stage_conjecture}
 
 
 def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
@@ -570,39 +580,18 @@ def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
     rc = _read_config(cfg)
     out_dir = config_dir / rc.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_id = _run_id(cfg)
-
-    forms_csv = _Csv(out_dir / "one_forms.csv",
-                     ["run_id", "op", "value_re", "value_im", "est_error",
-                      "n_samples"])
-    symbols_csv = _Csv(out_dir / "symbols.csv",
-                       ["puncture_id", "v_l", "v_m", "tame_re", "tame_im",
-                        "regulator_re", "regulator_im", "match_abs_err"])
-    jones_csv = _Csv(out_dir / "jones.csv",
-                     ["N", "k", "a", "log_abs", "arg", "runtime_ms"])
-    summary = _Summary()
-    knot = rc.knot
-    summary.note("run %s on knot %s (A = %s)" % (run_id, knot.name,
+    out = _Output(out_dir, timings)
+    knot, summary = rc.knot, out.summary
+    summary.note("run %s on knot %s (A = %s)" % (rc.run_id, knot.name,
                                                  knot.a_poly_text))
     summary.note("vol_K = %.15g (Lobachevsky), cs_K = %g%s"
                  % (knot.vol_k, knot.cs_k,
                     " [%s]" % knot.cs_note if knot.cs_note else ""))
 
     hard_error = None
-    q_order = 1
     for stage in rc.targets:
         try:
-            if stage == "one_forms":
-                q_order = _stage_one_forms(rc, run_id, forms_csv, summary)
-            elif stage == "symbols":
-                _stage_symbols(rc, symbols_csv, summary)
-            elif stage == "kirk_klassen":
-                _stage_kirk_klassen(rc, run_id, forms_csv, summary)
-            elif stage == "jones":
-                _stage_jones(rc, jones_csv, summary, timings)
-            elif stage == "conjecture":
-                _stage_conjecture(rc, run_id, forms_csv, jones_csv, summary,
-                                  q_order, timings)
+            STAGES[stage](rc, out)
         except (RamificationError, NonConvergence, SeedError, DegenerateError,
                 DomainError, NotClosed, AmbiguousWinding, ExtrapolationUnstable,
                 ArithmeticError) as exc:
@@ -610,10 +599,7 @@ def run(cfg: dict, config_dir: Path, timings: bool = False) -> int:
             summary.add("[%s] stage failed: %s" % (stage, exc), ok=False)
             break
 
-    forms_csv.write()
-    symbols_csv.write()
-    jones_csv.write()
-    (out_dir / "summary.txt").write_text(summary.text(), newline="\n")
+    out.write()
     print(summary.text(), end="")
     if hard_error:
         print("stage %s failed: %s" % hard_error, file=sys.stderr)

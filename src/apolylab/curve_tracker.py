@@ -85,6 +85,7 @@ SINGULAR_REL = 1e-6      # |m dA/dm| floor of a branch point, relative to the te
 BATCH_CHUNK = 256        # grid intervals per root solve of a batched lift
 BATCH_RATIO = 0.25       # a batched step's nearest root, below this share of the second-nearest
 SPLIT = 8                # equal sub-steps a refused step is split into
+MIN_STEP = 1e-12         # the smallest sub-step, in segment parameter
 
 
 @dataclass(frozen=True)
@@ -200,13 +201,10 @@ class PathSpec:
 @dataclass(frozen=True)
 class StepControls:
     max_step: float = 1.0 / 128   # in segment parameter; 128 steps, a multiple of 16
-    min_step: float = 1e-12
 
     def __post_init__(self):
-        for name in ("max_step", "min_step"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError("%s must be finite and positive" % name)
+        if not (np.isfinite(self.max_step) and self.max_step > 0):
+            raise ValueError("max_step must be finite and positive")
 
 
 class LiftDiagnostics(NamedTuple):
@@ -266,7 +264,7 @@ class TrackedPath:
 
 
 def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
-                l: complex, scale: float, ctrl: StepControls):
+                l: complex, scale: float):
     """Lift l along n equal steps of seg keeping A(l, m) = 0.
 
     l is first checked on row 0 of the first chunk, A's row at seg's
@@ -289,7 +287,7 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
 
     Raises RamificationError where the matched root fails the |dA/dl|
     guard (no split separates the sheets at a fixed m), NonConvergence
-    when a sub-step would fall below ctrl.min_step, and DomainError
+    when a sub-step would fall below MIN_STEP, and DomainError
     where, with a negative l-power, l or the matched root is 0.  Returns
     (s, m, l, resid_max, scale, diagnostics): the segment parameters with
     their m and l samples, the largest residual, the running term scale
@@ -346,7 +344,7 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
                 raise RamificationError("lift ran into a branch point near m = %s" % m1,
                                         m=m1, l=complex(lc[j + 1]))
             gap = (s[k + 1] - s[k]) / SPLIT
-            if gap < ctrl.min_step:
+            if gap < MIN_STEP:
                 raise NonConvergence("step underflow near m = %s" % complex(m[k]))
             new_s = s[k] + gap * np.arange(1, SPLIT)
             new_m = np.asarray(seg.points(new_s), dtype=complex)
@@ -449,7 +447,7 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     below), and the lift's first sample is the root there that the seed
     matches.  Each segment is lifted on ceil(1 / ctrl.max_step) equal
     steps by root solves (_track_grid), which split a step they refuse
-    into SPLIT sub-steps, down to ctrl.min_step.  Every accepted point
+    into SPLIT sub-steps, down to MIN_STEP.  Every accepted point
     has |A| <= RESID_REL * scale and |dA/dl| >= RAM_REL * scale, with
     scale the running maximum term magnitude along the path.  Raises
     RamificationError where a matched root fails that guard, and
@@ -472,7 +470,7 @@ def lift_path(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControl
     resid_max, scale = 0.0, 0.0
     diagnostics = LiftDiagnostics()
     for seg_idx, seg in enumerate(spec.segments):
-        s, m_seg, l_seg, resid, scale, diag = _track_grid(A, Am, seg, n, l_end, scale, ctrl)
+        s, m_seg, l_seg, resid, scale, diag = _track_grid(A, Am, seg, n, l_end, scale)
         resid_max = max(resid_max, resid)
         diagnostics = diagnostics.join(diag)
         intervals.append(len(s) - 1)

@@ -13,7 +13,9 @@ is an affine map of its one integral t = int log l dlog m:
                                   = ([log l log m] - 2 t) / (2 pi i)
     regulator exponent of (f, g)  = (1/2 pi i)(int log f dlog g
                                     - log g(t0) 2 pi i w_f),
-        w_f the winding of f on a closed loop, t taken of (log f, log g)
+        w_f the winding of f on a closed loop; for f = l^a m^b, g = l^c m^d
+        int log f dlog g = (ad - bc) t + ac [(log l)^2] / 2
+                           + bc [log l log m] + bd [(log m)^2] / 2
 
     Vol along a path = Vol_K - 2 int eta,   CS = CS_K + (1/pi^2) int xi,
     U = q int xi (q the order of {l, m}),   CS1 = (1/2 pi i)(int xi + i int eta)
@@ -77,6 +79,7 @@ RHO_TOL = 0.05           # |rho - 4| gate on (T1 - T2) / (T0 - T1)
 RHO_COARSE_TOL = 0.2     # |rho' - 4| gate on (T2 - T3) / (T1 - T2), one mesh coarser
 ROUNDING = np.finfo(float).eps  # est_error floor per interval, relative to |T0|
 MIN_INTERVALS = 16       # fewer intervals per segment never meet a target
+QUADRATURE_TARGET = 1e-8  # track_refined's default target
 
 
 @dataclass(frozen=True)
@@ -251,15 +254,18 @@ def regulator_exponent(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
     winding of f, read off the unwrapped args; log g(t0) is the base
     sample's unwrapped value.  For (l, m), -Im / 2 pi of the exponent,
     -arg r / 2 pi, is (xi + 2 pi w_l arg m(t0)) / 4 pi^2.
+    The table of int log f dlog g is read off the path's log_table by
+    summation by parts (the module docstring).
     """
     if not loop.closed:
         raise NotClosed("regulator needs a closed loop")
-    (fa, fb), (ga, gb) = (_ROLES.get(role, role) for role in (f_role, g_role))
-    lam_f = fa * loop.log_l + fb * loop.log_m
-    lam_g = ga * loop.log_l + gb * loop.log_m
-    w_f = round(float((lam_f[-1] - lam_f[0]).imag) / TWO_PI)
-    base = lam_g[0] * (2j * np.pi * w_f)
-    return _integrate(loop, (_table(loop, lam_f, lam_g) - base) / (2j * np.pi))
+    (a, b), (c, d) = (_ROLES.get(role, role) for role in (f_role, g_role))
+    lam, mu = loop.log_l, loop.log_m
+    table = ((a * d - b * c) * loop.log_table + a * c * _jump(lam, lam) / 2.0
+             + b * c * _jump(lam, mu) + b * d * _jump(mu, mu) / 2.0)
+    w_f = round(float((a * (lam[-1] - lam[0]) + b * (mu[-1] - mu[0])).imag) / TWO_PI)
+    base = (c * lam[0] + d * mu[0]) * (2j * np.pi * w_f)
+    return _integrate(loop, (table - base) / (2j * np.pi))
 
 
 def regulator(loop: TrackedPath, f_role: Role = "l", g_role: Role = "m"
@@ -323,7 +329,7 @@ def _at_rounding_floor(path: TrackedPath, tables: Dict[str, np.ndarray],
 
 
 def track_refined(A: LaurentBiPoly, spec: PathSpec, ctrl: StepControls = StepControls(),
-                  forms: Iterable[str] = ("eta", "xi"), target: float = 1e-8,
+                  forms: Iterable[str] = ("eta", "xi"), target: float = QUADRATURE_TARGET,
                   max_halvings: int = 6):
     """Lift the route, halving max_step until the requested forms meet
     target (quadrature_shortfall is None), every form that misses it

@@ -39,6 +39,8 @@ from .one_forms import _romberg, _table
 
 WINDING_SLACK = 0.1
 TWO_PI = 2.0 * math.pi
+Q_MAX = 48           # the largest denominator of a recognized rational
+RATIONAL_TOL = 1e-5  # its largest residual
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def tame_symbol(x_loop: TrackedPath, v_l: int, v_m: int) -> complex:
     return tame
 
 
-def recognize_rational(value: float, q_max: int = 48, tol: float = 1e-5
+def recognize_rational(value: float, q_max: int = Q_MAX, tol: float = RATIONAL_TOL
                        ) -> RationalRecognition:
     """Best continued-fraction convergent p/q with q <= q_max.
 

@@ -62,7 +62,6 @@ class TestKnotTable:
         assert rec.vol_k == pytest.approx(vol_fig8(), abs=1e-15)
         assert rec.cs_k == 0.0
         assert rec.cs_note == "amphichiral"
-        assert rec.epsilon == 1e-4
         assert rec.m0 == 1.0 + 1e-4
         # seed sits on the curve at the offset base point, upper half plane
         assert abs(eval_poly(rec.a_poly, rec.l_seed, rec.m0)) < 1e-10
@@ -108,6 +107,18 @@ class TestRunVerb:
         assert cli_app.main(["run", str(p)]) == 2
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("targets, error", [
+        # a repeated stage would write its rows and summary lines twice
+        (["jones", "symbols", "jones"], "repeated targets: jones"),
+        (5, "targets must be a non-empty list"),
+        ([["jones"]], "unknown targets: ['jones']"),
+    ], ids=["repeated", "not_a_list", "not_a_name"])
+    def test_bad_targets(self, tmp_path, capsys, targets, error):
+        p = write_cfg(tmp_path, {"knot": "fig8", "targets": targets})
+        assert cli_app.main(["run", str(p)]) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % error
+        assert not (tmp_path / "out").exists()
+
     def test_bad_json(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
@@ -123,11 +134,12 @@ class TestRunVerb:
 
     def test_controls_default_to_the_library_default(self, minimal_cfg):
         # one default mesh: a run config with no controls section, or with
-        # only one key of it, lifts at StepControls()'s values
+        # an empty one, lifts at StepControls()'s values
         assert "controls" not in minimal_cfg
         assert cli_app._read_config(minimal_cfg).ctrl == StepControls()
-        cfg = dict(minimal_cfg, controls={"min_step": 1e-10})
-        assert cli_app._read_config(cfg).ctrl == StepControls(min_step=1e-10)
+        assert cli_app._read_config(dict(minimal_cfg, controls={})).ctrl == StepControls()
+        cfg = dict(minimal_cfg, controls={"max_step": 0.01})
+        assert cli_app._read_config(cfg).ctrl == StepControls(max_step=0.01)
 
     @pytest.mark.parametrize("target, section, entry", [
         ("jones", "jones", {"N_list": [500, 1000, 2000]}),
@@ -143,8 +155,17 @@ class TestRunVerb:
         # the lift has no Newton budget: a stale key is refused, not ignored
         ("one_forms", "controls", {"newton_budget": 20}),
         ("one_forms", "controls", {"max_step": 0.01, "max_stpe": 0.1}),
+        # the sub-step floor and the checks' bounds are no run settings:
+        # each removed key is refused at any value
         ("one_forms", "controls", {"min_step": 0}),
         ("one_forms", "tolerances", {"q_max": 0}),
+        ("one_forms", "controls", {"min_step": 1e-12}),
+        ("one_forms", "tolerances", {"eta": 1e-6}),
+        ("one_forms", "tolerances", {"rational": 1e-5}),
+        ("symbols", "tolerances", {"tame": 1e-6}),
+        ("symbols", "tolerances", {"steinberg": 1e-8}),
+        ("kirk_klassen", "tolerances", {"kirk_klassen": 1e-8}),
+        ("one_forms", "tolerances", {"q_max": 48}),
         ("jones", "out_dir", 5),
         # the seed's roots_in_l: the leading l-coefficient vanishes at m0 = 2
         ("jones", "knot", {"name": "k", "a_poly": "m*l - 2*l + 1", "vol": 1.0, "cs": 0.0,
@@ -163,7 +184,7 @@ class TestRunVerb:
         ("one_forms", "tolerances", {"quadrature_targt": 1e-14}),
         ("jones", "jones", {"N_lsit": [500, 1000, 2000, 4000]}),
         # ... and at the top level, in a puncture entry and in a path spec
-        ("one_forms", "tolerance", {"eta": 1e-6}),
+        ("one_forms", "tolerance", {"quadrature_target": 1e-8}),
         ("symbols", "punctures", {"p": {"a_poly": "m + l - 1", "steinbreg": True,
                                         "loop": circle_json(1.0, 0.1, -0.1 + 0j)}}),
         ("one_forms", "paths", {"arc": dict(circle_json(0j, 0.3, 0.0090699074 + 0j,
@@ -171,7 +192,9 @@ class TestRunVerb:
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
             "newton_budget_negative", "newton_budget_stale", "controls_unknown_key",
-            "min_step_zero", "q_max_zero",
+            "min_step_zero", "q_max_zero", "min_step_stale", "eta_stale",
+            "rational_stale", "tame_stale", "steinberg_stale", "kirk_klassen_stale",
+            "q_max_stale",
             "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite",
             "loop_open", "puncture_open", "tolerances_unknown_key", "jones_unknown_key",
             "top_level_unknown_key", "puncture_unknown_key", "path_unknown_key"])
@@ -185,7 +208,7 @@ class TestRunVerb:
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("wrong, right, entries", [
-        ("tolerance", "tolerances", lambda key, seed: {key: {"eta": 1e-6}}),
+        ("tolerance", "tolerances", lambda key, seed: {key: {"quadrature_target": 1e-8}}),
         ("steinbreg", "steinberg", lambda key, seed: {"punctures": {"p": {
             "a_poly": "m + l - 1", key: True, "loop": circle_json(1.0, 0.1, -0.1 + 0j)}}}),
         ("clsoed", "closed", lambda key, seed: {"paths": {"arc": dict(
@@ -208,7 +231,7 @@ class TestRunVerb:
         arc = dict(circle_json(0j, 0.3, seed, 0.0, 0.5), closed=False)
         cfg = dict(minimal_cfg, targets=["one_forms", "kirk_klassen"],
                    paths={"arc": arc},
-                   tolerances={"quadrature_target": 0, "kirk_klassen": 0})
+                   tolerances={"quadrature_target": 0})
         assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
         lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
         assert [line for line in lines if line.startswith("[kk]")] == [
@@ -218,6 +241,18 @@ class TestRunVerb:
         assert noted[0].startswith("[quadrature] loop m0_small: est_error eta ")
         assert noted[1].startswith("[quadrature] path arc: est_error kk ")
         assert all(line.endswith("misses target 0 (unverified)") for line in noted)
+
+    def test_a1_note_names_the_records_offset(self, tmp_path, minimal_cfg):
+        # the a = 1 route stays at the record's own base point m0 = 2, an
+        # offset |m0 - 1| = 1 from the geometric point
+        knot = {"name": "line", "a_poly": "m + l - 1", "vol": 1.0, "cs": 0.0,
+                "seed": {"m0": [2.0, 0.0], "l_seed": [-1.0, 0.0]}}
+        cfg = dict(minimal_cfg, knot=knot, targets=["conjecture"], jones={"a_values": [1.0]})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
+        lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("[conjecture]   a=1")] == [
+            "[conjecture]   a=1 targets the singular geometric point; integrals stop "
+            "at the offset base point (epsilon=1)"]
 
     def test_non_finite_conjecture_value_fails(self, tmp_path, minimal_cfg, monkeypatch):
         # a finite conjecture line is a note, checked against nothing; a

@@ -261,13 +261,14 @@ def test_ramification_deterministic():
     assert hits[0] == hits[1]
 
 
-def test_nonconvergence_on_step_underflow():
+def test_nonconvergence_on_step_underflow(monkeypatch):
     # a half-circle step predicts l = 0, halfway between the sheets; with
-    # min_step forced coarse there is no room to split it
+    # the sub-step floor forced coarse there is no room to split it
+    monkeypatch.setattr(curve_tracker, "MIN_STEP", 0.3)
     p = parse_poly("l^2 - m")
     spec = loop_around_m(p, 0j, 1.0, 1.0, turns=1)
     with pytest.raises(NonConvergence):
-        lift_path(p, spec, StepControls(max_step=0.5, min_step=0.3))
+        lift_path(p, spec, StepControls(max_step=0.5))
 
 
 def test_seed_rejected_off_curve():
@@ -322,7 +323,7 @@ def test_track_grid_stays_on_curve(fig8):
     n = 64
     seg = ArcSeg(0j, 0.3, 0.0, TWO_PI)
     s, m, l, resid_max, scale, diag = _track_grid(
-        fig8, partial(fig8, "m"), seg, n, small_root(fig8, 0.3), 1.0, StepControls())
+        fig8, partial(fig8, "m"), seg, n, small_root(fig8, 0.3), 1.0)
     assert len(s) == len(m) == len(l) == n + 1
     assert diag.halvings == 0 and diag.min_step == pytest.approx(1.0 / n)
     for k in (0, n // 2, n):
@@ -368,9 +369,8 @@ def test_big_sheet_winding(fig8, ctrl):
 
 @pytest.mark.parametrize("kwargs", [
     {"max_step": 0.0}, {"max_step": -0.5}, {"max_step": math.nan},
-    {"max_step": math.inf}, {"min_step": 0.0}, {"min_step": math.nan},
-], ids=["max_step_zero", "max_step_negative", "max_step_nan", "max_step_inf",
-        "min_step_zero", "min_step_nan"])
+    {"max_step": math.inf},
+], ids=["max_step_zero", "max_step_negative", "max_step_nan", "max_step_inf"])
 def test_step_controls_reject_values_they_cannot_run(kwargs):
     with pytest.raises(ValueError):
         StepControls(**kwargs)
@@ -428,7 +428,7 @@ def _split_grid(path, spec, ctrl):
     the steps path refused: each segment's linspace(0, 1, n + 1), where a
     step (a, b) whose end path does not take next is replaced by the
     SPLIT sub-steps a + j (b - a) / SPLIT (no sub-step below
-    ctrl.min_step)."""
+    MIN_STEP)."""
     n, n_segs, split = int(np.ceil(1.0 / ctrl.max_step)), len(spec.segments), curve_tracker.SPLIT
     t, m = [], []
     for idx, seg in enumerate(spec.segments):
@@ -441,7 +441,7 @@ def _split_grid(path, spec, ctrl):
                 s.append(b)
                 continue
             gap = (b - s[-1]) / split
-            assert gap >= ctrl.min_step, "path's grid is no split of the equal-step grid"
+            assert gap >= curve_tracker.MIN_STEP, "path's grid is no split of the equal-step grid"
             todo += [b] + [s[-1] + gap * j for j in range(split - 1, 0, -1)]
         s = np.array(s)
         t += ((idx + s[first:]) / n_segs).tolist()
@@ -509,20 +509,23 @@ def test_kernel_sweep_matches_reference(fig8, draw):
             assert abs(form(path).value - form(ref).value) <= FORM_TOL
 
 
-@pytest.mark.parametrize("curve, spec, ctrl, error, message", [
+@pytest.mark.parametrize("curve, spec, ctrl, min_step, error, message", [
     ("l^2 - m + 1", PathSpec(segments=(LineSeg(2.0, 1.0),), l_seed=1.0),
-     StepControls(), RamificationError, "lift ran into a branch point near m = (1+0j)"),
+     StepControls(), curve_tracker.MIN_STEP, RamificationError,
+     "lift ran into a branch point near m = (1+0j)"),
     ("l^2 - m", PathSpec(segments=(ArcSeg(0j, 1.0, 0.0, TWO_PI),), l_seed=1.0,
                          closed=True),
-     StepControls(max_step=0.5, min_step=0.3), NonConvergence,
+     StepControls(max_step=0.5), 0.3, NonConvergence,
      "step underflow near m = (1+0j)"),
 ], ids=["ramification", "step_underflow"])
-def test_failures_match_reference_kernel(curve, spec, ctrl, error, message):
+def test_failures_match_reference_kernel(monkeypatch, curve, spec, ctrl, min_step, error,
+                                         message):
     # the errors the Newton march of the reference kernel raises on these
     # routes: the lift meets the double root l = 0 at m = 1, and the
     # half-circle step from m = 1 predicts l = 0, halfway between the
-    # sheets, with no room to split it.  l at a branch point is
-    # ill-conditioned, so only m is pinned
+    # sheets, with no room to split it under a sub-step floor of 0.3.
+    # l at a branch point is ill-conditioned, so only m is pinned
+    monkeypatch.setattr(curve_tracker, "MIN_STEP", min_step)
     with pytest.raises(error) as got:
         lift_path(parse_poly(curve), spec, ctrl)
     assert type(got.value) is error and str(got.value) == message
