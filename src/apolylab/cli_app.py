@@ -97,9 +97,15 @@ def _resolve_vol(vol_field) -> float:
     return float(vol_field)
 
 
+# the keys of a knot record and of its seed block
+RECORD_KEYS = ("name", "a_poly", "vol", "cs", "cs_note", "seed")
+SEED_KEYS = ("m0", "epsilon", "l_seed", "l_near", "im_sign")
+
+
 def _record_from_dict(rec: dict) -> KnotRecord:
+    _object("knot record", rec, RECORD_KEYS)
     poly = parse_poly(rec["a_poly"])
-    seed = rec["seed"]
+    seed = _object("knot seed", rec["seed"], SEED_KEYS)
     if "m0" in seed:
         m0 = complex(seed["m0"][0], seed["m0"][1])
     else:

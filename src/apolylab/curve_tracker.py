@@ -11,8 +11,9 @@ coefficient rows are built in numpy (poly_core.laurent_rows); A, dA/dl
 and the term scale at a point are read off them by
 poly_core.horner_row_batch and row_max_term_batch alone, for the seed
 as for every sample.  The kernel solves a segment's grid BATCH_CHUNK
-intervals at a time: every root at every m from one stacked eigvals call
-(poly_core.companion_roots), a tangent prediction from each root, and
+intervals at a time: every root at every m from one companion_roots call
+(poly_core: closed form when A has degree 1 or 2 in l, one stacked
+eigvals call otherwise), a tangent prediction from each root, and
 the seeded sheet followed through the nearest-root matches.  A step is
 refused when its match is ambiguous (the nearest root not below
 BATCH_RATIO of the second-nearest) or its point fails the residual
@@ -275,7 +276,8 @@ def _track_grid(A: LaurentBiPoly, Am: LaurentBiPoly, seg: Segment, n: int,
     intervals at a time from the last accepted l, the first sample being
     the root at seg's first m that l matches: the l-coefficient rows of
     A and dA/dm at the chunk's m (_rows) give every root at every m in
-    one stacked eigvals call (poly_core.companion_roots), and _follow
+    one poly_core.companion_roots call (closed form at degree 1 or 2 in
+    l, one stacked eigvals call otherwise), and _follow
     matches the seeded sheet along them.  At the first refused step the
     steps before it are kept.  The refused step is split into SPLIT
     equal sub-steps, whose SPLIT - 1 new points are solved in one

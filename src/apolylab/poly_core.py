@@ -27,10 +27,12 @@ magnitude in the same layout.  :func:`horner_row_batch` and
 :func:`row_max_term_batch` read such rows at arrays of l (the value,
 dA/dl and the term scale at which tolerances are set); they are the only
 readers of A at a point, and the l^lo shift is applied by them alone.
-:func:`roots_in_l_batch` takes the eigenvalues of the companion matrices
-of every solvable row in one stacked LAPACK call (``np.linalg.eigvals``,
-backward stable), polishes them by Newton's method and returns them with
-a per-row status code (:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l`
+:func:`roots_in_l_batch` solves every solvable row at once: rows of
+degree 1 and 2 in l in closed form, rows of degree 3 and more by the
+eigenvalues of their companion matrices in one stacked LAPACK call
+(``np.linalg.eigvals``, backward stable).  It polishes the roots by
+Newton's method and returns them with a per-row status code
+(:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l`
 is its one-row case and raises the row's error.  :func:`companion_roots`
 is that solve, unsorted, on rows a caller built itself (the batched
 lift), and :func:`mark_unsolvable` the row check that comes before it.
@@ -324,7 +326,8 @@ def roots_in_l(p: LaurentBiPoly, m: complex) -> List[complex]:
     """All roots in l of l^-lo p(l, m) at fixed m, lo = l_range(p)[0],
     with multiplicity.
 
-    Eigenvalues of the companion matrix (LAPACK), Newton-polished, then
+    Closed-form roots when A has degree 1 or 2 in l, otherwise the
+    eigenvalues of the companion matrix (LAPACK); Newton-polished, then
     clustered: roots closer than CLUSTER_RADIUS are replaced by their
     centroid, repeated per cluster size.  Sorted by (re, im).  This is
     the one-row case of roots_in_l_batch.
@@ -344,8 +347,9 @@ def roots_in_l_batch(p: LaurentBiPoly, m):
     ROW_ERRORS code of the error roots_in_l raises at m[b] and roots[b]
     is nan.  rows are the laurent_rows solved (at m = 0, the row at
     m = 1), so a caller reads A and dA/dl at the roots off them
-    (horner_row_batch); their companion matrices, for all solvable rows,
-    go to one stacked np.linalg.eigvals call.
+    (horner_row_batch).  All solvable rows are solved together by
+    companion_roots: in closed form when A has degree 1 or 2 in l, by one
+    stacked np.linalg.eigvals call on their companion matrices otherwise.
     """
     if not p:
         raise DegenerateError("zero polynomial")
@@ -395,17 +399,26 @@ def mark_unsolvable(coeffs: np.ndarray, lead_maxima: np.ndarray,
 
 def companion_roots(c: np.ndarray) -> np.ndarray:
     """The d roots of each coefficient row c[b] (ascending powers, degree
-    d >= 1, finite, leading coefficient not negligible), unsorted: the
-    eigenvalues of the stacked companion matrices in one np.linalg.eigvals
-    call, Newton-polished, and on a real row snapped onto the axis within
+    d >= 1, finite, leading coefficient not negligible), unsorted.  Rows
+    of degree 1 and 2 are solved in closed form (_closed_form_roots); rows
+    of degree 3 and more take the eigenvalues of their stacked companion
+    matrices in one np.linalg.eigvals call.  Either estimate is then
+    Newton-polished and, on a real row, snapped onto the axis within
     REAL_SNAP_REL."""
     d = c.shape[1] - 1
-    # companion matrix of the monic row: ones on the subdiagonal, the
-    # negated coefficients in descending powers along the first row
-    companion = np.zeros((len(c), d, d), dtype=complex)
-    companion[:, 1:, :-1] = np.eye(d - 1)
-    companion[:, 0, :] = -c[:, d - 1::-1] / c[:, d:]
-    z = _polish(c, np.linalg.eigvals(companion))
+    if d <= 2:
+        z = _closed_form_roots(c)
+    else:
+        # companion matrix of the monic row: ones on the subdiagonal, the
+        # negated coefficients in descending powers along the first row
+        companion = np.zeros((len(c), d, d), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, 0, :] = -c[:, d - 1::-1] / c[:, d:]
+        z = np.linalg.eigvals(companion)
+    # where a root's terms overflow its residual is not finite, and the
+    # root keeps its estimate
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _polish(c, z)
 
     # real coefficient vectors have conjugate-symmetric roots; snap the
     # stragglers onto the axis so downstream [0, 2pi) arg conventions do
@@ -413,6 +426,31 @@ def companion_roots(c: np.ndarray) -> np.ndarray:
     real_rows = (c.imag == 0.0).all(axis=1)[:, None]
     near_real = real_rows & (np.abs(z.imag) <= REAL_SNAP_REL * (1.0 + np.abs(z)))
     return np.where(near_real, z.real + 0j, z)
+
+
+def _closed_form_roots(c: np.ndarray) -> np.ndarray:
+    """The roots of rows of degree 1 (-c0/c1) or 2.  A quadratic row is
+    first scaled by the power of two that brings its largest coefficient
+    part into [0.5, 1), which is exact and keeps b^2 and 4ac finite; then
+    q = -(b + s)/2 with s = sqrt(b^2 - 4ac) signed so that Re(conj(b) s)
+    >= 0, so b + s does not cancel, and the roots are q/a and c/q (both 0
+    when q = 0, which takes b = c = 0).  On a real row with b^2 < 4ac the
+    second root is taken as the conjugate of the first, which c/q equals
+    up to rounding, so the pair is conjugate to the bit."""
+    with np.errstate(all="ignore"):
+        if c.shape[1] == 2:
+            return -c[:, :1] / c[:, 1:]
+        _, e = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max(axis=1))
+        # ldexp takes real arrays: scale the real and imaginary parts alike
+        c0, b, a = np.ldexp(np.ascontiguousarray(c).view(float), -e[:, None]).view(complex).T
+        disc = b * b - 4.0 * a * c0
+        s = np.sqrt(disc)
+        s = np.where(b.real * s.real + b.imag * s.imag >= 0.0, s, -s)
+        q = -0.5 * (b + s)
+        first = q / a
+        conjugate = (c.imag == 0.0).all(axis=1) & (disc.real < 0.0)
+        second = np.where(conjugate, first.conj(), np.where(q == 0, 0, c0 / q))
+        return np.stack([first, second], axis=1)
 
 
 def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -41,6 +41,12 @@ def minimal_cfg(fig8_record):
     }
 
 
+# the fig8 record of the knot table, as an inline knot entry of a config
+INLINE_FIG8 = {"name": "fig8", "a_poly": "m^4*l^2 - (m^8 - m^6 - 2*m^4 - m^2 + 1)*l + m^4",
+               "vol": {"lobachevsky_coeff": 6, "theta_pi_num": 1, "theta_pi_den": 3},
+               "cs": 0.0, "seed": {"epsilon": 1e-4, "l_near": [-1.0, 0.0], "im_sign": 1}}
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -189,6 +195,9 @@ class TestRunVerb:
                                         "loop": circle_json(1.0, 0.1, -0.1 + 0j)}}),
         ("one_forms", "paths", {"arc": dict(circle_json(0j, 0.3, 0.0090699074 + 0j,
                                                          a1=1.0), clsoed=False)}),
+        # ... and in an inline knot record and its seed block
+        ("jones", "knot", dict(INLINE_FIG8, cs_ntoe="amphichiral")),
+        ("jones", "knot", dict(INLINE_FIG8, seed={"epsilonn": 5, "l_near": [-1.0, 0.0]})),
     ], ids=["n_list_short", "n_list_zero", "a_poly_syntax", "no_loop",
             "max_step_text", "max_step_zero", "max_step_negative", "max_step_nan",
             "newton_budget_negative", "newton_budget_stale", "controls_unknown_key",
@@ -197,7 +206,8 @@ class TestRunVerb:
             "q_max_stale",
             "out_dir_number", "knot_seed_degenerate", "knot_seed_not_finite",
             "loop_open", "puncture_open", "tolerances_unknown_key", "jones_unknown_key",
-            "top_level_unknown_key", "puncture_unknown_key", "path_unknown_key"])
+            "top_level_unknown_key", "puncture_unknown_key", "path_unknown_key",
+            "record_unknown_key", "seed_unknown_key"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_exits_2(self, tmp_path, capsys, minimal_cfg,
                                       target, section, entry):
@@ -213,6 +223,9 @@ class TestRunVerb:
             "a_poly": "m + l - 1", key: True, "loop": circle_json(1.0, 0.1, -0.1 + 0j)}}}),
         ("clsoed", "closed", lambda key, seed: {"paths": {"arc": dict(
             circle_json(0j, 0.3, seed, a1=1.0), **{key: False})}}),
+        ("cs_ntoe", "cs_note", lambda key, seed: {"knot": dict(INLINE_FIG8, **{key: "amphichiral"})}),
+        ("epsilonn", "epsilon", lambda key, seed: {"knot": dict(INLINE_FIG8, seed={
+            key: 5, "l_near": [-1.0, 0.0], "im_sign": 1})}),
     ])
     def test_misspelt_key_is_named(self, minimal_cfg, wrong, right, entries):
         # the same config reads with the key spelled right

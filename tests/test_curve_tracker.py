@@ -27,9 +27,9 @@ from apolylab import (
     refine,
     roots_in_l,
 )
-from apolylab import cli_app, curve_tracker, one_forms
+from apolylab import cli_app, curve_tracker, one_forms, poly_core
 from apolylab.curve_tracker import _track_grid
-from apolylab.poly_core import companion_roots, l_range, laurent_rows, partial
+from apolylab.poly_core import companion_roots, l_range, laurent_rows, partial, roots_in_l_batch
 from conftest import big_root, small_root, unit
 from oracles import eval_poly, max_term
 
@@ -693,6 +693,37 @@ def test_batch_refuses_at_the_first_ambiguous_chunk(fig8, monkeypatch):
     assert splits > 0 and path.diagnostics.halvings == splits * new
     assert solved == [chunk] * 2 + [new] * splits + [chunk, 1000 - 3 * 256 + 1]
     assert 0.0 < path.diagnostics.max_ratio < curve_tracker.BATCH_RATIO
+
+
+def test_quadratic_rows_take_no_eigenvalue_call(fig8, monkeypatch):
+    # fig8 is quadratic in l: a probe block and a lift whose refused steps
+    # are split solve every row in closed form; 5_2, cubic in l, still
+    # takes the stacked eigenvalue call
+    def refused(a):
+        raise AssertionError("np.linalg.eigvals was called")
+
+    monkeypatch.setattr(poly_core.np.linalg, "eigvals", refused)
+    # a 1,000-point block of 10 grid rows around 1/phi and the double point 1
+    re, im = np.meshgrid(np.linspace(0.12, 1.12, 10), np.linspace(-0.5, 0.5, 100), indexing="ij")
+    roots, status, _ = roots_in_l_batch(fig8, (re + 1j * im).ravel())
+    assert not status.any() and np.isfinite(roots).all()
+    path = lift_path(fig8, _near_branch_line(fig8), StepControls())
+    assert path.diagnostics.halvings > 0
+    with pytest.raises(AssertionError, match="eigvals was called"):
+        roots_in_l(parse_poly(K52_A), 0.2)
+
+
+@pytest.mark.parametrize("name", ["fig8", "k52"])
+def test_roots_do_not_depend_on_the_batch(fig8, name):
+    # _track_grid relies on it: each row's roots are the same to the bit
+    # alone and inside a 1,000-row batch, in closed form (fig8, degree 2)
+    # and from the stacked eigenvalue call (5_2, degree 3)
+    curve = fig8 if name == "fig8" else parse_poly(K52_A)
+    rng = np.random.default_rng(41)
+    m = rng.uniform(0.2, 1.8, 1000) * np.exp(1j * rng.uniform(0.0, TWO_PI, 1000))
+    rows = laurent_rows(curve, m, *l_range(curve))
+    alone = np.concatenate([companion_roots(rows[b:b + 1]) for b in range(len(rows))])
+    assert np.array_equal(companion_roots(rows), alone)
 
 
 @pytest.mark.parametrize("seg", [

@@ -26,6 +26,8 @@ from apolylab.poly_core import (
     M_ZERO,
     NO_CONVERGENCE,
     ROW_ERRORS,
+    _solve_rows,
+    companion_roots,
     horner_row_batch,
     horner_rows,
     l_range,
@@ -435,6 +437,136 @@ class TestBatchRoots:
         assert list(status) == [0, 2]
         with pytest.raises(DegenerateError):
             roots_in_l_batch(parse_poly("0"), np.array([1.0]))
+
+
+# ---------------------------------------------------------------- closed form
+# Rows of degree 1 and 2 are solved in closed form.  Each root g is
+# checked against the exact root z of its float row (60 digits) by its
+# condition: with S = sum_k |c_k| |z|^k, the term sum, both
+#     |g - z| |p'(z)| <= ROOT_TOL eps S   (first order, a simple root) and
+#     |g - z|^2 |c_2| <= ROOT_TOL eps S   (second order, beside a double root),
+# for the move of z under a change of eps S in p is within the smaller
+# of the two.  The estimate and the polished root each leave a residual
+# within a few roundings of S (Horner's rule on a degree-2 row rounds
+# within about 4 sqrt(2) eps of it), and ROOT_TOL = 16 leaves room for
+# the constant.  pyproject turns every RuntimeWarning into an error, so
+# no case below may emit one.
+
+EPS = np.finfo(float).eps
+ROOT_TOL = 16.0
+
+
+def _exact_roots(c, got):
+    """The roots of the row c (mpc coefficients, ascending, degree 1 or 2)
+    at 60 digits: the one nearest the largest estimate g in got from
+    mpmath.polyroots, and on a quadratic row the other as c0 / (c2 z).
+    polyroots stops on an absolute step, so the row is rescaled by
+    sigma = 2^k ~ |g| (l = sigma x), which puts that root near 1 and the
+    other inside the unit disc."""
+    g = max((mpmath.mpc(z.real, z.imag) for z in got), key=abs)
+    sigma = mpmath.ldexp(1, math.frexp(abs(g))[1])
+    x = mpmath.polyroots([ck * sigma ** k for k, ck in enumerate(c)][::-1],
+                         maxsteps=200, cleanup=False, extraprec=200)
+    z = sigma * min(x, key=lambda x: abs(x - g / sigma))
+    return [z] if len(c) == 2 else [z, c[0] / (c[2] * z)]
+
+
+def _conditioned_error(row, got):
+    """The largest error of the estimates g in got against the exact roots
+    z of the float row, paired in the best order, in units of the bound
+    ROOT_TOL stands for: the larger of |g - z| |p'(z)| / (eps S) and, on a
+    quadratic row, |g - z|^2 |c_2| / (eps S)."""
+    with mpmath.workdps(60):
+        c = [mpmath.mpc(x.real, x.imag) for x in row]
+        exact = _exact_roots(c, got)
+
+        def ratio(g, z):
+            error = abs(mpmath.mpc(g.real, g.imag) - z)
+            scale = EPS * sum(abs(ck) * abs(z) ** k for k, ck in enumerate(c))
+            slope = sum(k * ck * z ** (k - 1) for k, ck in enumerate(c) if k)
+            first = error * abs(slope) / scale
+            return max(first, error ** 2 * abs(c[2]) / scale) if len(c) == 3 else first
+
+        return float(min(max(ratio(g, exact[k]) for g, k in zip(got, perm))
+                         for perm in itertools.permutations(range(len(exact)))))
+
+
+def _solved(rows):
+    """The roots of coefficient rows, sorted and clustered as
+    roots_in_l_batch returns them; every row must be solvable."""
+    roots, status = _solve_rows(rows, np.abs(rows[:, -1]), np.zeros(len(rows), dtype=int))
+    assert not status.any()
+    return roots
+
+
+def _random_rows(rng, n, d, low=0.0, high=0.0):
+    # complex rows whose coefficients have random phases and magnitudes
+    # 10^u, u uniform in [low, high]
+    phase = np.exp(2j * np.pi * rng.uniform(size=(n, d + 1)))
+    return 10.0 ** rng.uniform(low, high, (n, d + 1)) * phase
+
+
+class TestClosedForm:
+
+    @pytest.mark.parametrize("d, low, high", [(2, -1.0, 1.0), (2, -150.0, 150.0),
+                                              (1, -1.0, 1.0), (1, -150.0, 150.0)],
+                             ids=["quadratic", "quadratic_span", "linear", "linear_span"])
+    def test_random_rows_against_mpmath(self, d, low, high):
+        rows = _random_rows(np.random.default_rng(23), 200, d, low, high)
+        roots = companion_roots(rows)
+        assert max(_conditioned_error(row, got) for row, got in zip(rows, roots)) <= ROOT_TOL
+
+    def test_power_of_two_scaling_changes_no_bit(self):
+        # the row is scaled exactly before b^2 - 4ac is formed: at 2^900,
+        # where b^2 alone overflows, and at 2^-900 the roots are the
+        # unscaled row's to the bit
+        rows = _random_rows(np.random.default_rng(29), 200, 2)
+        roots = companion_roots(rows)
+        for k in (900, -900):
+            assert np.array_equal(companion_roots(np.ldexp(rows.real, k) + 1j * np.ldexp(rows.imag, k)),
+                                  roots)
+
+    @pytest.mark.parametrize("m", [1.0 + 1e-9, 1.0 - 1e-9, 1.0 / PHI + 1e-10j],
+                             ids=["double_point_above", "double_point_below", "branch_point"])
+    def test_fig8_near_a_double_root(self, fig8, m):
+        # kappa grows like 1 / |z1 - z2|: the sheets cross at the double
+        # point m = 1, and meet like a square root at the branch point 1/phi
+        roots, status, rows = roots_in_l_batch(fig8, np.array([m]))
+        assert status[0] == 0
+        assert _conditioned_error(rows[0], roots[0]) <= ROOT_TOL
+
+    def test_real_rows_with_complex_roots_are_conjugate(self, fig8):
+        # fig8 on the real axis between its branch points 1/phi and phi
+        # (m = 1 aside, the double point) and random real rows with
+        # b^2 < 4ac: each pair is conjugate to the bit, sorted (re, im)
+        m = np.linspace(0.62, 1.61, 100)
+        roots, status, rows = roots_in_l_batch(fig8, m[m != 1.0])
+        # a (l - x - iy)(l - x + iy), y at least 0.1
+        a, x, y = np.random.default_rng(31).uniform([-2.0, -1.0, 0.1], [2.0, 1.0, 1.0], (100, 3)).T
+        real = np.stack([a * (x * x + y * y), -2.0 * a * x, a], axis=1) + 0j
+        rows = np.concatenate([rows, real])
+        roots = np.concatenate([roots, _solved(real)])
+        assert not status.any() and np.all(roots[:, 1].imag > 0.0)
+        assert np.array_equal(roots[:, 0], roots[:, 1].conj())
+        assert max(_conditioned_error(row, got) for row, got in zip(rows, roots)) <= ROOT_TOL
+
+    def test_real_rows_snap_as_before(self):
+        # real roots are real to the bit; a conjugate pair within
+        # REAL_SNAP_REL of the axis, -1e-13 +- 1e-13 i, is snapped onto it
+        # and clustered into one double root
+        assert roots_in_l(parse_poly("l^2 - 3*l + 2"), 1.0) == [1.0, 2.0]
+        row = np.array([[2e-26, 2e-13, 1.0]], dtype=complex)
+        assert _solved(row).tolist() == [[-1e-13 + 0j, -1e-13 + 0j]]
+
+    def test_b_and_c_zero_is_a_double_root_at_zero(self):
+        assert roots_in_l(parse_poly("m*l^2"), 3.0 - 1.0j) == [0j, 0j]
+        a = _random_rows(np.random.default_rng(37), 20, 0)
+        rows = np.concatenate([np.zeros((20, 2)), a], axis=1)
+        assert np.array_equal(companion_roots(rows), np.zeros((20, 2), dtype=complex))
+
+    def test_linear_rows(self):
+        assert roots_in_l(parse_poly("m*l - 3"), 2.0) == [1.5]
+        assert roots_in_l(parse_poly("l^-1 + m"), 4.0) == [-0.25]
 
 
 _coeffs = st.integers(min_value=-9, max_value=9)
