@@ -19,8 +19,11 @@ At a primitive N-th root of unity q = e^{2 pi i p/N}, gcd(p, N) = 1, the
 Kashaev point p = 1 among them, every factor is |1 - q^j|^2 =
 4 sin^2(pi r_j / N) with r_j = min(pj mod N, N - pj mod N), and the N - 1
 factors multiply to N^2, so the terms reflect: t_{N-1-j} = N^2 / t_j.
-There the sum is built from the terms j <= (N - 1)/2 alone, one sine pass
-on arguments of at most pi/2, each term folded with its reflection.
+There the sum is built from the terms j <= (N - 1)/2 alone, each term
+folded with its reflection.  At p = 1 the chunks after the first take
+their sines from two tables by the addition formula, so np.log is the
+one transcendental pass per term; a chunk whose log-factors have one sign
+and whose terms and reflections all underflow takes no prefix sums.
 
 Each value carries its conditioning, log10(max |term| / |sum|), and its
 smallest |factor|.  Other knots can plug in any evaluator with the same
@@ -229,9 +232,26 @@ def _kashaev_sum(N, p):
     r_j = min(pj mod N, N - pj mod N), an argument of at most pi/2, and
     f_{N-j} = f_j.  The product of all N - 1 factors is N^2, so
     t_{N-1-j} = N^2 / t_j: only the terms j <= (N - 1)/2 are built, from
-    one np.sin pass on the factors j < N/2, and each is folded with its
-    reflection, log t_{N-1-j} = 2 log N - log t_j.  For odd N the middle
-    term j = (N - 1)/2 is its own reflection and is counted once.
+    the factors j < N/2, and each is folded with its reflection,
+    log t_{N-1-j} = 2 log N - log t_j.  For odd N the middle term
+    j = (N - 1)/2 is its own reflection and is counted once.
+
+    The first chunk and every chunk at p > 1, whose r_j do not run in
+    steps of 1, take np.sin.  At p = 1 a later chunk's sines are
+    sin(a + k delta) = sin a cos k delta + cos a sin k delta with
+    delta = pi/N, a = (first - 1) delta and k = 1 .. CHUNK, read off the
+    first chunk's sines and a table of np.cos taken once a call.  Both
+    products are positive (0 < a + k delta <= pi/2), so nothing cancels,
+    and np.log is the one transcendental pass per term.
+
+    Each chunk's log-factors enter np.cumsum from 0 and the carry, log
+    t_{first - 1}, is added after; the carry then advances by the
+    chunk's pairwise np.sum, so rounding walks at most CHUNK steps.  A
+    chunk whose log-factors have one sign has monotone prefix sums, with
+    extremes at its two ends: when those ends, terms and reflections,
+    lie more than EXP_UNDERFLOW below the fold's top, np.exp would give
+    +0.0 for all of them and top would not move, so the chunk takes no
+    prefix sums and only advances the carry.
     """
     last = (N - 1) // 2        # the terms t_0 .. t_last are built
     mirror_end = N - 1 - last  # and t_j for j < mirror_end reflected
@@ -245,22 +265,46 @@ def _kashaev_sum(N, p):
     log_prod = 0.0  # log t_{first - 1}, carried into the next chunk
     for first in range(1, last + 1, CHUNK):
         end = min(first + CHUNK, last + 1)
-        r = np.arange(first, end, dtype=np.int64)
-        if p > 1:
-            # at p = 1, j < N/2 is its own r_j
-            r *= p
-            r %= N
-            np.minimum(r, N - r, out=r)
-        # sin(pi r_j / N), then log f_j = 2 log(2 sin(pi r_j / N))
-        logs = r * scale
-        np.sin(logs, out=logs)
-        fold.min_factor = min(fold.min_factor, 4.0 * float(logs.min()) ** 2)
-        logs *= 2.0
-        np.log(logs, out=logs)
-        logs *= 2.0
-        logs[0] += log_prod
+        if first == 1 or p > 1:
+            r = np.arange(first, end, dtype=np.int64)
+            if p > 1:
+                # at p = 1, j < N/2 is its own r_j
+                r *= p
+                r %= N
+                np.minimum(r, N - r, out=r)
+            # 2 sin(pi r_j / N), doubling exact
+            doubled = r * scale
+            np.sin(doubled, out=doubled)
+            doubled *= 2.0
+            if p == 1 and end <= last:
+                # 2 sin k delta and 2 cos k delta for k = 1 .. CHUNK
+                sin_table = doubled
+                cos_table = r * scale
+                np.cos(cos_table, out=cos_table)
+                cos_table *= 2.0
+        else:
+            base = (first - 1) * scale
+            doubled = sin_table[:end - first] * math.cos(base)
+            doubled += cos_table[:end - first] * math.sin(base)
+        fold.min_factor = min(fold.min_factor, float(doubled.min()) ** 2)
+        # log(2 sin(pi r_j / N)), half of log f_j: the sums of these are
+        # doubled, which is exact
+        logs = np.log(doubled)
+        total = 2.0 * float(np.sum(logs))
+        # the ends of the chunk's prefix sums, its extremes when the logs
+        # have one sign; the floor is lowered by a bound on the rounding
+        # of the running sum
+        ends = (log_prod + 2.0 * float(logs[0]), log_prod + total)
+        floor = fold.top - EXP_UNDERFLOW - (
+            CHUNK * sys.float_info.epsilon * (abs(log_prod) + abs(total)))
+        if (max(ends) < floor and two_log_n - min(ends) < floor
+                and (logs.min() >= 0.0 if logs[0] >= 0.0 else logs.max() <= 0.0)):
+            log_prod += total
+            continue
         np.cumsum(logs, out=logs)
-        log_prod = float(logs[-1])
+        logs *= 2.0
+        logs += log_prod
+        log_prod += total
         mirrored = two_log_n - logs[:min(end, mirror_end) - first]
         fold.add(logs)
         if mirrored.size:

@@ -17,6 +17,7 @@ from apolylab import (
     kashaev_sequence,
     vol_fig8,
 )
+from apolylab import jones_kashaev
 from apolylab.jones_kashaev import (
     CHUNK, LogComplex, _first_zero_factor, _jones_sum, _product_sum, _root_of_unity)
 
@@ -169,7 +170,10 @@ class TestChunkedKernel:
     # archive of commit 493a509): the skips must leave every bit of every
     # output in place.  The Kashaev rows are written by the half-sum; the
     # comment gives log_abs minus its 30-digit value (KASHAEV_LOG_30), and
-    # in brackets that of the full term-order sum that they replace
+    # in brackets that of the full term-order sum that they replace.  The
+    # rows at N = 10^5 and 10^6 span several chunks and were written again
+    # when the carry began to advance by chunk sums; their brackets also
+    # give the distance of the one running sum that they replace
     PINNED = [
         # +4.1e-12 (full sum -3.2e-12)
         (8192, TWO_PI / 8192, ("0x1.4c79896a1eb84p+11", "0x0.0p+0",
@@ -180,12 +184,12 @@ class TestChunkedKernel:
         # +1.5e-11 (-4.8e-11)
         (16385, TWO_PI / 16385, ("0x1.4bbb79468a2e6p+12", "0x0.0p+0",
                                  "-0x1.fceb0d4186788p+0", "0x1.3bc9edf7c98c1p-23")),
-        # +1.6e-10 (-7.6e-11)
-        (10 ** 5, TWO_PI / 10 ** 5, ("0x1.f90e5b9c164fap+14", "0x0.0p+0",
-                                     "-0x1.30bb75625832dp+1", "0x1.0f4b2aace4d7ep-28")),
-        # -5.8e-11 (+1.0e-8)
+        # +7.3e-12 (running sum +1.6e-10, full sum -7.6e-11)
+        (10 ** 5, TWO_PI / 10 ** 5, ("0x1.f90e5b9c164d1p+14", "0x0.0p+0",
+                                     "-0x1.30bb756257547p+1", "0x1.0f4b2aace4d7ep-28")),
+        # -5.8e-11 (running sum -5.8e-11, full sum +1.0e-8); only cond moved
         (10 ** 6, TWO_PI / 10 ** 6, ("0x1.3b83995552f7ep+18", "0x0.0p+0",
-                                     "-0x1.70bb6d1fe559ap+1", "0x1.5b417e4fd77b4p-35")),
+                                     "-0x1.70bb6d1fc98e3p+1", "0x1.5b417e4fd77b4p-35")),
         (500, TWO_PI / 556, ("-0x1.4f2ef321ba50fp-2", "0x0.0p+0",
                              "0x1.2322f834d7ea6p-3", "0x1.b2a2a82157a0ep-7")),
         (20000, 0.7, ("0x1.2f6ec8a69b9d8p+2", "0x0.0p+0",
@@ -203,14 +207,26 @@ class TestChunkedKernel:
     def test_outputs_are_pinned_to_the_bit(self, N, theta, want):
         assert _jones_sum(N, theta) == tuple(float.fromhex(x) for x in want)
 
+    @pytest.mark.parametrize("N, p", [(N, 1) for N in (8192, 8193, 16385, 10 ** 5, 10 ** 6)]
+                             + [(24577, 3)])
+    def test_skipped_chunks_change_no_bit(self, monkeypatch, N, p):
+        # with EXP_UNDERFLOW at inf no chunk is skipped, neither its prefix
+        # sums in the half-sum nor its exponentials in the fold
+        want = _jones_sum(N, TWO_PI * p / N)
+        monkeypatch.setattr(jones_kashaev, "EXP_UNDERFLOW", math.inf)
+        assert _jones_sum(N, TWO_PI * p / N) == want
+
     def test_underflowed_chunks_take_no_exponential(self, monkeypatch):
         # at the Kashaev point N = 10^6 the half-sum builds the terms
         # j <= (N - 1)/2 in 62 chunks and folds each chunk twice, its terms
         # and their reflections; 101 of the 124 folds lie more than
         # EXP_UNDERFLOW below the largest term before them, where np.exp
-        # gives exactly 0; no factor is negative, so no chunk takes the
-        # cumulative product of signs
-        calls = {"exp": 0, "cumprod": 0}
+        # gives exactly 0.  40 chunks have log-factors of one sign and both
+        # folds there, so they take no np.cumsum either; the other 22 fold
+        # 23 times.  np.sin runs on the first chunk only and np.cos once,
+        # for the table of the chunks after it; no factor is negative, so
+        # no chunk takes the cumulative product of signs
+        calls = {"sin": 0, "cos": 0, "cumsum": 0, "exp": 0, "cumprod": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
                 calls[_name] += 1
@@ -219,7 +235,7 @@ class TestChunkedKernel:
         N = 10 ** 6
         _jones_sum(N, TWO_PI / N)
         assert -(-((N - 1) // 2) // CHUNK) == 62
-        assert calls == {"exp": 23, "cumprod": 0}
+        assert calls == {"sin": 1, "cos": 1, "cumsum": 22, "exp": 23, "cumprod": 0}
 
     def test_skipped_chunks_take_only_the_sign_parity(self, monkeypatch):
         # here 8 chunks hold negative factors and 5 of them add nothing:
@@ -287,14 +303,15 @@ class TestChunkedKernel:
         assert got.log_abs == pytest.approx(oracles.kashaev_log_sum_exp(N), rel=1e-12)
         assert got.arg == 0.0
 
-    def test_logs_accumulate_in_term_order(self):
-        # the carried log|prod| enters each chunk before its cumsum, so the
-        # logs add up as one running sum, over the N/2 terms of the
-        # half-sum: 5.8e-11 off the correctly rounded oracle at N = 10^6,
-        # where the same running sum over all N terms was 1.0e-8 off
+    def test_logs_accumulate_by_chunk_sums(self):
+        # each chunk's prefix sums start from 0 and the carried log|prod|
+        # advances by the chunk's pairwise sum, so no rounding walks more
+        # than CHUNK steps: 5.8e-11 (one ulp) off the correctly rounded
+        # oracle at N = 10^6, where one running sum over all N terms was
+        # 1.0e-8 off
         N = 10 ** 6
         got = colored_jones_fig8(N, unit(TWO_PI / N))
-        assert abs(got.log_abs - oracles.kashaev_log_sum_exp(N)) < 2e-9
+        assert abs(got.log_abs - oracles.kashaev_log_sum_exp(N)) < 2e-10
 
     def test_oracle_matches_30_digit_values(self):
         # the oracle's logs are correctly rounded prefix sums, so it shares
@@ -305,9 +322,10 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("N", sorted(KASHAEV_LOG_30))
     def test_kashaev_value_to_3e_14(self, N):
-        # the worst of these is 1.1e-14 relative, at N = 248550
+        # held to 1e-14, under the 3e-14 of the name: the worst of these is
+        # 2.7e-15 relative, at N = 16385 (one chunk)
         got = colored_jones_fig8(N, unit(TWO_PI / N))
-        assert got.log_abs == pytest.approx(float(KASHAEV_LOG_30[N]), rel=3e-14)
+        assert got.log_abs == pytest.approx(float(KASHAEV_LOG_30[N]), rel=1e-14)
 
     def test_memory_stays_flat_in_n(self):
         # chunked work arrays: whole-length arrays at N = 10^6 peak at 53 MB
@@ -325,18 +343,30 @@ class TestChunkedKernel:
 # (N, p): q = e^{2 pi i p/N} of order N, for p in {1, N - 1, 3} prime to N
 PRIMITIVE_POINTS = sorted({(N, p % N) for N in (1, 2, 3, 4, 5, 500, 4000, 8192, 8193)
                            for p in (1, N - 1, 3) if math.gcd(p, N) == 1})
+# the same past one chunk: the first chunk of N = 16387 and 16388 ends at
+# j = 8192 and the next holds the one term j = 8193; that of N = 24577
+# holds the 4096 terms j = 8193 .. 12288
+TABLE_N = (16387, 16388, 24577)
+MULTI_CHUNK_POINTS = [(N, p) for N in (16387, 24577) for p in (3, N - 1)]
 
 
 class TestHalfSum:
     # at q of order N the terms reflect, t_{N-1-j} = N^2 / t_j, and the
     # sum is built from the terms j <= (N - 1)/2
 
-    @pytest.mark.parametrize("N, p", PRIMITIVE_POINTS)
+    @pytest.mark.parametrize("N, p", PRIMITIVE_POINTS + MULTI_CHUNK_POINTS)
     def test_matches_mpmath(self, N, p):
         want_log, want_arg = oracles.colored_jones_fig8_mp(N, p, N)
         got = _jones_sum(N, TWO_PI * p / N)
         assert got[0] == pytest.approx(want_log, rel=3e-14, abs=1e-15)
         assert got[1] == want_arg == 0.0
+
+    @pytest.mark.parametrize("N", TABLE_N)
+    def test_table_chunks_match_the_oracle(self, N):
+        # at p = 1 the chunks after the first take their sines from tables
+        got = _jones_sum(N, TWO_PI / N)
+        assert got[0] == pytest.approx(oracles.kashaev_log_sum_exp(N), rel=1e-14)
+        assert got[1] == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(half=st.integers(1, 1500), odd=st.booleans())
