@@ -207,9 +207,12 @@ def _controls_from_json(cfg: dict) -> StepControls:
 def _target_from_json(cfg: dict) -> float:
     tol = _section(cfg, "tolerances", ("quadrature_target",))
     try:
-        return float(tol.get("quadrature_target", one_forms.QUADRATURE_TARGET))
+        target = float(tol.get("quadrature_target", one_forms.QUADRATURE_TARGET))
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad tolerances: %s" % exc)
+    if not (math.isfinite(target) and target > 0):
+        raise ConfigError("bad tolerances: quadrature_target must be finite and positive")
+    return target
 
 
 def _punctures_from_json(cfg: dict, knot: KnotRecord):
@@ -694,12 +697,17 @@ def probe_branch_points(knot: KnotRecord, re_range, im_range, density: int,
     coefficient, no convergence or no l-roots are skipped.  Each
     roots_in_l_batch call takes a block of whole grid rows (fixed Re m),
     at most PROBE_BLOCK points; dA/dl at the roots is read off the
-    coefficient rows it solved (poly_core.horner_row_batch).
+    coefficient rows it solved (poly_core.horner_row_batch).  A range or
+    threshold that is not finite is refused before any solve.
     """
     if density < 1:
         raise ConfigError("grid density must be at least 1")
     if density > PROBE_BLOCK:
         raise ConfigError("grid density above %d" % PROBE_BLOCK)
+    for name, values in (("--re", re_range), ("--im", im_range), ("--threshold", [threshold])):
+        if not np.isfinite(values).all():
+            raise ConfigError("probe %s must be finite, got %s"
+                              % (name, " ".join(map(str, values))))
     lo = l_range(knot.a_poly)[0]
     hits: List[Tuple[complex, float]] = []
     closest = None

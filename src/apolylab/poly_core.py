@@ -30,9 +30,11 @@ readers of A at a point, and the l^lo shift is applied by them alone.
 :func:`roots_in_l_batch` solves every solvable row at once: rows of
 degree 1 and 2 in l in closed form, rows of degree 3 and more by the
 eigenvalues of their companion matrices in one stacked LAPACK call
-(``np.linalg.eigvals``, backward stable).  It polishes the roots by
-Newton's method and returns them with a per-row status code
-(:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l`
+(``np.linalg.eigvals``, backward stable).  It polishes only the
+eigenvalue estimates by Newton's method (a closed-form root is returned
+as it is: a Newton step gains it no accuracy and, beside a double root,
+moves it off the exact root) and returns the roots with a per-row status
+code (:data:`ROW_ERRORS`) in place of an exception.  :func:`roots_in_l`
 is its one-row case and raises the row's error.  :func:`companion_roots`
 is that solve, unsorted, on rows a caller built itself (the batched
 lift), and :func:`mark_unsolvable` the row check that comes before it.
@@ -327,8 +329,8 @@ def roots_in_l(p: LaurentBiPoly, m: complex) -> List[complex]:
     with multiplicity.
 
     Closed-form roots when A has degree 1 or 2 in l, otherwise the
-    eigenvalues of the companion matrix (LAPACK); Newton-polished, then
-    clustered: roots closer than CLUSTER_RADIUS are replaced by their
+    eigenvalues of the companion matrix (LAPACK), which alone are
+    Newton-polished; then clustered: roots closer than CLUSTER_RADIUS are replaced by their
     centroid, repeated per cluster size.  Sorted by (re, im).  This is
     the one-row case of roots_in_l_batch.
     """
@@ -402,9 +404,11 @@ def companion_roots(c: np.ndarray) -> np.ndarray:
     d >= 1, finite, leading coefficient not negligible), unsorted.  Rows
     of degree 1 and 2 are solved in closed form (_closed_form_roots); rows
     of degree 3 and more take the eigenvalues of their stacked companion
-    matrices in one np.linalg.eigvals call.  Either estimate is then
-    Newton-polished and, on a real row, snapped onto the axis within
-    REAL_SNAP_REL."""
+    matrices in one np.linalg.eigvals call, and only these eigenvalue
+    estimates are Newton-polished (_polish): near a double root, as at
+    the figure-eight node m = 1, a Newton step would move a closed-form
+    root off the row's exact root.  On a real row the roots are then
+    snapped onto the axis within REAL_SNAP_REL."""
     d = c.shape[1] - 1
     if d <= 2:
         z = _closed_form_roots(c)
@@ -415,10 +419,10 @@ def companion_roots(c: np.ndarray) -> np.ndarray:
         companion[:, 1:, :-1] = np.eye(d - 1)
         companion[:, 0, :] = -c[:, d - 1::-1] / c[:, d:]
         z = np.linalg.eigvals(companion)
-    # where a root's terms overflow its residual is not finite, and the
-    # root keeps its estimate
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _polish(c, z)
+        # where a root's terms overflow its residual is not finite, and the
+        # root keeps its estimate
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _polish(c, z)
 
     # real coefficient vectors have conjugate-symmetric roots; snap the
     # stragglers onto the axis so downstream [0, 2pi) arg conventions do
@@ -454,8 +458,9 @@ def _closed_form_roots(c: np.ndarray) -> np.ndarray:
 
 
 def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Newton polish; a root keeps its estimate once a step no longer
-    lowers its residual, and the polish stops when no root improves."""
+    """Newton polish of the eigenvalue estimates of rows of degree 3 and
+    more; a root keeps its estimate once a step no longer lowers its
+    residual, and the polish stops when no root improves."""
     d = c.shape[1] - 1
     dc = c[:, 1:] * np.arange(1, d + 1)
     pv = horner_rows(c, z)
@@ -479,9 +484,10 @@ def _sort_and_cluster(z: np.ndarray) -> np.ndarray:
     cluster size."""
     n, d = z.shape
     z = z[np.arange(n)[:, None], np.lexsort((z.imag, z.real))]
-    gap = np.abs(z[:, :, None] - z[:, None, :]).reshape(n, d * d)
-    gap[:, ::d + 1] = np.inf
-    for b in np.flatnonzero(gap.min(axis=1) < CLUSTER_RADIUS):
+    if d < 2:
+        return z
+    i, j = np.triu_indices(d, 1)
+    for b in np.flatnonzero(np.abs(z[:, i] - z[:, j]).min(axis=1) < CLUSTER_RADIUS):
         z[b] = _cluster(z[b])
     return z
 

@@ -14,9 +14,10 @@ coefficient rows.  Tests compare package output to these.  The scalar
 root loop, the per-term Jones loop, the Newton march the lift used
 before its root solves (run on the grid of the lift under test), the
 four quadrature integrands (one trapezoid rule per form, before every
-form was read off the one table of int log l dlog m) and the probe's
-row-by-row root solve are the package's own earlier code, kept so that
-the faster or smaller replacements can be checked against them.
+form was read off the one table of int log l dlog m), the probe's
+row-by-row root solve and the cluster test on the full matrix of root
+distances are the package's own earlier code, kept so that the faster
+or smaller replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from apolylab import curve_tracker, one_forms
+from apolylab import curve_tracker, one_forms, poly_core
 from apolylab.errors import (
     DegenerateError,
     DomainError,
@@ -347,6 +348,19 @@ def roots_scalar_loop(coeffs: np.ndarray, max_iter: int = 512) -> List[complex]:
             clusters.append([root])
     out = [complex(np.mean(cl)) for cl in clusters for _ in cl]
     return sorted(out, key=lambda r: (r.real, r.imag))
+
+
+def sort_and_cluster_full_matrix(z: np.ndarray) -> np.ndarray:
+    """poly_core._sort_and_cluster as it was before it took only the root
+    pairs i < j: the cluster test reads the n x d x d matrix of distances
+    |z_i - z_j| with its diagonal set to inf."""
+    n, d = z.shape
+    z = z[np.arange(n)[:, None], np.lexsort((z.imag, z.real))]
+    gap = np.abs(z[:, :, None] - z[:, None, :]).reshape(n, d * d)
+    gap[:, ::d + 1] = np.inf
+    for b in np.flatnonzero(gap.min(axis=1) < poly_core.CLUSTER_RADIUS):
+        z[b] = poly_core._cluster(z[b])
+    return z
 
 
 def jones_sum_scalar_loop(N: int, theta: float, stop: int) -> Tuple[float, float]:

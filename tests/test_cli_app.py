@@ -235,8 +235,9 @@ class TestRunVerb:
             cli_app._read_config(dict(minimal_cfg, **entries(wrong, seed)))
 
     def test_missed_quadrature_target_is_noted(self, tmp_path, minimal_cfg):
-        # est_error >= 0, so a target of 0 is missed on every route; a
-        # missed target is noted, not failed, and the kk line is no check.
+        # a target of 1e-300 is missed on both routes (a target must be
+        # positive); a missed target is noted, not failed, and the kk line
+        # is no check.
         # The arc stops at 257 samples, where kk's est_error is its rounding
         # floor (at 8,193, the end of the halving budget, the two
         # expressions agree to the bit)
@@ -244,7 +245,7 @@ class TestRunVerb:
         arc = dict(circle_json(0j, 0.3, seed, 0.0, 0.5), closed=False)
         cfg = dict(minimal_cfg, targets=["one_forms", "kirk_klassen"],
                    paths={"arc": arc},
-                   tolerances={"quadrature_target": 0})
+                   tolerances={"quadrature_target": 1e-300})
         assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
         lines = (tmp_path / "results" / "summary.txt").read_text().splitlines()
         assert [line for line in lines if line.startswith("[kk]")] == [
@@ -253,7 +254,18 @@ class TestRunVerb:
         assert len(noted) == 2
         assert noted[0].startswith("[quadrature] loop m0_small: est_error eta ")
         assert noted[1].startswith("[quadrature] path arc: est_error kk ")
-        assert all(line.endswith("misses target 0 (unverified)") for line in noted)
+        assert all(line.endswith("misses target 1e-300 (unverified)") for line in noted)
+
+    @pytest.mark.parametrize("target", [math.nan, 0, -1])
+    def test_quadrature_target_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                           minimal_cfg, target):
+        # est_error >= 0 can never be below a target of 0 or less, and
+        # every comparison with nan is false
+        cfg = dict(minimal_cfg, tolerances={"quadrature_target": target})
+        assert cli_app.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+        assert ("config error: bad tolerances: quadrature_target must be finite "
+                "and positive") in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_a1_note_names_the_records_offset(self, tmp_path, minimal_cfg):
         # the a = 1 route stays at the record's own base point m0 = 2, an
@@ -624,6 +636,22 @@ class TestProbeVerb:
         assert cli_app.main(["probe", "fig8", "--density", density,
                              "-o", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, values", [("--threshold", ["nan"]),
+                                              ("--re", ["nan", "1"]),
+                                              ("--im", ["0", "inf"])])
+    def test_non_finite_argument_exits_2(self, tmp_path, capsys, monkeypatch, flag, values):
+        # refused before the first solve, with the argument named
+        def refused(*args):
+            raise AssertionError("roots_in_l_batch was called")
+
+        monkeypatch.setattr(cli_app, "roots_in_l_batch", refused)
+        out = tmp_path / "bp.csv"
+        assert cli_app.main(["probe", "fig8", flag, *values, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: probe %s must be finite" % flag in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_empty_result_reports_the_closest_point(self, tmp_path, capsys):

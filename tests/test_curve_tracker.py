@@ -340,7 +340,7 @@ def test_seed_snaps_to_exact_root(fig8, ctrl):
 
 @pytest.mark.parametrize("m0", [0.3, -0.3, 1.7, -1.7, 2.0, -2.0, 3.0])
 def test_noisy_real_seed_starts_on_the_axis(fig8, ctrl, m0):
-    # on a real row the polished seed is snapped onto the axis, so the lift
+    # on a real row the root the seed picks lies on the axis, so the lift
     # starts at arg l = 0, not 2 pi, whatever the sign of the noise
     for root in roots_in_l(fig8, m0):
         assert root.imag == 0.0 and root.real > 0.0
@@ -668,8 +668,8 @@ def test_small_sheet_circle_near_zero_is_solved(fig8, radius):
 
 def test_route_that_does_not_move_keeps_l(fig8):
     # the demo's a = 1 conjecture route stays at its start m, near the
-    # node m = 1: every sample keeps the polished seed bit for bit, so the
-    # integrals along it are exactly 0
+    # node m = 1: every sample keeps the seed's closed-form root bit for
+    # bit, so the integrals along it are exactly 0
     spec, _ = cli_app._conjecture_path(cli_app.load_knots()["fig8"], 1.0)
     path = lift_path(fig8, spec, StepControls())
     assert path.l[0].imag != 0.0 and np.all(path.l == path.l[0])
@@ -710,6 +710,28 @@ def test_quadratic_rows_take_no_eigenvalue_call(fig8, monkeypatch):
     path = lift_path(fig8, _near_branch_line(fig8), StepControls())
     assert path.diagnostics.halvings > 0
     with pytest.raises(AssertionError, match="eigvals was called"):
+        roots_in_l(parse_poly(K52_A), 0.2)
+
+
+def test_quadratic_rows_take_no_newton_polish(fig8, monkeypatch):
+    # only eigenvalue estimates are polished: a probe block, a one-row
+    # solve, the knot table's seed checks and a lift whose refused steps
+    # are split take fig8's closed-form roots as they are; 5_2, cubic in
+    # l, still reaches the polish
+    def refused(c, z):
+        raise AssertionError("_polish was called")
+
+    monkeypatch.setattr(poly_core, "_polish", refused)
+    re, im = np.meshgrid(np.linspace(0.12, 1.12, 10), np.linspace(-0.5, 0.5, 100), indexing="ij")
+    roots, status, _ = roots_in_l_batch(fig8, (re + 1j * im).ravel())
+    assert not status.any() and np.isfinite(roots).all()
+    assert len(roots_in_l(fig8, 0.3 + 0.2j)) == 2
+    # load_knots is cached per process: the function it wraps checks
+    # every record's seed under the patch
+    assert "fig8" in cli_app.load_knots.__wrapped__()
+    path = lift_path(fig8, _near_branch_line(fig8), StepControls())
+    assert path.diagnostics.halvings > 0
+    with pytest.raises(AssertionError, match="_polish was called"):
         roots_in_l(parse_poly(K52_A), 0.2)
 
 

@@ -27,6 +27,7 @@ from apolylab.poly_core import (
     NO_CONVERGENCE,
     ROW_ERRORS,
     _solve_rows,
+    _sort_and_cluster,
     companion_roots,
     horner_row_batch,
     horner_rows,
@@ -308,6 +309,15 @@ def _mp_roots(row):
                                                       extraprec=500)]
 
 
+def _mp_quadratic_roots(row):
+    # the float coefficients taken as exact, by the quadratic formula at
+    # 60 digits: b^2 - 4ac loses at most the 16 digits it cancels
+    with mpmath.workdps(60):
+        c, b, a = (mpmath.mpc(x.real, x.imag) for x in row)
+        s = mpmath.sqrt(b * b - 4 * a * c)
+        return [complex((-b + s) / (2 * a)), complex((-b - s) / (2 * a))]
+
+
 def _rel_error(got, exact):
     # worst |got - exact| / |exact| under the best pairing of the roots
     def err(g, e):
@@ -431,6 +441,23 @@ class TestBatchRoots:
                 want = eval_poly(fig8, complex(z[b, k]), complex(m))
                 assert abs(got[b, k] - want) <= 1e-12 * max(1.0, max_term(fig8, z[b, k], m))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cluster_test_matches_the_full_distance_matrix(self, d):
+        # the pairs i < j give the same bits as the full matrix, since
+        # |a - b| and |b - a| are equal; a third of the rows have a pair
+        # 1e-9 apart, a third one 0.5e-7 to 2e-7 apart, around CLUSTER_RADIUS
+        rng = np.random.default_rng(47 + d)
+        z = rng.uniform(-2, 2, (300, d)) + 1j * rng.uniform(-2, 2, (300, d))
+        phase = np.exp(2j * np.pi * rng.uniform(size=200))
+        z[:100, 1] = z[:100, 0] + 1e-9 * phase[:100]
+        z[100:200, 1] = z[100:200, 0] + rng.uniform(0.5e-7, 2e-7, 100) * phase[100:]
+        got = _sort_and_cluster(z.copy())
+        assert np.array_equal(got, oracles.sort_and_cluster_full_matrix(z.copy()))
+        plain = z[np.arange(300)[:, None], np.lexsort((z.imag, z.real))]
+        clustered = (got != plain).any(axis=1)
+        assert clustered[:100].all() and 0 < clustered[100:200].sum() < 100
+        assert not clustered[200:].any()
+
     def test_no_l_roots(self):
         roots, status, _ = roots_in_l_batch(parse_poly("m + 2"), np.array([1.0, -2.0]))
         assert roots.shape == (2, 0)
@@ -446,11 +473,11 @@ class TestBatchRoots:
 #     |g - z| |p'(z)| <= ROOT_TOL eps S   (first order, a simple root) and
 #     |g - z|^2 |c_2| <= ROOT_TOL eps S   (second order, beside a double root),
 # for the move of z under a change of eps S in p is within the smaller
-# of the two.  The estimate and the polished root each leave a residual
-# within a few roundings of S (Horner's rule on a degree-2 row rounds
-# within about 4 sqrt(2) eps of it), and ROOT_TOL = 16 leaves room for
-# the constant.  pyproject turns every RuntimeWarning into an error, so
-# no case below may emit one.
+# of the two.  A closed-form root is returned as it is, with no Newton
+# step: the scaled discriminant, its square root and the divisions each
+# round once, which keeps its error within a few roundings of S in these
+# units, and ROOT_TOL = 16 leaves room for the constant.  pyproject turns
+# every RuntimeWarning into an error, so no case below may emit one.
 
 EPS = np.finfo(float).eps
 ROOT_TOL = 16.0
@@ -563,6 +590,19 @@ class TestClosedForm:
         a = _random_rows(np.random.default_rng(37), 20, 0)
         rows = np.concatenate([np.zeros((20, 2)), a], axis=1)
         assert np.array_equal(companion_roots(rows), np.zeros((20, 2), dtype=complex))
+
+    @pytest.mark.parametrize("delta", [1e-8, 1e-7])
+    def test_fig8_rows_at_the_node(self, fig8, delta):
+        # the sheets cross at the node m = 1: at m = 1 + delta e^(i theta)
+        # the two roots lie 6e-8 to 7e-7 apart, and a Newton step on the
+        # closed form moved them up to 3.2e-9 (relative) off the exact
+        # roots.  companion_roots is called directly, since roots_in_l
+        # clusters roots closer than CLUSTER_RADIUS
+        theta = np.random.default_rng(43).uniform(0.0, 2.0 * np.pi, 100)
+        rows = laurent_rows(fig8, 1.0 + delta * np.exp(1j * theta), *l_range(fig8))
+        worst = max(_rel_error(got, _mp_quadratic_roots(row))
+                    for row, got in zip(rows, companion_roots(rows)))
+        assert worst <= 1e-12
 
     def test_linear_rows(self):
         assert roots_in_l(parse_poly("m*l - 3"), 2.0) == [1.5]
